@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race short bench bench-plan bench-counter bench-obs bench-adaptive bench-scenarios bench-smoke obs-smoke fleet-smoke scenario-smoke fuzz soak vet fmt lint netvet vet-escape generate generate-check experiments examples clean
+.PHONY: all build test race short perfbench-test bench bench-plan bench-counter bench-obs bench-adaptive bench-scenarios bench-smoke obs-smoke fleet-smoke scenario-smoke fuzz soak vet fmt lint netvet vet-escape generate generate-check experiments examples clean
 
 all: build vet test
 
@@ -61,6 +61,12 @@ generate-check:
 
 short:
 	$(GO) test -short ./...
+
+# perfbench/ is a nested module (its own go.mod), so the root
+# `go test ./...` skips it; it imports internal APIs, so run its vet
+# and short tests separately.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 race:
 	$(GO) test -race ./...

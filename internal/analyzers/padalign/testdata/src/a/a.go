@@ -4,8 +4,8 @@ package a
 
 import "sync/atomic"
 
-// good mirrors runner.asyncHot: contended state first, padding derived
-// so the element is exactly 128 bytes.
+// good follows runner.asyncHot's rule: contended state first, padding
+// derived so the element is exactly 128 bytes.
 //
 //netvet:padalign 128
 type good struct {
@@ -56,9 +56,9 @@ type unpinned struct {
 	seq  int64
 }
 
-// gateObs mirrors obs.GateObs: two independently padded counters in
-// one 128-byte element, so a gate's token count and its contention
-// count never share a cache line with each other or with neighbours.
+// gateObs is two independently padded counters in one 128-byte
+// element, so neither shares a cache line with the other or with a
+// neighbouring element's.
 //
 //netvet:padalign 128
 type gateObs struct {

@@ -101,8 +101,8 @@ func (c *CombiningCounter) Width() int { return int(c.width) }
 // registers it with r (obs.Default when nil). Idempotent; call before
 // the counter sees concurrent traffic. When enabled, each combine pass
 // records its queue depth, values served and latency, handles count
-// their spin retries, and the underlying network records per-gate
-// token counts and batch sizes.
+// their spin retries, and the underlying network records batch sizes;
+// per-gate token counts are read from the balancers themselves.
 func (c *CombiningCounter) EnableObs(name string, r *obs.Registry) *obs.CombineObs {
 	if c.watch == nil {
 		c.watch = obs.NewCombineObs(name, c.async.EnableObs(name))
@@ -231,12 +231,25 @@ func (c *CombiningCounter) NextBlockHooked(dst []int64, yield func(op string), b
 	}
 	block("combine lock", func() bool { return !c.hookHeld })
 	c.hookHeld = true
-	// Round-robin injection from the cursor, as in combineLocked.
+	c.inject(int64(len(dst)))
+	// Token conservation fills dst exactly, so mint never reallocates.
+	c.mint(dst[:0], c.async.TraverseBatchHooked(c.entry, yield), yield)
+	c.hookHeld = false
+}
+
+// inject spreads total tokens over the entry wires round-robin from
+// the cursor, into c.entry. The counting property holds for any
+// distribution of tokens over input wires, so the cursor only spreads
+// load, it does not affect correctness. Caller must hold the combiner
+// lock (or hookHeld).
+//
+//netvet:hotpath
+func (c *CombiningCounter) inject(total int64) {
 	w := int(c.width)
 	for i := range c.entry {
 		c.entry[i] = 0
 	}
-	n, q := c.cursor, int64(len(dst))
+	n, q := c.cursor, total
 	if q >= int64(w) {
 		for i := range c.entry {
 			c.entry[i] += q / int64(w)
@@ -251,20 +264,30 @@ func (c *CombiningCounter) NextBlockHooked(dst []int64, yield func(op string), b
 		}
 	}
 	c.cursor = n
-	out := c.async.TraverseBatchHooked(c.entry, yield)
-	i := 0
-	for pos, k := range out {
+}
+
+// mint claims one value range per touched exit position (exits[pos]
+// tokens left there) with one fetch-and-add on its local counter, and
+// appends the minted values to vals. A non-nil yield runs before each
+// claim.
+//
+//netvet:hotpath
+func (c *CombiningCounter) mint(vals, exits []int64, yield func(op string)) []int64 {
+	for pos, k := range exits {
 		if k == 0 {
 			continue
 		}
-		yield(fmt.Sprintf("local claim %d", pos))
+		if yield != nil {
+			//netvet:allow hotpath escape -- sched-hooked lane only; production callers pass a nil yield
+			yield(fmt.Sprintf("local claim %d", pos))
+		}
 		base := c.locals[pos].v.Add(k) - k
 		for m := int64(0); m < k; m++ {
-			dst[i] = (base+m)*c.width + int64(pos)
-			i++
+			//netvet:allow append -- grows into the caller's scratch backing; amortized to zero once pass sizes stabilize
+			vals = append(vals, (base+m)*c.width+int64(pos))
 		}
 	}
-	c.hookHeld = false
+	return vals
 }
 
 // issued returns the number of values handed out (see
@@ -284,9 +307,10 @@ func (c *CombiningCounter) issued() int64 {
 //
 //netvet:hotpath
 func (c *CombiningCounter) combineLocked(extra []int64) {
-	// Observability is woven into this one body (unlike Traverse's
-	// split) because a pass already amortizes a whole batch traversal:
-	// the nil-checks below are noise next to the work they guard.
+	// Observability is woven into this body (Traverse instead reads the
+	// clock around its walk) because a pass already amortizes a whole
+	// batch traversal: the nil-checks below are noise next to the work
+	// they guard.
 	o := c.watch
 	var start int64
 	if o != nil {
@@ -316,41 +340,9 @@ func (c *CombiningCounter) combineLocked(extra []int64) {
 		//netvet:allow escape -- context.Background's zero-size boxing at trace.StartRegion; no runtime allocation (BenchmarkObsOverhead alloc guard)
 		region = obs.Region("countnet.combine-pass")
 	}
-	// Inject the batch round-robin from the entry cursor. The counting
-	// property holds for any distribution of tokens over input wires,
-	// so the cursor only spreads load, it does not affect correctness.
-	w := int(c.width)
-	for i := range c.entry {
-		c.entry[i] = 0
-	}
-	n, q := c.cursor, total
-	if q >= int64(w) {
-		for i := range c.entry {
-			c.entry[i] += q / int64(w)
-		}
-		q %= int64(w)
-	}
-	for ; q > 0; q-- {
-		c.entry[n]++
-		n++
-		if n == w {
-			n = 0
-		}
-	}
-	c.cursor = n
+	c.inject(total)
 	c.async.TraverseBatchInto(c.exits, c.entry, c.scratch)
-	// Claim one value range per touched exit wire and mint the values.
-	vals := c.vals[:0]
-	for pos, k := range c.exits {
-		if k == 0 {
-			continue
-		}
-		base := c.locals[pos].v.Add(k) - k
-		for m := int64(0); m < k; m++ {
-			//netvet:allow append -- grows into c.vals' scratch backing; amortized to zero once pass sizes stabilize
-			vals = append(vals, (base+m)*c.width+int64(pos))
-		}
-	}
+	vals := c.mint(c.vals[:0], c.exits, nil)
 	// Token conservation guarantees len(vals) == total. Hand each
 	// waiter its block, then the direct request takes the rest.
 	i := 0

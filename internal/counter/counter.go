@@ -103,11 +103,12 @@ func (c *NetworkCounter) Width() int { return c.width }
 // EnableObs attaches observability under the given group name and
 // registers it with r (obs.Default when nil). Idempotent; call before
 // the counter sees concurrent traffic. When enabled, every issued
-// value records an ops count and a Next-latency sample, and the
-// underlying network records per-gate token counts.
+// value records a Next-latency sample; the "ops" count and the
+// per-gate token counts are read from the counter's and the network's
+// own state, so they include traffic from before the call.
 func (c *NetworkCounter) EnableObs(name string, r *obs.Registry) *obs.CounterObs {
 	if c.watch == nil {
-		c.watch = obs.NewCounterObs(name, c.async.EnableObs(name))
+		c.watch = obs.NewCounterObs(name, c.async.EnableObs(name), c.issued)
 	}
 	if r == nil {
 		r = obs.Default
@@ -141,45 +142,41 @@ func (c *NetworkCounter) NextBlock(dst []int64) {
 //netvet:hotpath
 func (c *NetworkCounter) nextOn(wire int) int64 {
 	if o := c.watch; o != nil {
-		return c.nextOnObs(wire, o)
+		start := obs.Now()
+		v := c.step(wire, nil)
+		o.NextNs.ObserveSince(start)
+		return v
 	}
-	var pos int
-	if c.useMu {
-		pos = c.async.TraverseMutex(wire)
-	} else {
-		pos = c.async.Traverse(wire)
-	}
-	k := c.locals[pos].v.Add(1) - 1
-	return k*c.width64 + int64(pos)
-}
-
-// nextOnObs is nextOn with observability: same traversal and value
-// arithmetic (the traversal's own recording happens inside Async),
-// plus the end-to-end latency sample and ops count.
-//
-//netvet:hotpath
-func (c *NetworkCounter) nextOnObs(wire int, o *obs.CounterObs) int64 {
-	start := obs.Now()
-	var pos int
-	if c.useMu {
-		pos = c.async.TraverseMutex(wire)
-	} else {
-		pos = c.async.Traverse(wire)
-	}
-	k := c.locals[pos].v.Add(1) - 1
-	o.Ops.Inc()
-	o.NextNs.ObserveSince(start)
-	return k*c.width64 + int64(pos)
+	return c.step(wire, nil)
 }
 
 // NextOnHooked issues a value entering on the given wire with schedule
 // instrumentation: yield runs immediately before every atomic step (each
 // balancer access and the local-counter fetch). Hooked traversal always
-// uses the atomic balancers. For package sched; do not mix with
-// unhooked calls within one controlled run.
+// uses the atomic balancers and never reads the clock. For package
+// sched; do not mix with unhooked calls within one controlled run.
 func (c *NetworkCounter) NextOnHooked(wire int, yield func(op string)) int64 {
-	pos := c.async.TraverseHooked(wire, yield)
-	yield(fmt.Sprintf("local %d", pos))
+	return c.step(wire, yield)
+}
+
+// step is the per-value body shared by every draw path: one token
+// through the network, then one fetch-and-add on the exit wire's local
+// counter. A non-nil yield selects the hooked atomic walk and runs
+// before the local fetch too.
+//
+//netvet:hotpath
+func (c *NetworkCounter) step(wire int, yield func(op string)) int64 {
+	var pos int
+	switch {
+	case yield != nil:
+		pos = c.async.TraverseHooked(wire, yield)
+		//netvet:allow hotpath escape -- sched-hooked lane only; production callers pass a nil yield
+		yield(fmt.Sprintf("local %d", pos))
+	case c.useMu:
+		pos = c.async.TraverseMutex(wire)
+	default:
+		pos = c.async.Traverse(wire)
+	}
 	k := c.locals[pos].v.Add(1) - 1
 	return k*c.width64 + int64(pos)
 }
@@ -197,10 +194,11 @@ func (c *NetworkCounter) NextHooked(yield func(op string)) int64 {
 // property holds for any distribution of tokens over input wires, so
 // private cycling is safe.
 func (c *NetworkCounter) Handle(id int) Counter {
-	if id < 0 {
-		id = -id
+	pos := id % c.width
+	if pos < 0 {
+		pos += c.width
 	}
-	return &handle{c: c, pos: id % c.width}
+	return &handle{c: c, pos: pos}
 }
 
 type handle struct {

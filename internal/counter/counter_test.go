@@ -1,6 +1,7 @@
 package counter
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"testing"
@@ -113,10 +114,23 @@ func TestNetworkCounterWidth(t *testing.T) {
 }
 
 func TestHandleNegativeID(t *testing.T) {
-	c := NewNetworkCounter(testNetwork(t), false)
-	h := c.Handle(-3)
-	if v := h.Next(); v < 0 {
-		t.Errorf("negative value %d", v)
+	six, err := core.L(2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		net *network.Network
+		id  int
+	}{
+		{testNetwork(t), -3},
+		// -MinInt overflows back to MinInt, and MinInt % 6 is negative.
+		{six, math.MinInt},
+	} {
+		c := NewNetworkCounter(tc.net, false)
+		h := c.Handle(tc.id)
+		if v := h.Next(); v < 0 {
+			t.Errorf("width %d, id %d: negative value %d", c.Width(), tc.id, v)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ package counter
 // account for the operations actually performed.
 
 import (
+	"sync"
 	"testing"
 
 	"countnet/internal/obs"
@@ -134,7 +135,7 @@ func TestCounterObsConcurrent(t *testing.T) {
 	close(stop)
 	<-done
 	assertExactRange(t, vals)
-	if got := o.Ops.Load(); got != workers*perWorker {
+	if got := o.OpsFn(); got != workers*perWorker {
 		t.Errorf("ops = %d, want %d", got, workers*perWorker)
 	}
 	if n := o.NextNs.Snapshot().Count; n != workers*perWorker {
@@ -195,5 +196,90 @@ func TestCounterEnableObsRegisters(t *testing.T) {
 	}
 	if s.Groups[0].Kind != "counter" {
 		t.Fatalf("kind = %q, want counter", s.Groups[0].Kind)
+	}
+}
+
+// TestObsCountsReadEngineState: snapshots read per-gate tokens from the
+// balancers and "ops" from the local counters, so every traversal mode
+// is counted — traffic from before EnableObs included — while
+// snapshots run concurrently, and Reset clears the token counts.
+func TestObsCountsReadEngineState(t *testing.T) {
+	net := testNetwork(t)
+	w := net.Width()
+	for _, mutex := range []bool{false, true} {
+		reg := obs.NewRegistry()
+		c := NewNetworkCounter(net, mutex)
+		c.Next()
+		o := c.EnableObs("engine-state", reg)
+
+		stop := make(chan struct{})
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					_ = reg.Snapshot()
+				}
+			}
+		}()
+		const workers, rounds = 4, 50
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				h := c.Handle(g)
+				block := make([]int64, 3)
+				for i := 0; i < rounds; i++ {
+					h.Next()
+					c.NextBlock(block)
+					if !mutex {
+						// Raw atomic traffic: tokens without values.
+						c.async.Traverse((g + i) % w)
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		values := int64(1 + workers*rounds*4)
+		tokens := values
+		if !mutex {
+			// Hooked draws and raw hooked and batch traversals share the
+			// atomic balancers.
+			yield := func(string) {}
+			for i := 0; i < w; i++ {
+				c.NextOnHooked(i, yield)
+				c.async.TraverseHooked(i, yield)
+			}
+			entry := make([]int64, w)
+			for i := range entry {
+				entry[i] = int64(i)
+			}
+			c.async.TraverseBatchInto(make([]int64, w), entry, nil)
+			values += int64(w)
+			tokens = values + int64(workers*rounds) + int64(w) + int64(w*(w-1)/2)
+		}
+		close(stop)
+		<-done
+
+		g := o.GroupSnapshot()
+		for _, l := range g.Layers {
+			if l.Tokens != tokens {
+				t.Errorf("mutex=%v layer %d tokens = %d, want %d injected", mutex, l.Layer, l.Tokens, tokens)
+			}
+		}
+		if len(g.Counters) != 1 || g.Counters[0].Name != "ops" || g.Counters[0].Value != values {
+			t.Errorf("mutex=%v counters = %+v, want ops = %d", mutex, g.Counters, values)
+		}
+
+		c.async.Reset()
+		for _, gs := range o.GroupSnapshot().Gates {
+			if gs.Tokens != 0 {
+				t.Errorf("mutex=%v gate %d holds %d tokens after Reset", mutex, gs.Gate, gs.Tokens)
+			}
+		}
 	}
 }

@@ -12,23 +12,26 @@ import "sync/atomic"
 // operation count, Next latency, plus the underlying network's
 // per-gate traffic.
 type CounterObs struct {
-	Net    *NetObs
-	Ops    PaddedCount // values issued
-	NextNs *Hist       // end-to-end Next latency (dispatch + walk + local counter)
+	Net *NetObs
+	// OpsFn reports total values issued, read from the counter's own
+	// per-wire local counters; the draw path records nothing for it.
+	OpsFn  func() int64
+	NextNs *Hist // end-to-end Next latency (dispatch + walk + local counter)
 }
 
 // NewCounterObs builds counter obs over the network obs (which must
-// not be nil; the counter owns its compiled network).
-func NewCounterObs(name string, net *NetObs) *CounterObs {
+// not be nil; the counter owns its compiled network) and the counter's
+// issued-value reader.
+func NewCounterObs(name string, net *NetObs, ops func() int64) *CounterObs {
 	net.name = name
 	net.kind = "counter"
-	return &CounterObs{Net: net, NextNs: NewHist()}
+	return &CounterObs{Net: net, OpsFn: ops, NextNs: NewHist()}
 }
 
 // GroupSnapshot implements Source.
 func (o *CounterObs) GroupSnapshot() GroupSnapshot {
 	g := o.Net.GroupSnapshot()
-	g.Counters = append(g.Counters, Metric{Name: "ops", Value: o.Ops.Load()})
+	g.Counters = append(g.Counters, Metric{Name: "ops", Value: o.OpsFn()})
 	g.Hists = append([]HistMetric{{Name: "next_ns", Hist: o.NextNs.Snapshot()}}, g.Hists...)
 	return g
 }

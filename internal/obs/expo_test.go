@@ -12,13 +12,13 @@ import (
 
 func testRegistry() *Registry {
 	r := NewRegistry()
-	n := testNetObs()
-	n.GateToken(0)
-	n.GateTokens(2, 5)
+	n, tokens := testNetObs()
+	tokens[0] = 1
+	tokens[2] = 5
 	n.GateContended(3)
 	n.TraverseNs.Observe(100)
 	r.Register("net", n)
-	c := NewCombineObs("cmb", NewNetObs("cmb", []int32{1}))
+	c := NewCombineObs("cmb", NewNetObs("cmb", []int32{1}, func(int) int64 { return 0 }))
 	c.Passes.Inc()
 	r.Register("cmb", c)
 	return r

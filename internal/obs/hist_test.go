@@ -167,7 +167,4 @@ func TestPaddedLayouts(t *testing.T) {
 	if s := unsafe.Sizeof(PaddedCount{}); s != 128 {
 		t.Errorf("PaddedCount is %d bytes, want 128", s)
 	}
-	if s := unsafe.Sizeof(GateObs{}); s != 128 {
-		t.Errorf("GateObs is %d bytes, want 128", s)
-	}
 }

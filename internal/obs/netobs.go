@@ -1,22 +1,5 @@
 package obs
 
-import "sync/atomic"
-
-// GateObs is one gate's hot counters, isolated on its own pair of
-// cache lines: when observation is on, every traversing token bumps
-// its path's gate counters, so adjacent gates' obs state must not
-// share lines any more than the gates' own balancer state does. The
-// two counters sit on separate 64-byte lines within the element
-// (contended is only written in lock mode, tokens in every mode).
-//
-//netvet:padalign 128
-type GateObs struct {
-	tokens    atomic.Int64 // tokens routed through the gate
-	_         [56]byte
-	contended atomic.Int64 // lock-mode acquisitions that found the gate busy
-	_         [56]byte
-}
-
 // NetObs holds the per-gate/per-layer counters and phase histograms of
 // one compiled network. Create with NewNetObs before the network sees
 // concurrent traffic; recording methods are safe for concurrent use
@@ -26,7 +9,12 @@ type NetObs struct {
 	kind      string
 	gateLayer []int32 // gate -> 1-based layer
 	layers    int
-	gates     []GateObs
+	// tokens reads gate g's token count from the balancer itself, whose
+	// arrival counter already is that count.
+	tokens func(g int) int64
+	// contended counts lock-mode acquisitions that found the gate busy,
+	// one padded counter per gate.
+	contended []PaddedCount
 
 	// TraverseNs is the per-token network walk latency (Traverse,
 	// TraverseMutex); BatchNs the whole-batch propagation latency
@@ -37,8 +25,8 @@ type NetObs struct {
 }
 
 // NewNetObs builds obs state for a network whose gate i sits on
-// 1-based layer gateLayer[i].
-func NewNetObs(name string, gateLayer []int32) *NetObs {
+// 1-based layer gateLayer[i] and has seen tokens(i) tokens.
+func NewNetObs(name string, gateLayer []int32, tokens func(g int) int64) *NetObs {
 	layers := 0
 	for _, l := range gateLayer {
 		if int(l) > layers {
@@ -50,7 +38,8 @@ func NewNetObs(name string, gateLayer []int32) *NetObs {
 		kind:        "network",
 		gateLayer:   append([]int32(nil), gateLayer...),
 		layers:      layers,
-		gates:       make([]GateObs, len(gateLayer)),
+		tokens:      tokens,
+		contended:   make([]PaddedCount, len(gateLayer)),
 		TraverseNs:  NewHist(),
 		BatchNs:     NewHist(),
 		BatchTokens: NewHist(),
@@ -60,21 +49,11 @@ func NewNetObs(name string, gateLayer []int32) *NetObs {
 // Name returns the group name given at construction.
 func (o *NetObs) Name() string { return o.name }
 
-// GateToken records one token routed through gate g.
-//
-//netvet:hotpath
-func (o *NetObs) GateToken(g int32) { o.gates[g].tokens.Add(1) }
-
-// GateTokens records n tokens routed through gate g in one batch.
-//
-//netvet:hotpath
-func (o *NetObs) GateTokens(g int, n int64) { o.gates[g].tokens.Add(n) }
-
 // GateContended records a lock-mode acquisition of gate g that found
 // the balancer already held.
 //
 //netvet:hotpath
-func (o *NetObs) GateContended(g int32) { o.gates[g].contended.Add(1) }
+func (o *NetObs) GateContended(g int32) { o.contended[g].Inc() }
 
 // GroupSnapshot implements Source.
 func (o *NetObs) GroupSnapshot() GroupSnapshot {
@@ -94,20 +73,20 @@ func (o *NetObs) GroupSnapshot() GroupSnapshot {
 // appendGateLayers fills the per-gate rows and the per-layer
 // aggregation of a group snapshot.
 func (o *NetObs) appendGateLayers(g *GroupSnapshot) {
-	if len(o.gates) == 0 {
+	if len(o.gateLayer) == 0 {
 		return
 	}
 	layers := make([]LayerSnapshot, o.layers)
 	for i := range layers {
 		layers[i].Layer = i + 1
 	}
-	g.Gates = make([]GateSnapshot, len(o.gates))
-	for i := range o.gates {
+	g.Gates = make([]GateSnapshot, len(o.gateLayer))
+	for i := range o.gateLayer {
 		gs := GateSnapshot{
 			Gate:      i,
 			Layer:     int(o.gateLayer[i]),
-			Tokens:    o.gates[i].tokens.Load(),
-			Contended: o.gates[i].contended.Load(),
+			Tokens:    o.tokens(i),
+			Contended: o.contended[i].Load(),
 		}
 		g.Gates[i] = gs
 		if gs.Layer >= 1 && gs.Layer <= len(layers) {

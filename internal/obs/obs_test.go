@@ -6,16 +6,18 @@ import (
 	"time"
 )
 
-func testNetObs() *NetObs {
-	// Four gates on two layers: gates 0,1 on layer 1; gates 2,3 on 2.
-	return NewNetObs("test-net", []int32{1, 1, 2, 2})
+// testNetObs returns obs over four gates on two layers (gates 0,1 on
+// layer 1; gates 2,3 on 2) whose token counts read from the returned
+// slice, standing in for the balancers' own counters.
+func testNetObs() (*NetObs, []int64) {
+	tokens := make([]int64, 4)
+	return NewNetObs("test-net", []int32{1, 1, 2, 2}, func(g int) int64 { return tokens[g] }), tokens
 }
 
 func TestNetObsSnapshot(t *testing.T) {
-	o := testNetObs()
-	o.GateToken(0)
-	o.GateToken(0)
-	o.GateTokens(2, 5)
+	o, tokens := testNetObs()
+	tokens[0] = 2
+	tokens[2] = 5
 	o.GateContended(3)
 	o.TraverseNs.Observe(100)
 
@@ -42,8 +44,8 @@ func TestNetObsSnapshot(t *testing.T) {
 }
 
 func TestCounterObsSnapshot(t *testing.T) {
-	o := NewCounterObs("ctr", testNetObs())
-	o.Ops.Add(3)
+	net, _ := testNetObs()
+	o := NewCounterObs("ctr", net, func() int64 { return 3 })
 	o.NextNs.Observe(50)
 	g := o.GroupSnapshot()
 	if g.Kind != "counter" || g.Name != "ctr" {
@@ -58,7 +60,8 @@ func TestCounterObsSnapshot(t *testing.T) {
 }
 
 func TestCombineObsSnapshot(t *testing.T) {
-	o := NewCombineObs("cmb", testNetObs())
+	net, _ := testNetObs()
+	o := NewCombineObs("cmb", net)
 	o.Passes.Inc()
 	o.SpinRetries.Add(7)
 	o.PassServed.Observe(16)
@@ -153,9 +156,9 @@ func TestRegionNoTrace(t *testing.T) {
 
 func TestRenderTable(t *testing.T) {
 	r := NewRegistry()
-	n := testNetObs()
-	n.GateToken(0)
-	n.GateTokens(2, 4)
+	n, tokens := testNetObs()
+	tokens[0] = 1
+	tokens[2] = 4
 	n.TraverseNs.Observe(120)
 	r.Register("net-lane", n)
 	cur := r.Snapshot()
@@ -168,7 +171,7 @@ func TestRenderTable(t *testing.T) {
 	}
 
 	// Delta rendering: second snapshot after more traffic.
-	n.GateTokens(2, 6)
+	tokens[2] += 6
 	next := r.Snapshot()
 	out = RenderTable(&cur, next, time.Second)
 	if !strings.Contains(out, "6") {

@@ -36,31 +36,30 @@ type Async struct {
 	gateLayer []int32 // gate -> 1-based layer, for observability
 
 	// watch is the observability hook, nil unless EnableObs was
-	// called. Every hot entry point pays exactly one nil-check for it;
-	// the instrumented bodies live in separate functions so the
-	// disabled path's code is byte-for-byte the uninstrumented loop
-	// (pinned by the obs-off differential and alloc tests and the
-	// BenchmarkObsOverhead guard lane).
+	// called. Every hot entry point pays exactly one nil-check for it.
+	// Per-gate token counts are the balancers' own hot[g].count, so the
+	// atomic walk records nothing per gate; Traverse reads the clock
+	// around it (pinned by the obs-off differential and alloc tests and
+	// the BenchmarkObsOverhead guard lane).
 	watch *obs.NetObs
 }
 
 // asyncHot is a gate's contended state, isolated from everything else:
-// the atomic count (lock-free mode) and the mutex-guarded seq (lock
-// mode) sit at the front of a 128-byte element, so in the hot slice no
-// two gates' counters ever share a 64-byte cache line — regardless of
-// the slice's base alignment — and a gate's read-only routing data
-// (asyncGate) is never invalidated by counter traffic. The previous
-// layout padded only *before* the counter inside a 144-byte struct,
-// leaving each gate's counter on the same line as its routing slice
-// headers. 128 rather than 64 also defeats adjacent-line prefetching
-// between neighbouring counters.
+// the count (fetch-and-add in lock-free mode, load/store under mu in
+// lock mode) and the mutex sit at the front of a 128-byte element, so
+// in the hot slice no two gates' counters ever share a 64-byte cache
+// line — regardless of the slice's base alignment — and a gate's
+// read-only routing data (asyncGate) is never invalidated by counter
+// traffic. The previous layout padded only *before* the counter inside
+// a 144-byte struct, leaving each gate's counter on the same line as
+// its routing slice headers. 128 rather than 64 also defeats
+// adjacent-line prefetching between neighbouring counters.
 //
 //netvet:padalign 128
 type asyncHot struct {
-	count atomic.Int64
+	count atomic.Int64 // tokens that have arrived at the gate
 	mu    sync.Mutex
-	seq   int64 // counter used under mutex traversal
-	_     [128 - 24]byte
+	_     [128 - 16]byte
 }
 
 // asyncGate is the gate's immutable routing data, packed separately
@@ -134,12 +133,14 @@ func (a *Async) Width() int { return a.width }
 // EnableObs attaches observability state under the given group name
 // and returns it; subsequent calls return the existing state. Call
 // before the network sees concurrent traffic — the hook is installed
-// with a plain store. When enabled, traversals record per-gate token
-// counts and latency histograms; when never called, every hot path
-// pays one nil-check only.
+// with a plain store. When enabled, traversals record latency
+// histograms, and snapshots read each gate's token count straight from
+// its balancer (so they include traffic from before the call, and
+// Reset clears them); when never called, every hot path pays one
+// nil-check only.
 func (a *Async) EnableObs(name string) *obs.NetObs {
 	if a.watch == nil {
-		a.watch = obs.NewNetObs(name, a.gateLayer)
+		a.watch = obs.NewNetObs(name, a.gateLayer, func(g int) int64 { return a.hot[g].count.Load() })
 	}
 	return a.watch
 }
@@ -154,8 +155,31 @@ func (a *Async) Obs() *obs.NetObs { return a.watch }
 //netvet:hotpath
 func (a *Async) Traverse(entryWire int) int {
 	if o := a.watch; o != nil {
-		return a.traverseObs(entryWire, o)
+		start := obs.Now()
+		pos := a.walk(entryWire, nil)
+		o.TraverseNs.ObserveSince(start)
+		return pos
 	}
+	return a.walk(entryWire, nil)
+}
+
+// TraverseHooked is Traverse instrumented for controlled scheduling:
+// yield is called immediately before every atomic balancer access, so
+// a scheduler that serializes its tasks (package sched) fully
+// determines the interleaving of balancer operations. It runs the same
+// walk as Traverse but never reads the clock, so an observed
+// controlled run stays deterministic under replay. It shares the
+// atomic balancer state with Traverse; do not mix hooked and unhooked
+// traversals within one controlled run.
+func (a *Async) TraverseHooked(entryWire int, yield func(op string)) int {
+	return a.walk(entryWire, yield)
+}
+
+// walk is the atomic traversal: one fetch-and-add per gate on the
+// token's path. A non-nil yield runs before each of them.
+//
+//netvet:hotpath
+func (a *Async) walk(entryWire int, yield func(op string)) int {
 	if entryWire < 0 || entryWire >= a.width {
 		panic(fmt.Sprintf("runner: entry wire %d outside width %d", entryWire, a.width))
 	}
@@ -163,6 +187,10 @@ func (a *Async) Traverse(entryWire int) int {
 	gid := a.entry[wire]
 	for gid >= 0 {
 		g := &a.gates[gid]
+		if yield != nil {
+			//netvet:allow hotpath escape -- sched-hooked lane only; production callers pass a nil yield
+			yield(fmt.Sprintf("gate %d", gid))
+		}
 		i := a.hot[gid].count.Add(1) - 1
 		// Same pow2 fast path as the batch engine (batch.go): the AND
 		// replaces a 64-bit DIV on the single hottest instruction of
@@ -180,133 +208,51 @@ func (a *Async) Traverse(entryWire int) int {
 	return int(a.outPos[wire])
 }
 
-// traverseObs is Traverse with observability recording: identical
-// routing (same balancer accesses in the same order), plus a per-gate
-// token count and a latency sample.
+// TraverseMutex is Traverse with lock-based balancers. The two modes
+// keep their counts in the same per-gate word by different protocols
+// (fetch-and-add versus load/store under the gate's lock); do not mix
+// them on one Async instance within a run. The lock path keeps the
+// plain modulo port computation: it is a measurement baseline, not a
+// hot path in the micro-architectural sense (the independent
+// arithmetic makes it an oracle for the mask fast path in the atomic
+// traversal), but it still must not allocate per token, so it carries
+// the same proof annotation. With observability on, a TryLock that
+// fails means the token found the balancer held, counted per gate
+// before falling back to the blocking Lock.
 //
 //netvet:hotpath
-func (a *Async) traverseObs(entryWire int, o *obs.NetObs) int {
-	if entryWire < 0 || entryWire >= a.width {
-		panic(fmt.Sprintf("runner: entry wire %d outside width %d", entryWire, a.width))
-	}
-	start := obs.Now()
-	wire := int32(entryWire)
-	gid := a.entry[wire]
-	for gid >= 0 {
-		g := &a.gates[gid]
-		o.GateToken(gid)
-		i := a.hot[gid].count.Add(1) - 1
-		// Pow2 fast path, matching Traverse exactly.
-		var port int64
-		if m := g.mask; m >= 0 {
-			port = i & m
-		} else {
-			port = i % g.width
-		}
-		wire = g.wires[port]
-		gid = g.next[port]
-	}
-	o.TraverseNs.ObserveSince(start)
-	return int(a.outPos[wire])
-}
-
-// TraverseHooked is Traverse instrumented for controlled scheduling:
-// yield is called immediately before every atomic balancer access, so
-// a scheduler that serializes its tasks (package sched) fully
-// determines the interleaving of balancer operations. It shares the
-// atomic balancer state with Traverse; do not mix hooked and unhooked
-// traversals within one controlled run.
-func (a *Async) TraverseHooked(entryWire int, yield func(op string)) int {
+func (a *Async) TraverseMutex(entryWire int) int {
 	if entryWire < 0 || entryWire >= a.width {
 		panic(fmt.Sprintf("runner: entry wire %d outside width %d", entryWire, a.width))
 	}
 	o := a.watch
-	wire := int32(entryWire)
-	gid := a.entry[wire]
-	for gid >= 0 {
-		g := &a.gates[gid]
-		yield(fmt.Sprintf("gate %d", gid))
-		if o != nil {
-			// Counting only — no clock reads, so an observed
-			// controlled run stays deterministic under replay.
-			o.GateToken(gid)
-		}
-		i := a.hot[gid].count.Add(1) - 1
-		// Pow2 fast path, matching Traverse exactly — a controlled
-		// schedule replays identically whichever path computed the port.
-		var port int64
-		if m := g.mask; m >= 0 {
-			port = i & m
-		} else {
-			port = i % g.width
-		}
-		wire = g.wires[port]
-		gid = g.next[port]
-	}
-	return int(a.outPos[wire])
-}
-
-// TraverseMutex is Traverse with lock-based balancers. The two modes
-// share no state; do not mix them on one Async instance within a run.
-// The lock path keeps the plain modulo port computation: it is a
-// measurement baseline, not a hot path in the micro-architectural
-// sense (the independent arithmetic makes it an oracle for the mask
-// fast path in the atomic traversals), but it still must not allocate
-// per token, so it carries the same proof annotation.
-//
-//netvet:hotpath
-func (a *Async) TraverseMutex(entryWire int) int {
-	if o := a.watch; o != nil {
-		return a.traverseMutexObs(entryWire, o)
-	}
-	if entryWire < 0 || entryWire >= a.width {
-		panic(fmt.Sprintf("runner: entry wire %d outside width %d", entryWire, a.width))
+	var start int64
+	if o != nil {
+		start = obs.Now()
 	}
 	wire := int32(entryWire)
 	gid := a.entry[wire]
 	for gid >= 0 {
 		g := &a.gates[gid]
 		h := &a.hot[gid]
-		h.mu.Lock()
-		i := h.seq
-		h.seq++
-		h.mu.Unlock()
-		port := i % g.width
-		wire = g.wires[port]
-		gid = g.next[port]
-	}
-	return int(a.outPos[wire])
-}
-
-// traverseMutexObs is TraverseMutex with observability recording. In
-// lock mode contention is directly measurable: a TryLock that fails
-// means the token found the balancer held, counted per gate before
-// falling back to the blocking Lock.
-//
-//netvet:hotpath
-func (a *Async) traverseMutexObs(entryWire int, o *obs.NetObs) int {
-	if entryWire < 0 || entryWire >= a.width {
-		panic(fmt.Sprintf("runner: entry wire %d outside width %d", entryWire, a.width))
-	}
-	start := obs.Now()
-	wire := int32(entryWire)
-	gid := a.entry[wire]
-	for gid >= 0 {
-		g := &a.gates[gid]
-		h := &a.hot[gid]
-		o.GateToken(gid)
-		if !h.mu.TryLock() {
+		if o == nil {
+			h.mu.Lock()
+		} else if !h.mu.TryLock() {
 			o.GateContended(gid)
 			h.mu.Lock()
 		}
-		i := h.seq
-		h.seq++
+		// Atomic load/store under the lock, so a concurrent snapshot
+		// can read the count without a race.
+		i := h.count.Load()
+		h.count.Store(i + 1)
 		h.mu.Unlock()
 		port := i % g.width
 		wire = g.wires[port]
 		gid = g.next[port]
 	}
-	o.TraverseNs.ObserveSince(start)
+	if o != nil {
+		o.TraverseNs.ObserveSince(start)
+	}
 	return int(a.outPos[wire])
 }
 
@@ -315,7 +261,6 @@ func (a *Async) traverseMutexObs(entryWire int, o *obs.NetObs) int {
 func (a *Async) Reset() {
 	for i := range a.hot {
 		a.hot[i].count.Store(0)
-		a.hot[i].seq = 0
 	}
 }
 

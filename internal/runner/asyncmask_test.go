@@ -37,8 +37,9 @@ func maskDiffNets(t testing.TB) []*network.Network {
 // TestTraverseMaskVsModulo pins the pow2 mask fast path against plain
 // modulo routing: the same serial token sequence through an Async with
 // masks force-disabled (every gate takes the DIV path) must exit on
-// identical positions, for Traverse, traverseObs and TraverseHooked,
-// with TraverseMutex's independent arithmetic as a third oracle.
+// identical positions, for Traverse with observability off and on and
+// for TraverseHooked (all three run the one atomic walk), with
+// TraverseMutex's independent arithmetic as a third oracle.
 func TestTraverseMaskVsModulo(t *testing.T) {
 	for _, net := range maskDiffNets(t) {
 		t.Run(net.Name, func(t *testing.T) {

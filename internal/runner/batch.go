@@ -71,12 +71,12 @@ func (a *Async) TraverseBatchInto(dst, entryCounts []int64, s *BatchScratch) []i
 		start := obs.Now()
 		//netvet:allow escape -- context.Background's zero-size boxing at trace.StartRegion; no runtime allocation (BenchmarkObsOverhead alloc guard)
 		r := obs.Region("countnet.batch")
-		a.propagate(s.cur, nil, o)
+		a.propagate(s.cur, nil)
 		r.End()
 		o.BatchNs.ObserveSince(start)
 		o.BatchTokens.Observe(total)
 	} else {
-		a.propagate(s.cur, nil, nil)
+		a.propagate(s.cur, nil)
 	}
 	for wire, pos := range a.outPos {
 		dst[pos] = s.cur[wire]
@@ -96,8 +96,7 @@ func (a *Async) TraverseBatchHooked(entryCounts []int64, yield func(op string)) 
 	a.batchArgs(dst, entryCounts)
 	cur := make([]int64, a.width)
 	copy(cur, entryCounts)
-	// Counting only under controlled scheduling (see TraverseHooked).
-	a.propagate(cur, yield, a.watch)
+	a.propagate(cur, yield)
 	for wire, pos := range a.outPos {
 		dst[pos] = cur[wire]
 	}
@@ -122,11 +121,10 @@ func (a *Async) batchArgs(dst, entryCounts []int64) {
 // propagate advances cur (tokens per wire) across every gate in
 // topological order. Gate order mirrors ApplyTokens: once a gate is
 // processed, every token later placed on its wires can only meet later
-// gates, so a single in-order pass moves the whole batch. A non-nil o
-// records per-gate token counts (the batch analogue of traverseObs).
+// gates, so a single in-order pass moves the whole batch.
 //
 //netvet:hotpath
-func (a *Async) propagate(cur []int64, yield func(op string), o *obs.NetObs) {
+func (a *Async) propagate(cur []int64, yield func(op string)) {
 	for gi := range a.gates {
 		g := &a.gates[gi]
 		var t int64
@@ -139,9 +137,6 @@ func (a *Async) propagate(cur []int64, yield func(op string), o *obs.NetObs) {
 		if yield != nil {
 			//netvet:allow hotpath escape -- sched-hooked lane only; production callers pass a nil yield
 			yield(fmt.Sprintf("gate %d", gi))
-		}
-		if o != nil {
-			o.GateTokens(gi, t)
 		}
 		p := g.width
 		// Reserve arrival indices i0..i0+t-1 in one fetch-and-add.
