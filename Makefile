@@ -220,6 +220,8 @@ examples:
 	$(GO) run ./examples/tradeoff 96
 	$(GO) run ./examples/loadbalance
 	$(GO) run ./examples/concurrent
+	$(GO) run ./examples/visualize
+	$(GO) run ./examples/pipeline
 
 clean:
 	$(GO) clean -testcache

@@ -41,7 +41,7 @@ func main() {
 		asJSON  = flag.Bool("json", false, "emit the network as JSON")
 		verify  = flag.Bool("verify", false, "run the counting and sorting verification batteries")
 		seed    = flag.Int64("seed", 1, "verification RNG seed")
-		trace   = flag.String("trace", "", "comma-separated entry wires; trace those tokens through the network (FIFO schedule)")
+		trace   = flag.String("trace", "", "comma-separated entry wires; trace those tokens through the network one at a time")
 	)
 	flag.Parse()
 
@@ -92,7 +92,7 @@ func main() {
 	}
 
 	if *trace != "" {
-		entries, err := parseFactors(*trace) // same comma-separated form
+		entries, err := parseList(*trace, "entry wire")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "netgen:", err)
 			os.Exit(2)
@@ -193,16 +193,22 @@ func parseFactors(s string) ([]int, error) {
 	if s == "" {
 		return nil, fmt.Errorf("families K and L need -factors, e.g. -factors 2,3,5")
 	}
+	return parseList(s, "factor")
+}
+
+// parseList parses a comma-separated list of integers; item names one
+// element in the error message.
+func parseList(s, item string) ([]int, error) {
 	parts := strings.Split(s, ",")
-	fs := make([]int, 0, len(parts))
+	vs := make([]int, 0, len(parts))
 	for _, part := range parts {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil {
-			return nil, fmt.Errorf("bad factor %q: %v", part, err)
+			return nil, fmt.Errorf("bad %s %q: %v", item, part, err)
 		}
-		fs = append(fs, v)
+		vs = append(vs, v)
 	}
-	return fs, nil
+	return vs, nil
 }
 
 func printStats(net *countnet.Network) {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -17,6 +18,19 @@ func TestParseFactors(t *testing.T) {
 		if _, err := parseFactors(bad); err == nil {
 			t.Errorf("parseFactors(%q) accepted", bad)
 		}
+	}
+}
+
+// TestParseTraceEntries: -trace entries are wires, not factors, and a
+// bad one is reported as such.
+func TestParseTraceEntries(t *testing.T) {
+	got, err := parseList("0, 0,3", "entry wire")
+	if err != nil || !reflect.DeepEqual(got, []int{0, 0, 3}) {
+		t.Errorf("parseList = %v, %v", got, err)
+	}
+	_, err = parseList("0,x", "entry wire")
+	if err == nil || !strings.HasPrefix(err.Error(), `bad entry wire "x"`) {
+		t.Errorf("parseList(\"0,x\") error = %v, want it to name the entry wire", err)
 	}
 }
 

@@ -38,8 +38,8 @@ import (
 	"countnet/internal/factor"
 	"countnet/internal/network"
 	"countnet/internal/runner"
+	"countnet/internal/sched"
 	"countnet/internal/seq"
-	"countnet/internal/sim"
 	"countnet/internal/verify"
 )
 
@@ -319,8 +319,16 @@ func (n *Network) TraceTokens(entries []int) (string, error) {
 			return "", fmt.Errorf("countnet: entry wire %d outside width %d", e, n.Width())
 		}
 	}
-	res, paths := sim.RunTraced(n.inner, entries, sim.FIFO{})
-	return sim.FormatPaths(n.inner, entries, paths, res), nil
+	// An empty Replay never preempts: token 0 runs to completion, then
+	// token 1, and so on, each through the shipped atomic walk. The
+	// system's step-property check is dropped: a network that does not
+	// count (NewBubble) still has a trace to show.
+	tasks, _ := sched.TokenSystem(n.inner, entries)()
+	tr, err := sched.Run(&sched.Replay{}, len(entries)*(n.inner.Depth()+2), tasks)
+	if err != nil {
+		return "", err
+	}
+	return sched.FormatTokenSchedule(n.inner, entries, tr), nil
 }
 
 // Counter is a concurrent Fetch&Increment counter backed by a counting
@@ -483,12 +491,15 @@ type Barrier struct {
 // NewBarrier builds a barrier for parties participants over a fresh
 // counter on the given counting network.
 func NewBarrier(n *Network, parties int) *Barrier {
-	return &Barrier{inner: counter.NewBarrier(parties, counter.NewNetworkCounter(n.inner, false))}
+	return &Barrier{inner: counter.NewBarrier(parties, n.inner)}
 }
 
 // Await blocks until all parties of the caller's generation have
 // arrived and returns the 0-based generation number.
-func (b *Barrier) Await() int64 { return b.inner.Await() }
+func (b *Barrier) Await() int64 {
+	gen, _ := b.inner.Await() // fails only after Close, which countnet does not expose
+	return gen
+}
 
 // Handle returns a goroutine-local barrier view whose arrival tickets
 // bypass the ticket counter's shared entry dispatcher; id disperses the
@@ -504,7 +515,10 @@ type BarrierHandle struct {
 
 // Await blocks until all parties of the caller's generation have
 // arrived and returns the 0-based generation number.
-func (h *BarrierHandle) Await() int64 { return h.inner.Await() }
+func (h *BarrierHandle) Await() int64 {
+	gen, _ := h.inner.Await() // fails only after Close, which countnet does not expose
+	return gen
+}
 
 // Factorizations lists every multiset factorization of w into factors
 // >= 2 (each non-increasing), the parameter space of the network

@@ -104,3 +104,23 @@ func ExampleNetwork_TraceTokens() {
 	// token 1: wire 2 -[K(2,2)/C.base #1]-> wire 1  => exit position 1, value 1
 	// exit counts (output order): [1 1 0 0]
 }
+
+// Tracing three tokens through L(2,2), built from 2-balancers only:
+// each token crosses three layers, and the ranks show the order in
+// which tokens reached each balancer.
+func ExampleNetwork_TraceTokens_multiLayer() {
+	net, err := countnet.NewL(2, 2)
+	if err != nil {
+		panic(err)
+	}
+	out, err := net.TraceTokens([]int{0, 0, 3})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Print(out)
+	// Output:
+	// token 0: wire 0 -[L(2,2)/C.base/T.AB/row #0]-> wire 0 -[L(2,2)/C.base/T.fin/row #0]-> wire 0 -[L(2,2)/C.base/T.fin/col #0]-> wire 0  => exit position 0, value 0
+	// token 1: wire 0 -[L(2,2)/C.base/T.AB/row #1]-> wire 1 -[L(2,2)/C.base/T.fin/row #0]-> wire 1 -[L(2,2)/C.base/T.fin/col #1]-> wire 1  => exit position 1, value 1
+	// token 2: wire 3 -[L(2,2)/C.base/T.CD/row #0]-> wire 2 -[L(2,2)/C.base/T.fin/row #1]-> wire 2 -[L(2,2)/C.base/T.fin/col #0]-> wire 3  => exit position 2, value 2
+	// exit counts (output order): [1 1 1 0]
+}

@@ -22,8 +22,9 @@ import (
 // Because the network is cyclic it cannot be a network.Network; Wrapped
 // carries its own (serial-schedule) execution semantics. Serial
 // injection is a legal asynchronous schedule, and by the
-// schedule-independence of balancing networks (see internal/sim) the
-// quiescent exit counts are the same under any schedule.
+// schedule-independence of balancing networks (explored by
+// internal/sched's TokenSystem) the quiescent exit counts are the same
+// under any schedule.
 type Wrapped struct {
 	width int // external width w
 	inner *network.Network

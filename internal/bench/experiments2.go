@@ -8,7 +8,7 @@ import (
 	"countnet/internal/core"
 	"countnet/internal/factor"
 	"countnet/internal/network"
-	"countnet/internal/sim"
+	"countnet/internal/sched"
 	"countnet/internal/verify"
 )
 
@@ -38,9 +38,10 @@ func E13Orderings(multiset []int) *Table {
 
 // E14Linearizability reports the Section 6 discussion: counting
 // networks are quiescently consistent but not linearizable. For each
-// network it searches three/four-token scripted executions for a
-// violation — an operation B that starts strictly after operation A
-// finishes yet receives a smaller value — and prints the witness.
+// network sched.LinearizabilityWitness searches four-token executions
+// of the real counter for a violation — an operation B that starts
+// strictly after operation A finishes yet receives a smaller value —
+// and the table prints the witness.
 // Depth-1 networks (single balancers) admit no violation.
 func E14Linearizability() *Table {
 	t := &Table{
@@ -51,7 +52,7 @@ func E14Linearizability() *Table {
 		Header: []string{"network", "depth", "witness"},
 	}
 	add := func(n *network.Network) {
-		w, vA, vB, ok := linearizabilityWitness(n)
+		w, vA, vB, ok := sched.LinearizabilityWitness(n)
 		cell := "none found"
 		if ok {
 			cell = fmt.Sprintf("A=%d then B=%d (%s)", vA, vB, w)
@@ -250,45 +251,4 @@ func E18WeightedDepth(width int) *Table {
 		t.AddRow(cells...)
 	}
 	return t
-}
-
-// linearizabilityWitness searches scripted executions with two stalled
-// tokens for a violation; it requires a uniform-path-length network
-// (all the candidates above qualify).
-func linearizabilityWitness(n *network.Network) (desc string, vA, vB int, found bool) {
-	w := n.Width()
-	steps := n.Depth() + 1
-	for c0 := 0; c0 < w; c0++ {
-		for c1 := 0; c1 < w; c1++ {
-			for s0 := 1; s0 < steps; s0++ {
-				for s1 := 1; s1 < steps; s1++ {
-					for ae := 0; ae < w; ae++ {
-						for be := 0; be < w; be++ {
-							var order []int
-							for i := 0; i < s0; i++ {
-								order = append(order, 0)
-							}
-							for i := 0; i < s1; i++ {
-								order = append(order, 1)
-							}
-							for i := 0; i < steps; i++ {
-								order = append(order, 2)
-							}
-							for i := 0; i < steps; i++ {
-								order = append(order, 3)
-							}
-							res := sim.Run(n, []int{c0, c1, ae, be}, &sim.Script{Order: order})
-							a := res.ExitRanks[2]*w + res.Exits[2]
-							b := res.ExitRanks[3]*w + res.Exits[3]
-							if b < a {
-								return fmt.Sprintf("stalled on wires %d,%d after %d,%d steps; A on %d, B on %d",
-									c0, c1, s0, s1, ae, be), a, b, true
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	return "", 0, 0, false
 }

@@ -100,16 +100,24 @@ func TestE18CostModelShapes(t *testing.T) {
 	}
 }
 
+// TestE14WitnessesWhereExpected pins each row's witness to the text
+// committed in docs/experiments-latest.txt: none for the single
+// balancer, and the exact stall, entry wires and values for each
+// multi-layer network.
 func TestE14WitnessesWhereExpected(t *testing.T) {
+	want := map[string]string{
+		"K(4)":        "none found",
+		"Bitonic[4]":  "A=2 then B=0 (stalled on wires 0,0 after 1,2 steps; A on 2, B on 0)",
+		"L(2,2)":      "A=2 then B=0 (stalled on wires 0,0 after 1,2 steps; A on 2, B on 0)",
+		"Periodic[4]": "A=2 then B=0 (stalled on wires 0,0 after 2,3 steps; A on 0, B on 0)",
+	}
 	tbl := E14Linearizability()
+	if len(tbl.Rows) != len(want) {
+		t.Fatalf("E14 has %d rows, want %d", len(tbl.Rows), len(want))
+	}
 	for _, row := range tbl.Rows {
-		depthOne := row[1] == "1"
-		hasWitness := row[2] != "none found"
-		if depthOne && hasWitness {
-			t.Errorf("%s: depth-1 network should be linearizable, got %s", row[0], row[2])
-		}
-		if !depthOne && !hasWitness {
-			t.Errorf("%s: expected a linearizability violation witness", row[0])
+		if row[2] != want[row[0]] {
+			t.Errorf("%s: witness %q, want %q", row[0], row[2], want[row[0]])
 		}
 	}
 }

@@ -7,9 +7,10 @@
 // The barrier arrival path dogfoods the paper's own application: every
 // Barrier(state, n) arrival draws a ticket from a counting-network
 // counter, so the harness's phase synchronization is itself loading
-// the data structure under test (release bookkeeping is arrival-
-// ordered — see stateBarrier for why ticket-ordered release would
-// deadlock — and Quiesce checks the tickets' gap-free contract).
+// the data structure under test. Each state is a counter.Barrier:
+// release bookkeeping is arrival-ordered (counter's
+// TestTicketGenerationRefuted shows why ticket-ordered release would
+// deadlock), and Quiesce checks the tickets' gap-free contract.
 // The draw endpoint serves value blocks from a combining counter over
 // the same network and keeps a per-worker issue log, which the
 // post-run checker (harness.CheckRun) cross-checks against what the
@@ -36,7 +37,7 @@ type Hub struct {
 
 	mu       sync.Mutex
 	closed   bool
-	barriers map[string]*stateBarrier
+	barriers map[string]*counter.Barrier
 	topics   map[string]*topic
 	kv       map[string]string
 	issued   map[string][]int64 // worker -> values leased to it, in issue order
@@ -49,7 +50,7 @@ func NewHub(net *network.Network) *Hub {
 	return &Hub{
 		net:      net,
 		draw:     counter.NewCombiningCounter(net),
-		barriers: map[string]*stateBarrier{},
+		barriers: map[string]*counter.Barrier{},
 		topics:   map[string]*topic{},
 		kv:       map[string]string{},
 		issued:   map[string][]int64{},
@@ -71,7 +72,7 @@ func (h *Hub) Close() {
 	}
 	h.closed = true
 	for _, b := range h.barriers {
-		b.close()
+		b.Close()
 	}
 	for _, t := range h.topics {
 		t.cond.Broadcast()
@@ -86,7 +87,7 @@ func (h *Hub) Quiesce() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for state, b := range h.barriers {
-		if err := b.quiesce(); err != nil {
+		if err := b.Quiesce(); err != nil {
 			obs.RecordFlight(obs.FlightOracleViolation, int64(len(h.barriers)), 0)
 			return fmt.Errorf("syncsrv: barrier %q: %w", state, err)
 		}
@@ -139,7 +140,7 @@ func (h *Hub) Barrier(state string, n int) (int64, error) {
 }
 
 // barrier returns the state's barrier, creating it on first arrival.
-func (h *Hub) barrier(state string, n int) (*stateBarrier, error) {
+func (h *Hub) barrier(state string, n int) (*counter.Barrier, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("syncsrv: barrier %q with %d parties", state, n)
 	}
@@ -150,11 +151,11 @@ func (h *Hub) barrier(state string, n int) (*stateBarrier, error) {
 	}
 	b, ok := h.barriers[state]
 	if !ok {
-		b = newStateBarrier(h.net, n)
+		b = counter.NewBarrier(n, h.net)
 		h.barriers[state] = b
 	}
-	if b.n != int64(n) {
-		return nil, fmt.Errorf("syncsrv: barrier %q opened for %d parties, arrival wants %d", state, b.n, n)
+	if b.Parties() != n {
+		return nil, fmt.Errorf("syncsrv: barrier %q opened for %d parties, arrival wants %d", state, b.Parties(), n)
 	}
 	return b, nil
 }

@@ -8,13 +8,14 @@ package sched
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 
 	"countnet/internal/counter"
 	"countnet/internal/network"
 	"countnet/internal/pool"
 	"countnet/internal/runner"
 	"countnet/internal/seq"
-	"countnet/internal/sim"
 )
 
 // TokenSystem drives one token per listed entry wire through a fresh
@@ -27,8 +28,8 @@ import (
 //     transfer function runner.ApplyTokens — every interleaving must
 //     land on the same quiescent state.
 //
-// Failures embed the token paths of the offending schedule rendered
-// via internal/sim, so a violation reads like the paper's Figure 3.
+// Failures embed the token paths of the offending schedule rendered by
+// FormatTokenSchedule, so a violation reads like the paper's Figure 3.
 func TokenSystem(net *network.Network, entries []int) System {
 	w := net.Width()
 	in := make([]int64, w)
@@ -65,20 +66,61 @@ func TokenSystem(net *network.Network, entries []int) System {
 	}
 }
 
-// FormatTokenSchedule renders a TokenSystem schedule as per-token gate
-// paths: the trace's non-start slices are exactly the atomic steps of
-// the abstract token model, so replaying them as a sim.Script
-// reconstructs every token's route for sim.FormatPaths.
+// FormatTokenSchedule renders a TokenSystem schedule as one line per
+// token — the wires visited, the gates traversed with arrival ranks,
+// and the exit position with the Fetch&Increment value the token would
+// be assigned — plus the exit counts: the textual analogue of the
+// paper's Figure 3. It folds over the trace rather than re-walking the
+// network: the k-th "gate g" slice is arrival k at gate g and leaves on
+// port k mod width (the balancer rule), and a token's "exit" slice
+// takes the next exit rank on its wire, so its value is
+// rank·width + exit position.
 func FormatTokenSchedule(net *network.Network, entries []int, tr *Trace) string {
-	order := make([]int, 0, len(tr.Ops))
+	w := net.Width()
+	posOf := make([]int, w)
+	for pos, wire := range net.OutputOrder {
+		posOf[wire] = pos
+	}
+	wire := append([]int(nil), entries...)
+	paths := make([]strings.Builder, len(entries))
+	exitRank := make([]int, len(entries))
+	arrivals := make([]int, net.Size())
+	exits := make([]int, w)
 	for _, op := range tr.Ops {
-		if op.Label == OpStart {
+		id := op.Task
+		if op.Label == "exit" {
+			exitRank[id] = exits[wire[id]]
+			exits[wire[id]]++
 			continue
 		}
-		order = append(order, op.Task)
+		num, ok := strings.CutPrefix(op.Label, "gate ")
+		if !ok {
+			continue // the start slice touches no shared state
+		}
+		gid, err := strconv.Atoi(num)
+		if err != nil {
+			panic(fmt.Sprintf("sched: malformed gate slice %q", op.Label))
+		}
+		g := &net.Gates[gid]
+		rank := arrivals[gid]
+		arrivals[gid]++
+		wire[id] = g.Wires[rank%g.Width()]
+		label := g.Label
+		if label == "" {
+			label = fmt.Sprintf("g%d", gid)
+		}
+		fmt.Fprintf(&paths[id], " -[%s #%d]-> wire %d", label, rank, wire[id])
 	}
-	res, paths := sim.RunTraced(net, entries, &sim.Script{Order: order})
-	return sim.FormatPaths(net, entries, paths, res)
+	var sb strings.Builder
+	counts := make([]int64, w)
+	for id, e := range entries {
+		pos := posOf[wire[id]]
+		counts[pos]++
+		fmt.Fprintf(&sb, "token %d: wire %d%s  => exit position %d, value %d\n",
+			id, e, paths[id].String(), pos, exitRank[id]*w+pos)
+	}
+	fmt.Fprintf(&sb, "exit counts (output order): %v\n", counts)
+	return sb.String()
 }
 
 // BatchTokenSystem drives a mix of single tokens (one task per entry
@@ -179,6 +221,57 @@ func CounterSystem(net *network.Network, goroutines, opsPer int) System {
 		}
 		return tasks, check
 	}
+}
+
+// LinearizabilityWitness searches directed executions of a fresh
+// counter.NetworkCounter over net for the Section 6 violation: an
+// operation B that starts strictly after operation A finishes yet
+// receives a smaller value. Two tokens enter on wires c0, c1 and stall
+// after s0, s1 balancer accesses, holding balancer state; then A draws
+// to completion entering on wire ae, and only then B on wire be. Each
+// execution is a Replay of four NextOnHooked tasks, one extra choice
+// per task covering its start slice. The search assumes every path
+// crosses Depth balancers (all of E14's networks do). desc names the
+// first witness found.
+func LinearizabilityWitness(net *network.Network) (desc string, vA, vB int64, found bool) {
+	w, depth := net.Width(), net.Depth()
+	full := depth + 2 // start slice, one per balancer, the local fetch
+	repeat := func(choices []int, task, n int) []int {
+		for i := 0; i < n; i++ {
+			choices = append(choices, task)
+		}
+		return choices
+	}
+	for c0 := 0; c0 < w; c0++ {
+		for c1 := 0; c1 < w; c1++ {
+			for s0 := 1; s0 <= depth; s0++ {
+				for s1 := 1; s1 <= depth; s1++ {
+					for ae := 0; ae < w; ae++ {
+						for be := 0; be < w; be++ {
+							choices := repeat(nil, 0, 1+s0)
+							choices = repeat(choices, 1, 1+s1)
+							choices = repeat(choices, 2, full)
+							choices = repeat(choices, 3, full)
+							c := counter.NewNetworkCounter(net, false)
+							var vals [4]int64
+							tasks := make([]TaskFunc, 4)
+							for i, e := range [4]int{c0, c1, ae, be} {
+								tasks[i] = func(y *Yield) { vals[i] = c.NextOnHooked(e, y.Step) }
+							}
+							if _, err := Run(&Replay{Choices: choices}, 4*full, tasks); err != nil {
+								panic(err) // no task blocks, and 4*full slices cover every path
+							}
+							if vals[3] < vals[2] {
+								return fmt.Sprintf("stalled on wires %d,%d after %d,%d steps; A on %d, B on %d",
+									c0, c1, s0, s1, ae, be), vals[2], vals[3], true
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return "", 0, 0, false
 }
 
 // AdaptiveSystem runs goroutines tasks each issuing opsPer values

@@ -9,12 +9,14 @@
 // interleaving replays byte-for-byte from a printed seed or choice
 // list, and a shrinker minimizes the schedule before reporting.
 //
-// The package complements internal/sim: sim explores interleavings of
-// an abstract token model, sched explores interleavings of the real
-// implementations (the atomics, mutexes and condition variables that
-// ship). Strategies cover exhaustive DFS with a bounded-preemption
-// budget for small configurations and seeded random walks (including a
-// PCT-style priority scheduler) for large ones; see explore.go.
+// The tasks run the implementations that ship (the atomics, mutexes
+// and condition variables), not a model of them: token traces
+// (FormatTokenSchedule, countnet's TraceTokens) and the Section 6
+// linearizability witnesses (LinearizabilityWitness) are schedules of
+// the same walk. Strategies cover exhaustive DFS with a
+// bounded-preemption budget for small configurations and seeded random
+// walks (including a PCT-style priority scheduler) for large ones; see
+// explore.go.
 package sched
 
 // The concurrent paths in this package are explored by the

@@ -240,8 +240,8 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
-// TestFormatTokenSchedule: the sim-rendered trace names every token
-// and its exit, so failures read like the paper's Figure 3.
+// TestFormatTokenSchedule: the rendered trace names every token and
+// its exit, so failures read like the paper's Figure 3.
 func TestFormatTokenSchedule(t *testing.T) {
 	net := mustBitonic4(t)
 	entries := uniformEntries(4, 1)
@@ -255,5 +255,34 @@ func TestFormatTokenSchedule(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Fatalf("rendering missing %q:\n%s", want, s)
 		}
+	}
+}
+
+// TestTokenPathsDifferButCountsAgree: schedules DO change individual
+// token paths (otherwise the schedule-independence explorations would
+// be vacuous), yet the quiescent exit counts stay the same.
+func TestTokenPathsDifferButCountsAgree(t *testing.T) {
+	net, err := baseline.Bitonic(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := uniformEntries(8, 3)
+	render := func(strat sched.Strategy) (paths, counts string) {
+		tasks, _ := sched.TokenSystem(net, entries)()
+		tr, err := sched.Run(strat, 10_000, tasks)
+		if err != nil {
+			t.Fatalf("%s: %v", strat.Name(), err)
+		}
+		out := sched.FormatTokenSchedule(net, entries, tr)
+		cut := strings.LastIndex(out, "exit counts")
+		return out[:cut], out[cut:]
+	}
+	serialPaths, serialCounts := render(&sched.Replay{})
+	walkPaths, walkCounts := render(sched.NewRandomWalk(5))
+	if serialCounts != walkCounts {
+		t.Fatalf("counts differ between schedules: %q vs %q", serialCounts, walkCounts)
+	}
+	if serialPaths == walkPaths {
+		t.Fatalf("serial and random-walk schedules rendered identical paths:\n%s", serialPaths)
 	}
 }
