@@ -192,11 +192,11 @@ bench-scenarios:
 
 # Continuous fuzzing entry points (each runs until interrupted).
 fuzz:
-	$(GO) test -fuzz=FuzzApplyTokensStep -fuzztime=30s ./internal/runner
-	$(GO) test -fuzz=FuzzBatchVsSerial -fuzztime=30s ./internal/runner
-	$(GO) test -fuzz=FuzzComparatorsSort -fuzztime=30s ./internal/runner
-	$(GO) test -fuzz=FuzzKernelVsSort -fuzztime=30s ./internal/runner
-	$(GO) test -fuzz=FuzzJSONUnmarshal -fuzztime=30s ./internal/network
+	$(GO) test -run '^$$' -fuzz=FuzzApplyTokensStep -fuzztime=30s ./internal/runner
+	$(GO) test -run '^$$' -fuzz=FuzzBatchVsSerial -fuzztime=30s ./internal/runner
+	$(GO) test -run '^$$' -fuzz=FuzzComparatorsSort -fuzztime=30s ./internal/runner
+	$(GO) test -run '^$$' -fuzz=FuzzKernelVsSort -fuzztime=30s ./internal/runner
+	$(GO) test -run '^$$' -fuzz=FuzzJSONUnmarshal -fuzztime=30s ./internal/network
 	$(GO) test -run '^$$' -fuzz=FuzzSnapshotMerge -fuzztime=30s ./internal/obs
 	$(GO) test -run '^$$' -fuzz=FuzzCounterSchedules -fuzztime=30s ./internal/counter
 	$(GO) test -run '^$$' -fuzz=FuzzAdaptiveSchedules -fuzztime=30s ./internal/counter

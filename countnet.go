@@ -372,9 +372,13 @@ func NewCombiningCounter(n *Network, opts ...Option) *Counter {
 // flat-combining counter over the given network, and — when
 // observability is on — switches between them live along the measured
 // lower envelope of the three (see docs/PERFORMANCE.md, "Adaptive
-// engine"). Values are distinct always; at quiescence the values
+// engine"). Values are distinct always, across every engine switch.
+// The exact range holds only while the governor is stopped (no
+// WithObservability, or after Close): then, at quiescence, the values
 // handed out — including small per-handle prefetch blocks not yet
-// returned by Next — are exactly 0..N-1, across every engine switch.
+// returned by Next — are exactly 0..N-1. The governor's timed probe
+// draws take real values that no caller receives, so while it runs
+// the issued values have gaps.
 type AdaptiveCounter struct {
 	inner *counter.AdaptiveCounter
 }
@@ -386,7 +390,8 @@ type AdaptiveCounter struct {
 // the strategy from self-measured load; without it the counter stays
 // on its initial engine (the atomic word) unless the caller switches
 // manually via the internal API. Call Close when done to stop the
-// governor.
+// governor; while it runs, its probe draws leave gaps in the issued
+// values (see AdaptiveCounter).
 func NewAdaptiveCounter(n *Network, opts ...Option) *AdaptiveCounter {
 	c := counter.NewAdaptiveCounter(n.inner, counter.EngineAtomic, nil)
 	if o := buildOptions(opts); o.obsName != "" {

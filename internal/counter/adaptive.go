@@ -181,9 +181,11 @@ type adaptiveSlot struct {
 // AdaptiveCounter is a Fetch&Increment counter that switches between
 // an atomic word, a counting-network counter, and a flat-combining
 // counter at runtime, preserving the gap-free step property across
-// switches (values handed to handles — including their prefetch
+// switches: values are distinct always, and while the governor is
+// stopped the values handed to handles — including their prefetch
 // buffers, see AdaptiveHandle.Unserved — are exactly 0..N-1 at
-// quiescence).
+// quiescence. The governor's probe draws take values no caller
+// receives, so while it runs the issued range has gaps.
 type AdaptiveCounter struct {
 	atomicEng    *AtomicCounter
 	networkEng   *NetworkCounter
@@ -191,13 +193,6 @@ type AdaptiveCounter struct {
 
 	cur          atomic.Pointer[adaptiveEpoch]
 	combineBlock atomic.Int32 // governed combining prefetch block
-
-	// hookSwitching is the cooperative switch lock for controlled
-	// runs (see SwitchToHooked); unsafeNoDrain disables the drain
-	// step so tests can prove the exploration harness catches the
-	// resulting lost/duplicated values.
-	hookSwitching bool
-	unsafeNoDrain bool
 
 	switches atomic.Int64
 
@@ -394,32 +389,38 @@ type AdaptiveHandle struct {
 // buffer and refilling it from the active engine when empty.
 //
 //netvet:hotpath
-func (h *AdaptiveHandle) Next() int64 {
+func (h *AdaptiveHandle) Next() int64 { return h.next(nil, nil) }
+
+// NextHooked is Next with schedule instrumentation: every shared step
+// of the epoch protocol and of the engine yields first, and waits park
+// in block instead of spinning. For package sched; do not mix with
+// unhooked calls in a controlled run.
+func (h *AdaptiveHandle) NextHooked(yield func(op string), block func(op string, ready func() bool)) int64 {
+	return h.next(yield, block)
+}
+
+// next serves from the prefetch buffer, refilling it when empty.
+//
+//netvet:hotpath
+func (h *AdaptiveHandle) next(yield func(op string), block func(op string, ready func() bool)) int64 {
 	if h.n > 0 {
 		v := h.buf[h.pos]
 		h.pos++
 		h.n--
 		return v
 	}
-	return h.refill()
+	return h.refill(yield, block)
 }
 
 // refill draws one prefetch block through the epoch protocol, serves
 // the first value and buffers the rest.
 //
 //netvet:hotpath
-func (h *AdaptiveHandle) refill() int64 {
-	e := h.enter()
-	b := h.c.prefetch(e.kind)
-	buf := h.buf[:b]
-	h.draw(e, buf)
-	h.slot.active.Store(nil)
-	h.slot.ops.Add(int64(b))
-	off := e.offset
-	for i := range buf {
-		buf[i] += off
-	}
-	h.pos, h.n = 1, b-1
+func (h *AdaptiveHandle) refill(yield func(op string), block func(op string, ready func() bool)) int64 {
+	e := h.enter(yield, block)
+	buf := h.buf[:h.c.prefetch(e.kind)]
+	h.draw(e, buf, yield, block)
+	h.pos, h.n = 1, len(buf)-1
 	return buf[0]
 }
 
@@ -431,14 +432,13 @@ func (h *AdaptiveHandle) NextBlock(dst []int64) {
 	if len(dst) == 0 {
 		return
 	}
-	e := h.enter()
-	h.draw(e, dst)
-	h.slot.active.Store(nil)
-	h.slot.ops.Add(int64(len(dst)))
-	off := e.offset
-	for i := range dst {
-		dst[i] += off
-	}
+	h.draw(h.enter(nil, nil), dst, nil, nil)
+}
+
+// DrawHooked is NextBlock for a non-empty dst with schedule
+// instrumentation (see NextHooked). For package sched.
+func (h *AdaptiveHandle) DrawHooked(dst []int64, yield func(op string), block func(op string, ready func() bool)) {
+	h.draw(h.enter(yield, block), dst, yield, block)
 }
 
 // Unserved returns a copy of the values sitting in the prefetch buffer
@@ -456,33 +456,50 @@ func (h *AdaptiveHandle) Unserved() []int64 {
 // retire (Dekker handshake).
 //
 //netvet:hotpath
-func (h *AdaptiveHandle) enter() *adaptiveEpoch {
+func (h *AdaptiveHandle) enter(yield func(op string), block func(op string, ready func() bool)) *adaptiveEpoch {
 	s, c := h.slot, h.c
 	for {
+		hook(yield, "epoch load")
 		e := c.cur.Load()
+		hook(yield, "slot publish")
 		s.active.Store(e)
+		hook(yield, "seal check")
 		if !e.sealed.Load() {
 			return e
 		}
+		hook(yield, "slot clear")
 		s.active.Store(nil)
-		// Production-only spin while the switch completes; controlled
-		// runs use the hooked paths, which park via Yield.Block.
+		// Wait for the switch to install the next epoch.
+		if block != nil {
+			//netvet:allow hotpath escape -- sched-hooked lane only; production callers pass a nil block
+			block("epoch turnover", func() bool { return c.cur.Load() != e })
+			continue
+		}
 		//netvet:allow gosched
 		runtime.Gosched()
 	}
 }
 
-// draw routes a pinned draw to the epoch's engine.
+// draw runs a pinned draw on the epoch's engine, retires the handle's
+// slot, and offsets the engine values into the epoch.
 //
 //netvet:hotpath
-func (h *AdaptiveHandle) draw(e *adaptiveEpoch, dst []int64) {
+func (h *AdaptiveHandle) draw(e *adaptiveEpoch, dst []int64, yield func(op string), block func(op string, ready func() bool)) {
 	switch e.kind {
 	case EngineAtomic:
+		hook(yield, "atomic draw")
 		h.c.atomicEng.NextBlock(dst)
 	case EngineNetwork:
-		h.netH.NextBlock(dst)
+		h.netH.nextBlock(dst, yield)
 	default:
-		h.combH.NextBlock(dst)
+		h.combH.await(dst, yield, block)
+	}
+	hook(yield, "slot clear")
+	h.slot.active.Store(nil)
+	h.slot.ops.Add(int64(len(dst)))
+	off := e.offset
+	for i := range dst {
+		dst[i] += off
 	}
 }
 
@@ -490,24 +507,33 @@ func (h *AdaptiveHandle) draw(e *adaptiveEpoch, dst []int64) {
 // property via the seal → drain → fence → install sequence documented
 // on the package. A switch to the already-active engine is a no-op.
 // Safe to call concurrently with draws and other switches.
-func (c *AdaptiveCounter) SwitchTo(kind EngineKind) { c.switchTo(kind, "manual") }
+func (c *AdaptiveCounter) SwitchTo(kind EngineKind) { c.switchTo(kind, "manual", nil, nil) }
+
+// SwitchToHooked is SwitchTo with schedule instrumentation (see
+// NextHooked). For package sched.
+func (c *AdaptiveCounter) SwitchToHooked(kind EngineKind, yield func(op string), block func(op string, ready func() bool)) {
+	c.switchTo(kind, "hooked", yield, block)
+}
 
 // switchTo performs the epoch handoff. The step markers below are
 // checked by netvet's epochorder analyzer: every path to a later step
 // must pass through the earlier ones, so a reordering (or a branch
-// that skips the drain) fails `make lint`.
+// that skips the drain) fails `make lint`. A non-nil yield runs before
+// the lock attempt, the seal and the fence; a controlled task parks in
+// block on the switch lock and on each draining slot.
 //
 //netvet:epochorder seal drain fence install
-func (c *AdaptiveCounter) switchTo(kind EngineKind, reason string) bool {
+func (c *AdaptiveCounter) switchTo(kind EngineKind, reason string, yield func(op string), block func(op string, ready func() bool)) bool {
 	if kind < 0 || kind >= numEngineKinds {
 		panic(fmt.Sprintf("countnet/counter: unknown engine kind %d", kind))
 	}
-	c.switchMu.Lock()
+	c.lockSwitch(yield, block)
 	defer c.switchMu.Unlock()
 	e := c.cur.Load()
 	if e.kind == kind {
 		return false
 	}
+	hook(yield, "seal")
 	//netvet:epoch seal
 	e.sealed.Store(true)
 	obs.RecordFlight(obs.FlightEpochSeal, int64(e.kind), int64(kind))
@@ -517,6 +543,9 @@ func (c *AdaptiveCounter) switchTo(kind EngineKind, reason string) bool {
 	// and retry, so this terminates as soon as in-flight draws finish.
 	//netvet:epoch drain
 	for _, s := range *c.slots.Load() {
+		if block != nil {
+			block("drain slot", func() bool { return s.active.Load() != e })
+		}
 		for s.active.Load() == e {
 			//netvet:allow gosched
 			runtime.Gosched()
@@ -524,19 +553,33 @@ func (c *AdaptiveCounter) switchTo(kind EngineKind, reason string) bool {
 	}
 	obs.RecordFlight(obs.FlightEpochDrain, int64(e.kind), int64(len(*c.slots.Load())))
 	//netvet:epoch fence install
-	c.install(e, kind, reason)
+	c.install(e, kind, reason, yield)
 	return true
 }
 
+// lockSwitch takes switchMu. A controlled task (non-nil yield) only
+// ever tries the lock, parking in block until a probe finds it free.
+func (c *AdaptiveCounter) lockSwitch(yield func(op string), block func(op string, ready func() bool)) {
+	if yield == nil {
+		c.switchMu.Lock()
+		return
+	}
+	yield("switch lock")
+	for !c.switchMu.TryLock() {
+		block("switch lock", func() bool { return unlocked(&c.switchMu) })
+	}
+}
+
 // install reads the sealed epoch's fence, folds it into the base, and
-// publishes the next epoch. Caller must have sealed e and drained
-// every slot (holding either switchMu or the cooperative hook lock).
-// The fence read must precede the epoch publish — installing first
-// would let new draws move the outgoing engine's issued count after
-// the base was computed, minting duplicate values.
+// publishes the next epoch. Caller must hold switchMu and have sealed
+// e and drained every slot. The fence read must precede the epoch
+// publish — installing first would let new draws move the outgoing
+// engine's issued count after the base was computed, minting
+// duplicate values. A non-nil yield runs before the fence.
 //
 //netvet:epochorder fence install
-func (c *AdaptiveCounter) install(e *adaptiveEpoch, kind EngineKind, reason string) {
+func (c *AdaptiveCounter) install(e *adaptiveEpoch, kind EngineKind, reason string, yield func(op string)) {
+	hook(yield, "install")
 	//netvet:epoch fence
 	c.base = e.offset + c.engineIssued(e.kind)
 	obs.RecordFlight(obs.FlightEpochFence, int64(e.kind), c.base)
@@ -550,79 +593,6 @@ func (c *AdaptiveCounter) install(e *adaptiveEpoch, kind EngineKind, reason stri
 		o.Strategy.Store(int64(kind))
 		o.SetReason(reason)
 	}
-}
-
-// --- controlled-run (internal/sched) paths ---
-
-// NextHooked is Next with schedule instrumentation and without
-// prefetch: every shared atomic step of the epoch protocol and of the
-// underlying engine yields first, and waiting parks via block instead
-// of spinning. For package sched; do not mix with unhooked calls in a
-// controlled run.
-func (h *AdaptiveHandle) NextHooked(yield func(op string), block func(op string, ready func() bool)) int64 {
-	s, c := h.slot, h.c
-	for {
-		yield("epoch load")
-		e := c.cur.Load()
-		yield("slot publish")
-		s.active.Store(e)
-		yield("seal check")
-		if e.sealed.Load() {
-			yield("slot clear")
-			s.active.Store(nil)
-			block("epoch turnover", func() bool { return c.cur.Load() != e })
-			continue
-		}
-		var v int64
-		switch e.kind {
-		case EngineAtomic:
-			yield("atomic draw")
-			v = c.atomicEng.Next()
-		case EngineNetwork:
-			v = h.netH.NextHooked(yield)
-		default:
-			var one [1]int64
-			c.combiningEng.NextBlockHooked(one[:], yield, block)
-			v = one[0]
-		}
-		yield("slot clear")
-		s.active.Store(nil)
-		s.ops.Add(1)
-		return e.offset + v
-	}
-}
-
-// SwitchToHooked is SwitchTo with schedule instrumentation: the switch
-// lock becomes a cooperative flag, the drain parks on each slot via
-// block. For package sched; do not mix with unhooked switches in a
-// controlled run. The drain marker sits on the unsafeNoDrain guard:
-// the guard itself is on every path (the skip is a runtime flag tests
-// flip deliberately, not a code-level reordering).
-//
-//netvet:epochorder seal drain fence install
-func (c *AdaptiveCounter) SwitchToHooked(kind EngineKind, yield func(op string), block func(op string, ready func() bool)) {
-	block("switch lock", func() bool { return !c.hookSwitching })
-	c.hookSwitching = true
-	yield("epoch load")
-	e := c.cur.Load()
-	if e.kind == kind {
-		c.hookSwitching = false
-		return
-	}
-	yield("seal")
-	//netvet:epoch seal
-	e.sealed.Store(true)
-	//netvet:epoch drain
-	if !c.unsafeNoDrain {
-		for i, s := range *c.slots.Load() {
-			s := s
-			block(fmt.Sprintf("drain slot %d", i), func() bool { return s.active.Load() != e })
-		}
-	}
-	yield("install")
-	//netvet:epoch fence install
-	c.install(e, kind, "hooked")
-	c.hookSwitching = false
 }
 
 // --- governor ---
@@ -744,7 +714,7 @@ func (c *AdaptiveCounter) govTick(g *govState) {
 	}
 	if g.streak >= c.pol.DwellTicks {
 		g.streak = 0
-		c.switchTo(want, fmt.Sprintf("load %.2f -> %s", load, want))
+		c.switchTo(want, fmt.Sprintf("load %.2f -> %s", load, want), nil, nil)
 	}
 }
 

@@ -1,9 +1,10 @@
-// Schedule-exploration suite for the adaptive counter's engine
-// transitions: the real epoch-handoff code (seal → drain → fence →
-// install racing against publish → seal-check draws) runs under
-// controlled interleavings, and at quiescence the issued values must
-// be exactly 0..N-1 across atomic↔network↔combining switches. Lives in
-// package counter_test because sched imports counter.
+// Schedule-exploration suite for the adaptive counter: the shipped
+// draw, prefetch, epoch handoff (seal → drain → fence → install racing
+// against publish → seal-check draws) and combining slot protocol run
+// under controlled interleavings, and at quiescence the values
+// consumed plus those still buffered in handles must be exactly 0..N-1
+// across atomic↔network↔combining switches. Lives in package
+// counter_test because sched imports counter.
 package counter_test
 
 import (
@@ -15,23 +16,42 @@ import (
 	"countnet/internal/sched"
 )
 
+// perDraw makes every draw cross the epoch protocol: a one-value
+// refill for every engine, so each Next is its own epoch entry.
+var perDraw = func() *counter.AdaptivePolicy {
+	p := counter.DefaultAdaptivePolicy()
+	p.Prefetch = [3]int{1, 1, 1}
+	return &p
+}()
+
+// explorePolicies are the policies every transition exploration runs
+// under: perDraw (today's per-draw coverage) and the default policy,
+// whose prefetch buffers are the shipped Next path.
+var explorePolicies = []struct {
+	name string
+	pol  *counter.AdaptivePolicy
+}{
+	{"prefetch1", perDraw},
+	{"default", nil},
+}
+
 // adaptiveBuild returns a builder for a fresh adaptive counter on the
-// given initial engine over K(2,2).
-func adaptiveBuild(t *testing.T, initial counter.EngineKind) func() *counter.AdaptiveCounter {
+// given initial engine and policy over K(2,2).
+func adaptiveBuild(t *testing.T, initial counter.EngineKind, pol *counter.AdaptivePolicy) func() *counter.AdaptiveCounter {
 	t.Helper()
 	net, err := core.K(2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return func() *counter.AdaptiveCounter {
-		return counter.NewAdaptiveCounter(net, initial, nil)
+		return counter.NewAdaptiveCounter(net, initial, pol)
 	}
 }
 
 // TestAdaptiveTransitionsExplored explores random, PCT, and
 // bounded-preemption-exhaustive interleavings of concurrent draws with
 // a switcher walking every engine: no value may be lost or duplicated
-// across a transition.
+// across a transition, with or without prefetch.
 func TestAdaptiveTransitionsExplored(t *testing.T) {
 	plans := []struct {
 		name    string
@@ -45,16 +65,19 @@ func TestAdaptiveTransitionsExplored(t *testing.T) {
 		{"network->combining->network", counter.EngineNetwork,
 			[]counter.EngineKind{counter.EngineCombining, counter.EngineNetwork}},
 	}
-	for _, tc := range plans {
-		sys := sched.AdaptiveSystem(adaptiveBuild(t, tc.initial), 2, 2, tc.plan)
-		if rep := sched.ExploreRandom(sys, 0xadab, 200, 30_000); rep.Failure != nil {
-			t.Errorf("%s random: %s", tc.name, rep.Failure)
-		}
-		if rep := sched.ExplorePCT(sys, 0xadab, 200, 30_000, 3, 3); rep.Failure != nil {
-			t.Errorf("%s pct: %s", tc.name, rep.Failure)
-		}
-		if rep := sched.ExploreDFS(sys, 1, 20_000, 30_000); rep.Failure != nil {
-			t.Errorf("%s dfs: %s", tc.name, rep.Failure)
+	for _, p := range explorePolicies {
+		for _, tc := range plans {
+			name := p.name + " " + tc.name
+			sys := sched.AdaptiveSystem(adaptiveBuild(t, tc.initial, p.pol), []int{0, 0}, 2, sched.SwitchPlan(tc.plan...))
+			if rep := sched.ExploreRandom(sys, 0xadab, 200, 30_000); rep.Failure != nil {
+				t.Errorf("%s random: %s", name, rep.Failure)
+			}
+			if rep := sched.ExplorePCT(sys, 0xadab, 200, 30_000, 3, 3); rep.Failure != nil {
+				t.Errorf("%s pct: %s", name, rep.Failure)
+			}
+			if rep := sched.ExploreDFS(sys, 1, 20_000, 30_000); rep.Failure != nil {
+				t.Errorf("%s dfs: %s", name, rep.Failure)
+			}
 		}
 	}
 }
@@ -64,14 +87,59 @@ func TestAdaptiveTransitionsExplored(t *testing.T) {
 // fence arithmetic must account for the engine's non-zero issued count
 // from its previous epoch.
 func TestAdaptiveRevisitsEngineExplored(t *testing.T) {
-	plan := []counter.EngineKind{counter.EngineNetwork, counter.EngineAtomic}
-	sys := sched.AdaptiveSystem(adaptiveBuild(t, counter.EngineAtomic), 2, 2, plan)
-	if rep := sched.ExploreRandom(sys, 0xcafe, 300, 30_000); rep.Failure != nil {
+	sw := sched.SwitchPlan(counter.EngineNetwork, counter.EngineAtomic)
+	for _, p := range explorePolicies {
+		sys := sched.AdaptiveSystem(adaptiveBuild(t, counter.EngineAtomic, p.pol), []int{0, 0}, 2, sw)
+		if rep := sched.ExploreRandom(sys, 0xcafe, 300, 30_000); rep.Failure != nil {
+			t.Errorf("%s random: %s", p.name, rep.Failure)
+		}
+		if rep := sched.ExploreDFS(sys, 1, 20_000, 30_000); rep.Failure != nil {
+			t.Errorf("%s dfs: %s", p.name, rep.Failure)
+		}
+	}
+}
+
+// TestAdaptiveConcurrentSwitchersExplored races two switchers against
+// each other and against draws — the governor-versus-SwitchTo race
+// that the switch lock serializes. Every schedule must finish (no
+// deadlock or step-budget hang) with gap-free values.
+func TestAdaptiveConcurrentSwitchersExplored(t *testing.T) {
+	a := sched.SwitchPlan(counter.EngineNetwork, counter.EngineCombining)
+	b := sched.SwitchPlan(counter.EngineCombining, counter.EngineAtomic)
+	for _, p := range explorePolicies {
+		sys := sched.AdaptiveSystem(adaptiveBuild(t, counter.EngineAtomic, p.pol), []int{0, 0}, 2, a, b)
+		if rep := sched.ExploreRandom(sys, 0x5e1c, 200, 30_000); rep.Failure != nil {
+			t.Errorf("%s random: %s", p.name, rep.Failure)
+		}
+		if rep := sched.ExplorePCT(sys, 0x5e1c, 200, 30_000, 4, 3); rep.Failure != nil {
+			t.Errorf("%s pct: %s", p.name, rep.Failure)
+		}
+		if rep := sched.ExploreDFS(sys, 1, 20_000, 30_000); rep.Failure != nil {
+			t.Errorf("%s dfs: %s", p.name, rep.Failure)
+		}
+	}
+}
+
+// TestCombiningSlotProtocolExplored explores the combining slot
+// protocol on its own: a counter that starts on combining with no
+// switcher, three handles drawing blocks of 1 (through the prefetch
+// buffer), 2 and 3 values. Handles publish, race for the combiner lock
+// with TryLock, and the winner drains every pending slot and flips
+// each done; a combiner that served a slot it never collected, or
+// missed one it did, surfaces as a gap or duplicate.
+func TestCombiningSlotProtocolExplored(t *testing.T) {
+	sys := sched.AdaptiveSystem(adaptiveBuild(t, counter.EngineCombining, perDraw), []int{0, 2, 3}, 2)
+	if rep := sched.ExploreRandom(sys, 0xc0b1, 300, 30_000); rep.Failure != nil {
 		t.Errorf("random: %s", rep.Failure)
 	}
-	if rep := sched.ExploreDFS(sys, 1, 20_000, 30_000); rep.Failure != nil {
+	if rep := sched.ExplorePCT(sys, 0xc0b1, 300, 30_000, 3, 3); rep.Failure != nil {
+		t.Errorf("pct: %s", rep.Failure)
+	}
+	rep := sched.ExploreDFS(sys, 1, 20_000, 30_000)
+	if rep.Failure != nil {
 		t.Errorf("dfs: %s", rep.Failure)
 	}
+	t.Logf("dfs covered %d schedules", rep.Schedules)
 }
 
 // TestAdaptiveUndrainedSwitchRefuted proves the harness has teeth: a
@@ -79,17 +147,10 @@ func TestAdaptiveRevisitsEngineExplored(t *testing.T) {
 // still in flight, and exploration must find a schedule that loses or
 // duplicates a value.
 func TestAdaptiveUndrainedSwitchRefuted(t *testing.T) {
-	net, err := core.K(2, 2)
-	if err != nil {
-		t.Fatal(err)
+	undrained := func(c *counter.AdaptiveCounter, y *sched.Yield) {
+		c.UndrainedSwitchHookedForTest(counter.EngineNetwork, y.Step, y.Block)
 	}
-	build := func() *counter.AdaptiveCounter {
-		c := counter.NewAdaptiveCounter(net, counter.EngineAtomic, nil)
-		c.UnsafeDisableDrainForTest()
-		return c
-	}
-	plan := []counter.EngineKind{counter.EngineNetwork}
-	sys := sched.AdaptiveSystem(build, 2, 2, plan)
+	sys := sched.AdaptiveSystem(adaptiveBuild(t, counter.EngineAtomic, perDraw), []int{0, 0}, 2, undrained)
 	rep := sched.ExploreRandom(sys, 7, 10_000, 30_000)
 	if rep.Failure == nil {
 		t.Fatal("undrained engine switch not detected by exploration")

@@ -46,13 +46,6 @@ type CombiningCounter struct {
 	// the combine pass and the handle spin loop pay one nil-check each
 	// when disabled.
 	watch *obs.CombineObs
-
-	// hookHeld is the cooperative combiner lock for controlled runs:
-	// hooked passes cannot take c.combine across yield points (a sched
-	// ready() predicate must be side-effect free, so TryLock is out),
-	// so they park on this flag via Yield.Block instead. Never mixed
-	// with the production lock within one controlled run.
-	hookHeld bool
 }
 
 // slot states. Only the owning handle moves idle->pending and
@@ -129,7 +122,7 @@ func (c *CombiningCounter) NextBlock(dst []int64) {
 		return
 	}
 	c.combine.Lock()
-	c.combineLocked(dst)
+	c.combineLocked(dst, nil)
 	c.combine.Unlock()
 }
 
@@ -160,11 +153,9 @@ type CombiningHandle struct {
 //
 //netvet:hotpath
 func (h *CombiningHandle) Next() int64 {
-	s := h.slot
-	s.n = 1
-	s.buf = s.one[:]
-	h.await()
-	return s.one[0]
+	one := h.slot.one[:]
+	h.await(one, nil, nil)
+	return one[0]
 }
 
 // NextBlock fills dst with len(dst) fresh values. The whole block is
@@ -176,31 +167,37 @@ func (h *CombiningHandle) NextBlock(dst []int64) {
 	if len(dst) == 0 {
 		return
 	}
-	s := h.slot
-	s.n = int32(len(dst))
-	s.buf = dst
-	h.await()
+	h.await(dst, nil, nil)
 }
 
-// await publishes the prepared request and blocks until it is served —
-// by this goroutine becoming the combiner, or by another combiner
-// draining the slot.
+// await publishes a request for len(dst) values and returns once it is
+// served — by this goroutine becoming the combiner, or by another
+// combiner draining the slot. A non-nil yield runs before each shared
+// step of the slot protocol (publish, lock attempt, done check) and of
+// the pass, and a waiting task parks in block until its slot is done
+// or the combiner lock is free, where production spins on Gosched.
+// Either way the lock is only ever tried, never waited on.
 //
 //netvet:hotpath
-func (h *CombiningHandle) await() {
+func (h *CombiningHandle) await(dst []int64, yield func(op string), block func(op string, ready func() bool)) {
 	s, c := h.slot, h.c
 	o := c.watch
+	s.n = int32(len(dst))
+	s.buf = dst
+	hook(yield, "slot publish")
 	s.state.Store(slotPending)
 	for {
+		hook(yield, "combine trylock")
 		if c.combine.TryLock() {
 			// We are the combiner. combineLocked serves every pending
 			// slot it finds; ours is pending (or was just served by the
 			// previous combiner, in which case it is done and skipped).
 			if s.state.Load() == slotPending {
-				c.combineLocked(nil)
+				c.combineLocked(nil, yield)
 			}
 			c.combine.Unlock()
 		}
+		hook(yield, "slot check")
 		if s.state.Load() == slotDone {
 			s.state.Store(slotIdle)
 			return
@@ -210,38 +207,31 @@ func (h *CombiningHandle) await() {
 		if o != nil {
 			o.SpinRetries.Inc()
 		}
-		// Production-only spin; controlled runs use the hooked paths,
-		// which park via Yield.Block instead of spinning.
+		if block != nil {
+			//netvet:allow hotpath escape -- sched-hooked lane only; production callers pass a nil block
+			block("combine wait", func() bool { return s.state.Load() == slotDone || unlocked(&c.combine) })
+			continue
+		}
 		//netvet:allow gosched
 		runtime.Gosched()
 	}
 }
 
-// NextBlockHooked fills dst with len(dst) fresh values under schedule
-// instrumentation: the combiner lock becomes a cooperative flag parked
-// on via block, and the batch traversal and per-exit claims yield
-// before every shared atomic step. Hooked passes serve only their own
-// request (no slot draining — controlled runs drive each goroutine's
-// demand directly), which is still one legal execution of the batch.
-// For package sched; do not mix with unhooked calls in a controlled
-// run.
-func (c *CombiningCounter) NextBlockHooked(dst []int64, yield func(op string), block func(op string, ready func() bool)) {
-	if len(dst) == 0 {
-		return
+// unlocked reports whether mu is free by a TryLock/Unlock probe: the
+// side-effect-free ready predicate of a controlled task parked on mu.
+func unlocked(mu *sync.Mutex) bool {
+	if mu.TryLock() {
+		mu.Unlock()
+		return true
 	}
-	block("combine lock", func() bool { return !c.hookHeld })
-	c.hookHeld = true
-	c.inject(int64(len(dst)))
-	// Token conservation fills dst exactly, so mint never reallocates.
-	c.mint(dst[:0], c.async.TraverseBatchHooked(c.entry, yield), yield)
-	c.hookHeld = false
+	return false
 }
 
 // inject spreads total tokens over the entry wires round-robin from
 // the cursor, into c.entry. The counting property holds for any
 // distribution of tokens over input wires, so the cursor only spreads
 // load, it does not affect correctness. Caller must hold the combiner
-// lock (or hookHeld).
+// lock.
 //
 //netvet:hotpath
 func (c *CombiningCounter) inject(total int64) {
@@ -303,10 +293,11 @@ func (c *CombiningCounter) issued() int64 {
 // combineLocked drains every pending slot plus the combiner's own
 // direct request (extra, nil for handle-driven passes), pushes the
 // whole demand through the network as one batch, and distributes the
-// minted values. Caller must hold c.combine.
+// minted values. Caller must hold c.combine. A non-nil yield runs
+// before every gate reservation, exit claim and done flip.
 //
 //netvet:hotpath
-func (c *CombiningCounter) combineLocked(extra []int64) {
+func (c *CombiningCounter) combineLocked(extra []int64, yield func(op string)) {
 	// Observability is woven into this body (Traverse instead reads the
 	// clock around its walk) because a pass already amortizes a whole
 	// batch traversal: the nil-checks below are noise next to the work
@@ -341,14 +332,20 @@ func (c *CombiningCounter) combineLocked(extra []int64) {
 		region = obs.Region("countnet.combine-pass")
 	}
 	c.inject(total)
-	c.async.TraverseBatchInto(c.exits, c.entry, c.scratch)
-	vals := c.mint(c.vals[:0], c.exits, nil)
+	exits := c.exits
+	if yield != nil {
+		exits = c.async.TraverseBatchHooked(c.entry, yield)
+	} else {
+		c.async.TraverseBatchInto(exits, c.entry, c.scratch)
+	}
+	vals := c.mint(c.vals[:0], exits, yield)
 	// Token conservation guarantees len(vals) == total. Hand each
 	// waiter its block, then the direct request takes the rest.
 	i := 0
 	for _, s := range pend {
 		i += copy(s.buf[:s.n], vals[i:])
 		s.buf = nil // release the waiter's buffer before waking it
+		hook(yield, "slot done")
 		s.state.Store(slotDone)
 	}
 	copy(extra, vals[i:])

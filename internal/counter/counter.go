@@ -125,10 +125,12 @@ func (c *NetworkCounter) EnableObs(name string, r *obs.Registry) *obs.CounterObs
 // itself (pinned by TestHandleBypassesSharedDispatch).
 //
 //netvet:hotpath
-func (c *NetworkCounter) Next() int64 {
-	wire := int((c.entry.Add(1) - 1) % c.width64)
-	return c.nextOn(wire)
-}
+func (c *NetworkCounter) Next() int64 { return c.nextOn(c.dispatch()) }
+
+// dispatch takes the next entry wire from the shared round-robin word.
+//
+//netvet:hotpath
+func (c *NetworkCounter) dispatch() int { return int((c.entry.Add(1) - 1) % c.width64) }
 
 // NextBlock fills dst with len(dst) values via the shared dispatcher.
 //
@@ -181,12 +183,21 @@ func (c *NetworkCounter) step(wire int, yield func(op string)) int64 {
 	return k*c.width64 + int64(pos)
 }
 
+// hook runs a non-nil yield before the shared step op; production
+// callers pass nil and pay one predictable branch.
+//
+//netvet:hotpath
+func hook(yield func(op string), op string) {
+	if yield != nil {
+		yield(op)
+	}
+}
+
 // NextHooked is Next with schedule instrumentation (see NextOnHooked);
 // the shared entry-dispatch fetch-and-add is itself a yield point.
 func (c *NetworkCounter) NextHooked(yield func(op string)) int64 {
 	yield("entry dispatch")
-	wire := int((c.entry.Add(1) - 1) % c.width64)
-	return c.NextOnHooked(wire, yield)
+	return c.step(c.dispatch(), yield)
 }
 
 // Handle returns a goroutine-local view whose entry wires cycle
@@ -207,33 +218,40 @@ type handle struct {
 }
 
 //netvet:hotpath
-func (h *handle) Next() int64 {
-	wire := h.pos
-	h.pos++
-	if h.pos == h.c.width {
-		h.pos = 0
-	}
-	return h.c.nextOn(wire)
-}
+func (h *handle) Next() int64 { return h.c.nextOn(h.advance()) }
 
 // NextBlock fills dst with len(dst) values, one token each.
 //
 //netvet:hotpath
-func (h *handle) NextBlock(dst []int64) {
+func (h *handle) NextBlock(dst []int64) { h.nextBlock(dst, nil) }
+
+// nextBlock is the draw shared by NextBlock and the adaptive
+// counter's network engine. A non-nil yield runs each token through
+// the hooked step, which never reads the clock.
+//
+//netvet:hotpath
+func (h *handle) nextBlock(dst []int64, yield func(op string)) {
 	for i := range dst {
+		if yield != nil {
+			dst[i] = h.c.step(h.advance(), yield)
+			continue
+		}
 		dst[i] = h.Next()
 	}
 }
 
-// NextHooked is Next with schedule instrumentation (the private wire
-// cursor needs no yield — it is goroutine-local). For package sched.
-func (h *handle) NextHooked(yield func(op string)) int64 {
+// advance returns the handle's next entry wire and moves its private
+// cursor round-robin; it needs no yield, the cursor being
+// goroutine-local.
+//
+//netvet:hotpath
+func (h *handle) advance() int {
 	wire := h.pos
 	h.pos++
 	if h.pos == h.c.width {
 		h.pos = 0
 	}
-	return h.c.NextOnHooked(wire, yield)
+	return wire
 }
 
 // issued returns the number of values this counter has handed out,

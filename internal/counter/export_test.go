@@ -1,10 +1,22 @@
 package counter
 
-// Test-only accessors. UnsafeDisableDrainForTest removes the drain
-// step from hooked switches so the exploration tests can prove the
-// sched harness catches the resulting lost/duplicated values — the
-// refutation that gives the gap-free transition tests their teeth.
-func (c *AdaptiveCounter) UnsafeDisableDrainForTest() { c.unsafeNoDrain = true }
+// UndrainedSwitchHookedForTest is the refuted switch for
+// TestAdaptiveUndrainedSwitchRefuted: SwitchToHooked without the drain
+// step. It takes the shipped switch lock, seals like switchTo and
+// installs through the shipped install, so the missing wait for
+// in-flight draws is its only difference from the explored switch —
+// the refutation that gives the gap-free transition tests their teeth.
+func (c *AdaptiveCounter) UndrainedSwitchHookedForTest(kind EngineKind, yield func(op string), block func(op string, ready func() bool)) {
+	c.lockSwitch(yield, block)
+	defer c.switchMu.Unlock()
+	e := c.cur.Load()
+	if e.kind == kind {
+		return
+	}
+	yield("seal")
+	e.sealed.Store(true)
+	c.install(e, kind, "undrained", yield)
+}
 
 // ChooseEngineForTest exposes the governor's banding decision.
 func ChooseEngineForTest(cur EngineKind, load float64, pol *AdaptivePolicy) EngineKind {

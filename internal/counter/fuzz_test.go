@@ -39,7 +39,8 @@ func FuzzCounterSchedules(f *testing.F) {
 
 // FuzzAdaptiveSchedules drives the adaptive counter's transition
 // window — concurrent draws racing a switcher that walks atomic →
-// network → combining → atomic — through fuzz-chosen interleavings.
+// network → combining → atomic — through fuzz-chosen interleavings,
+// with one-value refills so every draw crosses the epoch protocol.
 // Unlike the plain counter workload the adaptive one blocks (epoch
 // turnover, drain), so the decoder only ever picks among runnable
 // tasks; any reported error is still a real bug, and the gap-free
@@ -53,12 +54,9 @@ func FuzzAdaptiveSchedules(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	plan := []counter.EngineKind{
-		counter.EngineNetwork, counter.EngineCombining, counter.EngineAtomic,
-	}
 	sys := sched.AdaptiveSystem(func() *counter.AdaptiveCounter {
-		return counter.NewAdaptiveCounter(net, counter.EngineAtomic, nil)
-	}, 2, 2, plan)
+		return counter.NewAdaptiveCounter(net, counter.EngineAtomic, perDraw)
+	}, []int{0, 0}, 2, sched.SwitchPlan(counter.EngineNetwork, counter.EngineCombining, counter.EngineAtomic))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tasks, check := sys()
 		tr, err := sched.Run(&sched.ByteDecoder{Data: data}, 30_000, tasks)

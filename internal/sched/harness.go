@@ -274,52 +274,72 @@ func LinearizabilityWitness(net *network.Network) (desc string, vA, vB int64, fo
 	return "", 0, 0, false
 }
 
-// AdaptiveSystem runs goroutines tasks each issuing opsPer values
-// through per-task handles of one counter.AdaptiveCounter (built fresh
-// per schedule by build, so tests control the initial engine, policy,
-// and failure-injection hooks), while one switcher task walks the
-// engine plan via SwitchToHooked. Every shared atomic step of the
-// epoch protocol — epoch load, slot publish, seal check, the seal, the
-// per-slot drain, the fence/install — is a scheduling point, so
-// exploration covers draws racing arbitrarily with transitions. At
-// quiescence the issued values must be exactly 0..N-1: a draw minted
+// AdaptiveSystem runs one drawing task per entry of blocks, each
+// making opsPer draws through its own handle of one
+// counter.AdaptiveCounter (built fresh per schedule by build, so tests
+// control the initial engine and the policy): a zero block draws
+// single values with NextHooked, through the handle's prefetch buffer;
+// a block k > 0 draws k values at a time with DrawHooked. Each
+// switcher runs as one more task (see SwitchPlan). Every shared step
+// of the shipped draw, prefetch, switch and combine paths — epoch
+// load, slot publish, seal check, the seal, the per-slot drain, the
+// fence/install, each balancer and exit claim, the combiner lock
+// attempt and done flips — is a scheduling point, so exploration
+// covers draws racing arbitrarily with each other and with
+// transitions. At quiescence the values consumed plus those still
+// buffered in handles (Unserved) must be exactly 0..N-1: a draw minted
 // against a stale epoch offset, a fence read before a straggler
-// retired, or a switch that skipped the drain surfaces as a duplicate
-// or a gap.
-func AdaptiveSystem(build func() *counter.AdaptiveCounter, goroutines, opsPer int, plan []counter.EngineKind) System {
+// retired, or a combiner serving a slot it never collected surfaces as
+// a duplicate or a gap.
+func AdaptiveSystem(build func() *counter.AdaptiveCounter, blocks []int, opsPer int, switchers ...func(c *counter.AdaptiveCounter, y *Yield)) System {
 	return func() ([]TaskFunc, func(tr *Trace) error) {
 		c := build()
-		values := make([]int64, 0, goroutines*opsPer)
-		tasks := make([]TaskFunc, 0, goroutines+1)
-		for g := 0; g < goroutines; g++ {
+		var values []int64
+		handles := make([]*counter.AdaptiveHandle, len(blocks))
+		tasks := make([]TaskFunc, 0, len(blocks)+len(switchers))
+		for g, b := range blocks {
 			h := c.Handle(g).(*counter.AdaptiveHandle)
+			handles[g] = h
 			tasks = append(tasks, func(y *Yield) {
+				dst := make([]int64, b)
 				for k := 0; k < opsPer; k++ {
-					v := h.NextHooked(y.Step, y.Block)
-					values = append(values, v)
+					if b == 0 {
+						values = append(values, h.NextHooked(y.Step, y.Block))
+						continue
+					}
+					h.DrawHooked(dst, y.Step, y.Block)
+					values = append(values, dst...)
 				}
 			})
 		}
-		if len(plan) > 0 {
-			plan := plan
-			tasks = append(tasks, func(y *Yield) {
-				for _, kind := range plan {
-					c.SwitchToHooked(kind, y.Step, y.Block)
-				}
-			})
+		for _, sw := range switchers {
+			tasks = append(tasks, func(y *Yield) { sw(c, y) })
 		}
 		check := func(tr *Trace) error {
 			got := append([]int64(nil), values...)
+			for _, h := range handles {
+				got = append(got, h.Unserved()...)
+			}
 			sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 			for i, v := range got {
 				if v != int64(i) {
-					return fmt.Errorf("sched: adaptive counter values not gap-free across engine switches: sorted[%d] = %d (values %v)\nschedule:\n%s",
+					return fmt.Errorf("sched: adaptive counter values not gap-free at quiescence: sorted[%d] = %d (consumed and unserved %v)\nschedule:\n%s",
 						i, v, got, tr)
 				}
 			}
 			return nil
 		}
 		return tasks, check
+	}
+}
+
+// SwitchPlan is an AdaptiveSystem switcher that walks the engines in
+// order through the shipped switch (SwitchToHooked).
+func SwitchPlan(plan ...counter.EngineKind) func(c *counter.AdaptiveCounter, y *Yield) {
+	return func(c *counter.AdaptiveCounter, y *Yield) {
+		for _, kind := range plan {
+			c.SwitchToHooked(kind, y.Step, y.Block)
+		}
 	}
 }
 

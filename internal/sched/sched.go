@@ -1,22 +1,25 @@
 // Package sched is a controlled-scheduler harness for the repository's
 // real concurrent substrates (runner.Async, counter.NetworkCounter,
-// pool.Pool, the stream pipeline). It runs each logical process as a
-// goroutine that yields to a central scheduler at every synchronization
-// point (balancer access, local-counter fetch, buffer slot take), so
-// exactly one process executes between yield points and the whole
-// execution is a deterministic function of the scheduler's choice
-// sequence. Concurrency bugs stop being flaky CI noise: every failing
+// counter.AdaptiveCounter with its combining slot protocol,
+// counter.Barrier, pool.Pool, the stream pipeline). It runs each
+// logical process as a goroutine that yields to a central scheduler at
+// every synchronization point (balancer access, local-counter fetch,
+// epoch publish, lock attempt, buffer slot take), so exactly one
+// process executes between yield points and the whole execution is a
+// deterministic function of the scheduler's choice sequence.
+// Concurrency bugs stop being flaky CI noise: every failing
 // interleaving replays byte-for-byte from a printed seed or choice
 // list, and a shrinker minimizes the schedule before reporting.
 //
 // The tasks run the implementations that ship (the atomics, mutexes
-// and condition variables), not a model of them: token traces
-// (FormatTokenSchedule, countnet's TraceTokens) and the Section 6
-// linearizability witnesses (LinearizabilityWitness) are schedules of
-// the same walk. Strategies cover exhaustive DFS with a
-// bounded-preemption budget for small configurations and seeded random
-// walks (including a PCT-style priority scheduler) for large ones; see
-// explore.go.
+// and condition variables), not a model of them: every hooked entry
+// point calls the production body, parking where production would
+// spin or block. Token traces (FormatTokenSchedule, countnet's
+// TraceTokens) and the Section 6 linearizability witnesses
+// (LinearizabilityWitness) are schedules of the same walk. Strategies
+// cover exhaustive DFS with a bounded-preemption budget for small
+// configurations and seeded random walks (including a PCT-style
+// priority scheduler) for large ones; see explore.go.
 package sched
 
 // The concurrent paths in this package are explored by the
@@ -40,7 +43,8 @@ const OpStart = "start"
 // synchronization must go through the Yield hooks: call y.Step before
 // each atomic shared access and y.Block instead of blocking on another
 // task's progress. Instrumented substrate methods (Async.TraverseHooked,
-// NetworkCounter.NextHooked, Pool.PutHooked/GetHooked) do this for you.
+// NetworkCounter.NextHooked, AdaptiveHandle.NextHooked,
+// Pool.PutHooked/GetHooked, ...) do this for you.
 type TaskFunc func(y *Yield)
 
 // Yield is the per-task handle through which a task cooperates with
