@@ -196,6 +196,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzBatchVsSerial -fuzztime=30s ./internal/runner
 	$(GO) test -run '^$$' -fuzz=FuzzComparatorsSort -fuzztime=30s ./internal/runner
 	$(GO) test -run '^$$' -fuzz=FuzzKernelVsSort -fuzztime=30s ./internal/runner
+	$(GO) test -run '^$$' -fuzz=FuzzPlanVsComparators -fuzztime=30s ./internal/runner
 	$(GO) test -run '^$$' -fuzz=FuzzJSONUnmarshal -fuzztime=30s ./internal/network
 	$(GO) test -run '^$$' -fuzz=FuzzSnapshotMerge -fuzztime=30s ./internal/obs
 	$(GO) test -run '^$$' -fuzz=FuzzCounterSchedules -fuzztime=30s ./internal/counter

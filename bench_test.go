@@ -247,8 +247,7 @@ func BenchmarkTraverseParallel(b *testing.B) {
 // BenchmarkBatchSort compares the batch-sorting engines over identical
 // work: `gates` walks the network gate list per batch (the pre-plan
 // engine), `plan` streams blocks through the compiled plan on one
-// goroutine, `planmt` adds data-parallel workers, and `parallel` runs
-// each batch alone with layer parallelism.
+// goroutine, and `planmt` adds data-parallel workers.
 func BenchmarkBatchSort(b *testing.B) {
 	for _, spec := range []struct {
 		name  string
@@ -300,15 +299,6 @@ func BenchmarkBatchSort(b *testing.B) {
 		})
 		b.Run(spec.name+"/planmt", func(b *testing.B) {
 			batchNs(b, func() { plan.SortBatches(work, runtime.NumCPU()) })
-		})
-		b.Run(spec.name+"/parallel", func(b *testing.B) {
-			pl := plan.NewParallel(0)
-			defer pl.Close()
-			batchNs(b, func() {
-				for i := range work {
-					pl.Apply(work[i], work[i])
-				}
-			})
 		})
 	}
 }

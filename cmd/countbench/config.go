@@ -39,7 +39,7 @@ type config struct {
 // the usage strings below in sync.
 var (
 	knownCounters = []string{"atomic", "mutex", "network", "network-mutex", "combining", "adaptive"}
-	knownEngines  = []string{"gates", "plan", "parallel"}
+	knownEngines  = []string{"gates", "plan"}
 )
 
 // sweepGoroutineSteps is the default goroutine ladder for -sweep: the

@@ -114,6 +114,7 @@ func TestParseConfig(t *testing.T) {
 		},
 		{name: "unknown counter", args: []string{"-counter", "atomic,quantum"}, wantErr: `unknown counter "quantum"`},
 		{name: "unknown engine", args: []string{"-engine", "warp"}, wantErr: `unknown engine "warp"`},
+		{name: "removed parallel engine", args: []string{"-engine", "parallel"}, wantErr: `unknown engine "parallel"`},
 		{name: "unknown flag", args: []string{"-frobnicate"}, wantErr: "flag provided but not defined"},
 		{name: "positional junk", args: []string{"16"}, wantErr: `unexpected argument "16"`},
 		{name: "bad goroutine count", args: []string{"-goroutines", "1,zero"}, wantErr: `bad goroutine count "zero"`},

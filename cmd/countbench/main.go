@@ -286,12 +286,6 @@ func measureSort(net *network.Network, engine string, batches int) int64 {
 		}
 	case "plan":
 		runner.CompilePlan(net).ApplyBatches(work, 0)
-	case "parallel":
-		pl := runner.CompilePlan(net).NewParallel(0)
-		defer pl.Close()
-		for _, b := range work {
-			pl.Apply(b, b)
-		}
 	}
 	return time.Since(start).Nanoseconds() / int64(batches)
 }

@@ -126,6 +126,32 @@ func TestScenarioPlansReproducible(t *testing.T) {
 	}
 }
 
+// TestRunRejectsOversizedBlocks: a lease size the sync server would
+// refuse (above syncsrv.MaxDraw) fails the run up front, whether it
+// comes from the options, a step, or one worker's skewed share.
+func TestRunRejectsOversizedBlocks(t *testing.T) {
+	big := syncsrv.MaxDraw + 1
+	for _, c := range []struct {
+		name  string
+		block int
+		step  Step
+	}{
+		{"options", big, Step{Name: "s"}},
+		{"step", 4, Step{Name: "s", Block: big}},
+		{"worker", 4, Step{Name: "s", Blocks: map[string]int{"w0": big}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sc := Scenario{Name: "oversized", Steps: func(Options, *rand.Rand) []Step { return []Step{c.step} }}
+			opt := fastOptions(1)
+			opt.Block = c.block
+			_, err := Run(sc, opt, RunnerOptions{PhaseTimeout: 5 * time.Second})
+			if err == nil || !strings.Contains(err.Error(), "draw limit") {
+				t.Fatalf("err = %v, want a draw-limit error", err)
+			}
+		})
+	}
+}
+
 // TestLookupScenario covers the registry lookups the CLI depends on.
 func TestLookupScenario(t *testing.T) {
 	if _, err := LookupScenario("uniform"); err != nil {

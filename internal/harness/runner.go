@@ -136,6 +136,25 @@ func (r *RunResult) Check() error {
 	return CheckRun(r.Width, r.Issued, reported, r.Lost)
 }
 
+// checkBlocks rejects any lease size above syncsrv.MaxDraw, which the
+// sync server would refuse mid-run.
+func checkBlocks(opt Options, steps []Step) error {
+	if opt.Block > syncsrv.MaxDraw {
+		return fmt.Errorf("harness: block %d exceeds the %d-value draw limit", opt.Block, syncsrv.MaxDraw)
+	}
+	for _, st := range steps {
+		if st.Block > syncsrv.MaxDraw {
+			return fmt.Errorf("harness: step %s: block %d exceeds the %d-value draw limit", st.Name, st.Block, syncsrv.MaxDraw)
+		}
+		for w, b := range st.Blocks {
+			if b > syncsrv.MaxDraw {
+				return fmt.Errorf("harness: step %s: worker %s block %d exceeds the %d-value draw limit", st.Name, w, b, syncsrv.MaxDraw)
+			}
+		}
+	}
+	return nil
+}
+
 // Run executes one scenario: it starts a syncsrv server on an
 // ephemeral port, launches the initial workers, drives every step
 // (joins, leaves, phases, kills with barrier stand-ins), retires the
@@ -168,6 +187,10 @@ func Run(sc Scenario, opt Options, ropt RunnerOptions) (*RunResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("harness: building width-%d sync network: %w", opt.Width, err)
 	}
+	steps := sc.Steps(opt, rand.New(rand.NewSource(opt.Seed)))
+	if err := checkBlocks(opt, steps); err != nil {
+		return nil, err
+	}
 
 	hub := syncsrv.NewHub(net)
 	srv := syncsrv.NewServer(hub)
@@ -188,7 +211,6 @@ func Run(sc Scenario, opt Options, ropt RunnerOptions) (*RunResult, error) {
 	}
 	defer r.reap()
 
-	steps := sc.Steps(opt, rand.New(rand.NewSource(opt.Seed)))
 	fmt.Fprintf(ropt.Log, "harness: scenario %s: %d workers, width %d (L%v), %d phases, seed %d, sync %s\n",
 		sc.Name, opt.Workers, opt.Width, fs, len(steps), opt.Seed, r.url)
 

@@ -8,7 +8,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Client is the worker-side view of a sync Server. The zero client is
@@ -32,7 +31,7 @@ func (c *Client) Register(worker string) (int, error) {
 	var out struct {
 		Workers int `json:"workers"`
 	}
-	err := c.call(http.MethodPost, "/register?worker="+url.QueryEscape(worker), "", &out)
+	err := c.call("/register?worker="+url.QueryEscape(worker), &out)
 	return out.Workers, err
 }
 
@@ -42,57 +41,8 @@ func (c *Client) Barrier(state string, n int) (int64, error) {
 	var out struct {
 		Generation int64 `json:"generation"`
 	}
-	err := c.call(http.MethodPost,
-		"/barrier?state="+url.QueryEscape(state)+"&n="+strconv.Itoa(n), "", &out)
+	err := c.call("/barrier?state="+url.QueryEscape(state)+"&n="+strconv.Itoa(n), &out)
 	return out.Generation, err
-}
-
-// Publish appends value to the topic and returns its sequence number.
-func (c *Client) Publish(topic, value string) (int, error) {
-	var out struct {
-		Seq int `json:"seq"`
-	}
-	err := c.call(http.MethodPost, "/pub?topic="+url.QueryEscape(topic), value, &out)
-	return out.Seq, err
-}
-
-// Subscribe long-polls the topic for entries with sequence >= after,
-// waiting up to wait. It returns the entries (possibly none) and the
-// next sequence to poll from.
-func (c *Client) Subscribe(topic string, after int, wait time.Duration) ([]string, int, error) {
-	var out struct {
-		Entries []string `json:"entries"`
-		Next    int      `json:"next"`
-	}
-	err := c.call(http.MethodGet, fmt.Sprintf("/sub?topic=%s&after=%d&wait=%s",
-		url.QueryEscape(topic), after, wait), "", &out)
-	return out.Entries, out.Next, err
-}
-
-// Put stores a run-scoped key/value pair.
-func (c *Client) Put(key, value string) error {
-	return c.call(http.MethodPut, "/kv?key="+url.QueryEscape(key), value, nil)
-}
-
-// Get reads a run-scoped key; ok is false when the key is absent.
-func (c *Client) Get(key string) (value string, ok bool, err error) {
-	resp, err := c.http.Get(c.base + "/kv?key=" + url.QueryEscape(key))
-	if err != nil {
-		return "", false, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", false, err
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return string(body), true, nil
-	case http.StatusNotFound:
-		return "", false, nil
-	default:
-		return "", false, fmt.Errorf("syncsrv: GET /kv: %s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
 }
 
 // Draw leases n fresh counter values for the worker.
@@ -100,25 +50,14 @@ func (c *Client) Draw(worker string, n int) ([]int64, error) {
 	var out struct {
 		Values []int64 `json:"values"`
 	}
-	err := c.call(http.MethodPost,
-		"/draw?worker="+url.QueryEscape(worker)+"&n="+strconv.Itoa(n), "", &out)
+	err := c.call("/draw?worker="+url.QueryEscape(worker)+"&n="+strconv.Itoa(n), &out)
 	return out.Values, err
 }
 
-// Draws fetches the server's full issue log and the network width.
-func (c *Client) Draws() (width int, issued map[string][]int64, err error) {
-	var out struct {
-		Width  int                `json:"width"`
-		Issued map[string][]int64 `json:"issued"`
-	}
-	err = c.call(http.MethodGet, "/draws", "", &out)
-	return out.Width, out.Issued, err
-}
-
-// call performs one JSON round trip; non-2xx responses become errors
-// carrying the server's message.
-func (c *Client) call(method, path, body string, out any) error {
-	req, err := http.NewRequest(method, c.base+path, strings.NewReader(body))
+// call performs one JSON round trip (every endpoint is a bodiless
+// POST); non-2xx responses become errors carrying the server's message.
+func (c *Client) call(path string, out any) error {
+	req, err := http.NewRequest(http.MethodPost, c.base+path, nil)
 	if err != nil {
 		return err
 	}
@@ -132,10 +71,7 @@ func (c *Client) call(method, path, body string, out any) error {
 		return err
 	}
 	if resp.StatusCode/100 != 2 {
-		return fmt.Errorf("syncsrv: %s %s: %s: %s", method, path, resp.Status, strings.TrimSpace(string(data)))
-	}
-	if out == nil {
-		return nil
+		return fmt.Errorf("syncsrv: POST %s: %s: %s", path, resp.Status, strings.TrimSpace(string(data)))
 	}
 	return json.Unmarshal(data, out)
 }

@@ -1,8 +1,8 @@
 // Package syncsrv is the coordination service of the multi-process
 // traffic harness (internal/harness): a run-scoped HTTP server that
-// worker processes use to phase-synchronize, publish/watch events,
-// share key/value state, and lease blocks of Fetch&Increment values
-// from one shared counting-network counter.
+// worker processes register with, phase-synchronize on (barriers), and
+// lease blocks of Fetch&Increment values from (draws), all backed by
+// one shared counting network.
 //
 // The barrier arrival path dogfoods the paper's own application: every
 // Barrier(state, n) arrival draws a ticket from a counting-network
@@ -18,19 +18,34 @@
 package syncsrv
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 	"sync"
-	"time"
 
 	"countnet/internal/counter"
 	"countnet/internal/network"
 	"countnet/internal/obs"
 )
 
+// MaxDraw is the largest number of values one Draw may lease. The
+// lease is allocated up front, so an unbounded n would let one request
+// exhaust the server's memory.
+const MaxDraw = 1 << 16
+
+// Sentinel errors, checked with errors.Is; the server maps them to
+// HTTP status codes.
+var (
+	// ErrClosed reports a call on a hub that has been closed.
+	ErrClosed = errors.New("syncsrv: hub closed")
+	// ErrEmptyWorker reports a registration without a worker id.
+	ErrEmptyWorker = errors.New("syncsrv: empty worker id")
+	// ErrDuplicateWorker reports a second registration of one id.
+	ErrDuplicateWorker = errors.New("syncsrv: worker already registered")
+)
+
 // Hub is the in-memory coordination state behind one harness run. All
-// methods are safe for concurrent use; blocking methods (Barrier,
-// Subscribe) return with an error after Close.
+// methods are safe for concurrent use; a blocked Barrier returns with
+// an error after Close.
 type Hub struct {
 	net  *network.Network
 	draw counter.BlockCounter // shared value source for /draw leases
@@ -38,8 +53,6 @@ type Hub struct {
 	mu       sync.Mutex
 	closed   bool
 	barriers map[string]*counter.Barrier
-	topics   map[string]*topic
-	kv       map[string]string
 	issued   map[string][]int64 // worker -> values leased to it, in issue order
 	workers  map[string]bool
 }
@@ -51,19 +64,13 @@ func NewHub(net *network.Network) *Hub {
 		net:      net,
 		draw:     counter.NewCombiningCounter(net),
 		barriers: map[string]*counter.Barrier{},
-		topics:   map[string]*topic{},
-		kv:       map[string]string{},
 		issued:   map[string][]int64{},
 		workers:  map[string]bool{},
 	}
 }
 
-// Width returns the width of the hub's counting network (the modulus
-// that maps an issued value to its exit wire, value mod width).
-func (h *Hub) Width() int { return h.net.Width() }
-
-// Close releases every blocked Barrier and Subscribe call with an
-// error. The hub is unusable afterwards.
+// Close releases every blocked Barrier call with an error. The hub is
+// unusable afterwards.
 func (h *Hub) Close() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -73,9 +80,6 @@ func (h *Hub) Close() {
 	h.closed = true
 	for _, b := range h.barriers {
 		b.Close()
-	}
-	for _, t := range h.topics {
-		t.cond.Broadcast()
 	}
 }
 
@@ -95,35 +99,23 @@ func (h *Hub) Quiesce() error {
 	return nil
 }
 
-// Register records a worker id. A duplicate registration is an error:
-// worker identities scope the issue log, so two processes sharing one
-// id would corrupt the post-run cross-check.
+// Register records a worker id. A duplicate registration is an error
+// (ErrDuplicateWorker): worker identities scope the issue log, so two
+// processes sharing one id would corrupt the post-run cross-check.
 func (h *Hub) Register(worker string) (int, error) {
 	if worker == "" {
-		return 0, fmt.Errorf("syncsrv: empty worker id")
+		return 0, ErrEmptyWorker
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
-		return 0, fmt.Errorf("syncsrv: hub closed")
+		return 0, ErrClosed
 	}
 	if h.workers[worker] {
-		return 0, fmt.Errorf("syncsrv: worker %q already registered", worker)
+		return 0, fmt.Errorf("%w: %q", ErrDuplicateWorker, worker)
 	}
 	h.workers[worker] = true
 	return len(h.workers), nil
-}
-
-// Workers returns the registered worker ids, sorted.
-func (h *Hub) Workers() []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]string, 0, len(h.workers))
-	for w := range h.workers {
-		out = append(out, w)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Barrier blocks until n parties (including the caller) have arrived
@@ -147,7 +139,7 @@ func (h *Hub) barrier(state string, n int) (*counter.Barrier, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
-		return nil, fmt.Errorf("syncsrv: hub closed")
+		return nil, ErrClosed
 	}
 	b, ok := h.barriers[state]
 	if !ok {
@@ -160,85 +152,19 @@ func (h *Hub) barrier(state string, n int) (*counter.Barrier, error) {
 	return b, nil
 }
 
-// Publish appends value to the named topic and returns its 0-based
-// sequence number, waking every Subscribe long-poll on the topic.
-func (h *Hub) Publish(topicName, value string) int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	t := h.topic(topicName)
-	t.entries = append(t.entries, value)
-	t.cond.Broadcast()
-	return len(t.entries) - 1
-}
-
-// Subscribe returns the topic entries with sequence >= after, waiting
-// up to wait for at least one to exist. It returns the entries (nil
-// after a timeout) and the next sequence number to poll from, so a
-// late joiner passing after=0 always sees the full history.
-func (h *Hub) Subscribe(topicName string, after int, wait time.Duration) ([]string, int) {
-	deadline := time.Now().Add(wait)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	t := h.topic(topicName)
-	for len(t.entries) <= after && !h.closed {
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			break
-		}
-		// Cond has no timed wait; a one-shot timer broadcast bounds it.
-		tm := time.AfterFunc(remain, t.cond.Broadcast)
-		t.cond.Wait()
-		tm.Stop()
-	}
-	if after > len(t.entries) {
-		after = len(t.entries)
-	}
-	entries := append([]string(nil), t.entries[after:]...)
-	return entries, len(t.entries)
-}
-
-// topic returns the named topic, creating it under h.mu.
-func (h *Hub) topic(name string) *topic {
-	t, ok := h.topics[name]
-	if !ok {
-		t = &topic{cond: sync.NewCond(&h.mu)}
-		h.topics[name] = t
-	}
-	return t
-}
-
-type topic struct {
-	entries []string
-	cond    *sync.Cond
-}
-
-// Put stores a run-scoped key/value pair.
-func (h *Hub) Put(key, value string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.kv[key] = value
-}
-
-// Get reads a run-scoped key.
-func (h *Hub) Get(key string) (string, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	v, ok := h.kv[key]
-	return v, ok
-}
-
 // Draw leases n fresh values to the worker from the shared combining
 // counter and records them in the issue log. The values are distinct
 // across all workers and gap-free once the run quiesces — the
-// guarantee the post-run checker verifies end to end.
+// guarantee the post-run checker verifies end to end. n must lie in
+// 1..MaxDraw.
 func (h *Hub) Draw(worker string, n int) ([]int64, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("syncsrv: draw of %d values", n)
+	if n < 1 || n > MaxDraw {
+		return nil, fmt.Errorf("syncsrv: draw of %d values (want 1..%d)", n, MaxDraw)
 	}
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
-		return nil, fmt.Errorf("syncsrv: hub closed")
+		return nil, ErrClosed
 	}
 	if !h.workers[worker] {
 		h.mu.Unlock()

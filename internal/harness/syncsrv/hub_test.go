@@ -1,6 +1,9 @@
 package syncsrv
 
 import (
+	"context"
+	"errors"
+	"net/http"
 	"strconv"
 	"strings"
 	"sync"
@@ -29,8 +32,8 @@ func TestRegisterDuplicate(t *testing.T) {
 	if _, err := h.Register("w0"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Register("w0"); err == nil || !strings.Contains(err.Error(), "already registered") {
-		t.Fatalf("duplicate registration: err = %v, want already-registered", err)
+	if _, err := h.Register("w0"); !errors.Is(err, ErrDuplicateWorker) {
+		t.Fatalf("duplicate registration: err = %v, want ErrDuplicateWorker", err)
 	}
 
 	const racers = 16
@@ -55,8 +58,8 @@ func TestRegisterDuplicate(t *testing.T) {
 	if ok != 1 {
 		t.Fatalf("%d of %d racing registrations of one id succeeded, want exactly 1", ok, racers)
 	}
-	if _, err := h.Register(""); err == nil {
-		t.Fatal("empty worker id accepted")
+	if _, err := h.Register(""); !errors.Is(err, ErrEmptyWorker) {
+		t.Fatalf("empty worker id: err = %v, want ErrEmptyWorker", err)
 	}
 }
 
@@ -130,7 +133,7 @@ func TestBarrierPartyMismatch(t *testing.T) {
 }
 
 // TestCloseReleasesWaiters: a torn-down hub must not strand blocked
-// barrier arrivals or subscribe long-polls.
+// barrier arrivals, and refuses later calls with ErrClosed.
 func TestCloseReleasesWaiters(t *testing.T) {
 	h := NewHub(testNet(t))
 	barErr := make(chan error, 1)
@@ -138,12 +141,7 @@ func TestCloseReleasesWaiters(t *testing.T) {
 		_, err := h.Barrier("never", 2)
 		barErr <- err
 	}()
-	subDone := make(chan struct{})
-	go func() {
-		h.Subscribe("quiet", 0, time.Hour)
-		close(subDone)
-	}()
-	time.Sleep(10 * time.Millisecond) // let both block
+	time.Sleep(10 * time.Millisecond) // let it block
 	h.Close()
 	select {
 	case err := <-barErr:
@@ -153,60 +151,11 @@ func TestCloseReleasesWaiters(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("barrier waiter not released by Close")
 	}
-	select {
-	case <-subDone:
-	case <-time.After(5 * time.Second):
-		t.Fatal("subscribe long-poll not released by Close")
+	if _, err := h.Barrier("x", 1); !errors.Is(err, ErrClosed) {
+		t.Fatalf("barrier on closed hub: err = %v, want ErrClosed", err)
 	}
-	if _, err := h.Barrier("x", 1); err == nil {
-		t.Fatal("barrier on closed hub accepted")
-	}
-	if _, err := h.Register("late"); err == nil {
-		t.Fatal("registration on closed hub accepted")
-	}
-}
-
-// TestSubscribeLateJoiner: a watcher that joins after publishes must
-// still see the full history (after=0), and a blocked watcher must
-// wake on the next publish.
-func TestSubscribeLateJoiner(t *testing.T) {
-	h := NewHub(testNet(t))
-	defer h.Close()
-	for _, v := range []string{"a", "b", "c"} {
-		h.Publish("events", v)
-	}
-
-	entries, next := h.Subscribe("events", 0, time.Second)
-	if len(entries) != 3 || entries[0] != "a" || entries[2] != "c" || next != 3 {
-		t.Fatalf("late joiner saw %v (next %d), want full history [a b c] next 3", entries, next)
-	}
-
-	// Nothing new yet: a bounded wait returns empty at its deadline.
-	entries, next = h.Subscribe("events", next, 20*time.Millisecond)
-	if len(entries) != 0 || next != 3 {
-		t.Fatalf("timed-out poll returned %v (next %d)", entries, next)
-	}
-
-	type result struct {
-		entries []string
-		next    int
-	}
-	woken := make(chan result, 1)
-	go func() {
-		e, n := h.Subscribe("events", 3, 10*time.Second)
-		woken <- result{e, n}
-	}()
-	time.Sleep(10 * time.Millisecond) // let the watcher block
-	if seq := h.Publish("events", "d"); seq != 3 {
-		t.Fatalf("publish seq = %d, want 3", seq)
-	}
-	select {
-	case r := <-woken:
-		if len(r.entries) != 1 || r.entries[0] != "d" || r.next != 4 {
-			t.Fatalf("woken watcher got %v (next %d), want [d] next 4", r.entries, r.next)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("publish did not wake the blocked watcher")
+	if _, err := h.Register("late"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("registration on closed hub: err = %v, want ErrClosed", err)
 	}
 }
 
@@ -226,6 +175,9 @@ func TestDrawIssuesDistinctValues(t *testing.T) {
 	}
 	if _, err := h.Draw("w0", 0); err == nil {
 		t.Fatal("0-value draw accepted")
+	}
+	if _, err := h.Draw("w0", MaxDraw+1); err == nil {
+		t.Fatalf("%d-value draw accepted", MaxDraw+1)
 	}
 
 	var wg sync.WaitGroup
@@ -277,16 +229,48 @@ func workerID(i int) string {
 	return "w" + strconv.Itoa(i)
 }
 
-// TestKV exercises the run-scoped key/value store.
-func TestKV(t *testing.T) {
-	h := NewHub(testNet(t))
-	defer h.Close()
-	if _, ok := h.Get("missing"); ok {
-		t.Fatal("missing key reported present")
+// TestServerStatusCodes pins the HTTP answers: a draw outside
+// 1..MaxDraw is a 400 that leaves the server serving (an unbounded n
+// used to exhaust memory before any handler could answer), and
+// /register tells a duplicate id (409) from an empty one (400) and a
+// closed hub (503).
+func TestServerStatusCodes(t *testing.T) {
+	hub := NewHub(testNet(t))
+	srv := NewServer(hub)
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
 	}
-	h.Put("k", "v1")
-	h.Put("k", "v2")
-	if v, ok := h.Get("k"); !ok || v != "v2" {
-		t.Fatalf("Get(k) = %q, %v", v, ok)
+	defer srv.Shutdown(context.Background()) //nolint:errcheck // test teardown
+	post := func(path string) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL()+path, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, c := range []struct {
+		path string
+		want int
+	}{
+		{"/register?worker=w0", http.StatusOK},
+		{"/register?worker=w0", http.StatusConflict},
+		{"/register?worker=", http.StatusBadRequest},
+		{"/draw?worker=w0&n=0", http.StatusBadRequest},
+		{"/draw?worker=w0&n=" + strconv.Itoa(MaxDraw+1), http.StatusBadRequest},
+		{"/draw?worker=w0&n=" + strconv.FormatInt(1<<37, 10), http.StatusBadRequest},
+	} {
+		if got := post(c.path); got != c.want {
+			t.Errorf("POST %s = %d, want %d", c.path, got, c.want)
+		}
+	}
+	vals, err := NewClient(srv.URL()).Draw("w0", MaxDraw)
+	if err != nil || len(vals) != MaxDraw {
+		t.Fatalf("MaxDraw draw after the rejected ones: %d values, err %v", len(vals), err)
+	}
+	hub.Close()
+	if got := post("/register?worker=w1"); got != http.StatusServiceUnavailable {
+		t.Errorf("register on a closed hub = %d, want %d", got, http.StatusServiceUnavailable)
 	}
 }

@@ -3,36 +3,29 @@ package syncsrv
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"strconv"
-	"time"
 )
 
-// Server exposes a Hub over HTTP. Every endpoint speaks JSON; blocking
-// endpoints (/barrier, /sub) hold the request open until released, so
-// workers long-poll instead of spinning.
+// Server exposes a Hub over HTTP. Every endpoint speaks JSON; /barrier
+// holds the request open until the state releases, so workers
+// long-poll instead of spinning.
 //
-//	POST /register?worker=W          -> {"workers":K} (409 on duplicate)
-//	POST /barrier?state=S&n=N        -> blocks; {"generation":G}
-//	POST /pub?topic=T    (body)      -> {"seq":I}
-//	GET  /sub?topic=T&after=I&wait=D -> {"entries":[...],"next":J}
-//	PUT  /kv?key=K       (body)      -> 204
-//	GET  /kv?key=K                   -> value (404 when absent)
-//	POST /draw?worker=W&n=K          -> {"values":[...]}
-//	GET  /draws                      -> {"width":W,"issued":{...}}
-//	GET  /healthz                    -> ok
+//	POST /register?worker=W   -> {"workers":K}
+//	POST /barrier?state=S&n=N -> blocks; {"generation":G}
+//	POST /draw?worker=W&n=K   -> {"values":[...]}, 1 <= K <= MaxDraw
+//	GET  /healthz             -> ok
+//
+// Errors answer 409 for a duplicate worker id, 503 once the hub is
+// closed, and 400 for any other bad request.
 type Server struct {
 	hub  *Hub
 	http *http.Server
 	lis  net.Listener
 }
-
-// maxSubWait caps a /sub long-poll so an abandoned watcher cannot pin
-// its handler goroutine past the run.
-const maxSubWait = 30 * time.Second
 
 // NewServer wraps the hub. Call Start to begin serving.
 func NewServer(hub *Hub) *Server {
@@ -40,11 +33,7 @@ func NewServer(hub *Hub) *Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/register", s.handleRegister)
 	mux.HandleFunc("/barrier", s.handleBarrier)
-	mux.HandleFunc("/pub", s.handlePub)
-	mux.HandleFunc("/sub", s.handleSub)
-	mux.HandleFunc("/kv", s.handleKV)
 	mux.HandleFunc("/draw", s.handleDraw)
-	mux.HandleFunc("/draws", s.handleDraws)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
@@ -64,14 +53,11 @@ func (s *Server) Start(addr string) error {
 	return nil
 }
 
-// Addr returns the listening address (host:port).
-func (s *Server) Addr() string { return s.lis.Addr().String() }
-
 // URL returns the base URL clients should use.
-func (s *Server) URL() string { return "http://" + s.Addr() }
+func (s *Server) URL() string { return "http://" + s.lis.Addr().String() }
 
-// Shutdown closes the hub (releasing blocked barrier and subscribe
-// handlers) and drains the HTTP server.
+// Shutdown closes the hub (releasing blocked barrier handlers) and
+// drains the HTTP server.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.hub.Close()
 	return s.http.Shutdown(ctx)
@@ -80,7 +66,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	n, err := s.hub.Register(r.URL.Query().Get("worker"))
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusConflict)
+		httpError(w, err)
 		return
 	}
 	writeJSON(w, map[string]int{"workers": n})
@@ -96,72 +82,10 @@ func (s *Server) handleBarrier(w http.ResponseWriter, r *http.Request) {
 	}
 	gen, err := s.hub.Barrier(state, n)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		httpError(w, err)
 		return
 	}
 	writeJSON(w, map[string]int64{"generation": gen})
-}
-
-func (s *Server) handlePub(w http.ResponseWriter, r *http.Request) {
-	topic := r.URL.Query().Get("topic")
-	if topic == "" {
-		http.Error(w, "syncsrv: pub needs topic", http.StatusBadRequest)
-		return
-	}
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	writeJSON(w, map[string]int{"seq": s.hub.Publish(topic, string(body))})
-}
-
-func (s *Server) handleSub(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	topic := q.Get("topic")
-	if topic == "" {
-		http.Error(w, "syncsrv: sub needs topic", http.StatusBadRequest)
-		return
-	}
-	after, _ := strconv.Atoi(q.Get("after"))
-	wait := time.Duration(0)
-	if d := q.Get("wait"); d != "" {
-		var err error
-		if wait, err = time.ParseDuration(d); err != nil {
-			http.Error(w, "syncsrv: bad wait duration", http.StatusBadRequest)
-			return
-		}
-	}
-	if wait > maxSubWait {
-		wait = maxSubWait
-	}
-	entries, next := s.hub.Subscribe(topic, after, wait)
-	writeJSON(w, map[string]any{"entries": entries, "next": next})
-}
-
-func (s *Server) handleKV(w http.ResponseWriter, r *http.Request) {
-	key := r.URL.Query().Get("key")
-	if key == "" {
-		http.Error(w, "syncsrv: kv needs key", http.StatusBadRequest)
-		return
-	}
-	switch r.Method {
-	case http.MethodPut, http.MethodPost:
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		s.hub.Put(key, string(body))
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		v, ok := s.hub.Get(key)
-		if !ok {
-			http.Error(w, "syncsrv: no such key", http.StatusNotFound)
-			return
-		}
-		fmt.Fprint(w, v)
-	}
 }
 
 func (s *Server) handleDraw(w http.ResponseWriter, r *http.Request) {
@@ -173,14 +97,22 @@ func (s *Server) handleDraw(w http.ResponseWriter, r *http.Request) {
 	}
 	vals, err := s.hub.Draw(q.Get("worker"), n)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		httpError(w, err)
 		return
 	}
 	writeJSON(w, map[string][]int64{"values": vals})
 }
 
-func (s *Server) handleDraws(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]any{"width": s.hub.Width(), "issued": s.hub.IssueLog()})
+// httpError answers err with the status its sentinel maps to.
+func httpError(w http.ResponseWriter, err error) {
+	code := http.StatusBadRequest
+	switch {
+	case errors.Is(err, ErrDuplicateWorker):
+		code = http.StatusConflict
+	case errors.Is(err, ErrClosed):
+		code = http.StatusServiceUnavailable
+	}
+	http.Error(w, err.Error(), code)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -89,14 +89,31 @@ func ApplyComparatorsFunc[T any](net *network.Network, in []T, less func(a, b T)
 	return out
 }
 
-// SortAscending sorts values using the network as a sorting network and
-// returns them smallest-first. It panics unless len(values) equals the
-// network width. This is a convenience wrapper over ApplyComparators,
-// which produces largest-first output per the step convention.
-func SortAscending(net *network.Network, values []int64) []int64 {
-	out := ApplyComparators(net, values)
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
+// insertionSortDesc sorts t descending in place.
+func insertionSortDesc(t []int64) {
+	for i := 1; i < len(t); i++ {
+		v := t[i]
+		j := i - 1
+		for j >= 0 && t[j] < v {
+			t[j+1] = t[j]
+			j--
+		}
+		t[j+1] = v
 	}
-	return out
+}
+
+// insertionSortDescFunc sorts t descending by less, stably: among
+// elements neither of which is less than the other, input order is
+// kept. Gate widths are bounded by MaxGateWidth, where insertion sort
+// beats the allocation and indirection of the sort package.
+func insertionSortDescFunc[T any](t []T, less func(a, b T) bool) {
+	for i := 1; i < len(t); i++ {
+		v := t[i]
+		j := i - 1
+		for j >= 0 && less(t[j], v) {
+			t[j+1] = t[j]
+			j--
+		}
+		t[j+1] = v
+	}
 }

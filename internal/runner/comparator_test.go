@@ -90,10 +90,18 @@ func TestApplyComparatorsPanicsOnWidthMismatch(t *testing.T) {
 	ApplyComparators(twoSorter(), []int64{1, 2})
 }
 
-func TestSortAscending(t *testing.T) {
-	out := SortAscending(twoSorter(), []int64{4, 1, 3, 2})
-	if !reflect.DeepEqual(out, []int64{1, 2, 3, 4}) {
-		t.Errorf("SortAscending = %v", out)
+func TestInsertionSortDesc(t *testing.T) {
+	cases := [][]int64{
+		{}, {1}, {1, 2}, {2, 1}, {3, 1, 2}, {5, 5, 5}, {1, 2, 3, 4, 5},
+	}
+	for _, c := range cases {
+		cp := append([]int64(nil), c...)
+		insertionSortDesc(cp)
+		for i := 1; i < len(cp); i++ {
+			if cp[i-1] < cp[i] {
+				t.Fatalf("insertionSortDesc(%v) = %v", c, cp)
+			}
+		}
 	}
 }
 

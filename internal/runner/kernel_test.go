@@ -118,8 +118,8 @@ func wideGateNet(t testing.TB, width int, gateWidths ...int) *network.Network {
 
 // TestPlanKernelVsInsertionSort differentially runs the generated
 // kernels against the insertion-sort reference engine
-// (SetWideKernels(false)) and the gate-by-gate evaluator, across all
-// three plan execution modes and every kernel width.
+// (SetWideKernels(false)) and the gate-by-gate evaluator, across
+// Apply, ApplyBatches and Pipeline and every kernel width.
 func TestPlanKernelVsInsertionSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for gw := 5; gw <= maxKernelWidth; gw++ {
@@ -157,32 +157,37 @@ func TestPlanKernelVsInsertionSort(t *testing.T) {
 			}
 		}
 
-		pl := fast.NewParallel(3)
-		in := randomBatch(rng, w)
-		got := make([]int64, w)
-		pl.Apply(got, in)
-		pl.Close()
-		if wantP := ApplyComparators(net, in); !reflect.DeepEqual(got, wantP) {
-			t.Fatalf("gate width %d: kernel parallel %v, want %v", gw, got, wantP)
+		inputs := [][]int64{randomBatch(rng, w), randomBatch(rng, w), randomBatch(rng, w)}
+		for i, got := range pipelineSort(fast, inputs) {
+			if wantP := ApplyComparators(net, inputs[i]); !reflect.DeepEqual(got, wantP) {
+				t.Fatalf("gate width %d batch %d: kernel pipeline %v, want %v", gw, i, got, wantP)
+			}
 		}
 	}
 }
 
 // TestPlanKernelAboveCutoff pins the fallback: a gate wider than
 // maxKernelWidth takes the insertion-sort path and still matches the
-// reference evaluator.
+// reference evaluator, through Apply and the Pipeline.
 func TestPlanKernelAboveCutoff(t *testing.T) {
 	net := wideGateNet(t, maxKernelWidth+3, maxKernelWidth+1, maxKernelWidth+2)
 	plan := CompilePlan(net)
 	rng := rand.New(rand.NewSource(31))
 	s := plan.NewScratch()
-	for trial := 0; trial < 100; trial++ {
+	inputs := make([][]int64, 100)
+	for trial := range inputs {
 		in := randomBatch(rng, net.Width())
+		inputs[trial] = in
 		want := ApplyComparators(net, in)
 		got := make([]int64, net.Width())
 		plan.Apply(got, in, s)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: %v, want %v", trial, got, want)
+		}
+	}
+	for trial, got := range pipelineSort(plan, inputs) {
+		if want := ApplyComparators(net, inputs[trial]); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: pipeline %v, want %v", trial, got, want)
 		}
 	}
 }

@@ -4,113 +4,44 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"countnet/internal/network"
 )
 
-// Sorter is a reusable comparator-semantics executor with a compiled
-// plan and preallocated scratch, for hot loops where ApplyComparators'
-// per-call allocation matters. Not safe for concurrent use; create one
-// per goroutine (they can share one Plan via NewPlanSorter).
-type Sorter struct {
-	plan *Plan
-	s    *Scratch
-	out  []int64
-}
-
-// NewSorter compiles the network and prepares a Sorter for it.
-func NewSorter(net *network.Network) *Sorter {
-	return NewPlanSorter(CompilePlan(net))
-}
-
-// NewPlanSorter prepares a Sorter over an already-compiled plan,
-// sharing the immutable plan across goroutines.
-func NewPlanSorter(plan *Plan) *Sorter {
-	return &Sorter{plan: plan, s: plan.NewScratch(), out: make([]int64, plan.Width())}
-}
-
-// Sort sorts one batch into the internal buffer and returns it in
-// network output order (descending). The returned slice is reused by
-// the next call; copy it if you keep it. Sort performs no allocation.
-func (s *Sorter) Sort(in []int64) []int64 {
-	s.plan.Apply(s.out, in, s.s)
-	return s.out
-}
-
-func insertionSortDesc(t []int64) {
-	for i := 1; i < len(t); i++ {
-		v := t[i]
-		j := i - 1
-		for j >= 0 && t[j] < v {
-			t[j+1] = t[j]
-			j--
-		}
-		t[j+1] = v
-	}
-}
-
-// insertionSortDescFunc sorts t descending by less, stably: among
-// elements neither of which is less than the other, input order is
-// kept. Gate widths are bounded by MaxGateWidth, where insertion sort
-// beats the allocation and indirection of the sort package.
-func insertionSortDescFunc[T any](t []T, less func(a, b T) bool) {
-	for i := 1; i < len(t); i++ {
-		v := t[i]
-		j := i - 1
-		for j >= 0 && less(t[j], v) {
-			t[j+1] = t[j]
-			j--
-		}
-		t[j+1] = v
-	}
-}
-
-// Pipeline executes a stream of batches through the network with one
-// goroutine per layer — the deployment mode sorting networks are
+// Pipeline executes a stream of batches through a compiled plan with
+// one goroutine per layer — the deployment mode sorting networks are
 // designed for: batch k can be in layer 3 while batch k+1 is in layer
 // 2. Throughput approaches one batch per layer-latency instead of one
-// batch per network-latency.
+// batch per network-latency. Each stage runs its layer with the plan's
+// own kernels (runLayer), so the stream sorts exactly as Apply does.
 type Pipeline struct {
-	net    *network.Network
+	plan   *Plan
 	stages []chan []int64
 	out    chan []int64
 	wg     sync.WaitGroup
 }
 
-// NewPipeline starts the layer goroutines. Close the pipeline with
-// Close after the last Submit; results arrive on Results in submission
-// order.
-func NewPipeline(net *network.Network, buffer int) *Pipeline {
-	layers := net.Layers()
-	p := &Pipeline{net: net}
-	p.stages = make([]chan []int64, len(layers)+1)
+// NewPipeline starts the layer goroutines over the plan. Close the
+// pipeline with Close after the last Submit; results arrive on Results
+// in submission order.
+func NewPipeline(plan *Plan, buffer int) *Pipeline {
+	p := &Pipeline{plan: plan}
+	p.stages = make([]chan []int64, plan.NumLayers()+1)
 	for i := range p.stages {
 		p.stages[i] = make(chan []int64, buffer)
 	}
-	p.out = p.stages[len(layers)]
-	for li, ids := range layers {
-		li, ids := li, ids
+	p.out = p.stages[plan.NumLayers()]
+	for l := 0; l < plan.NumLayers(); l++ {
+		l := l
 		p.wg.Add(1)
 		// Production-only stage goroutine; the sched harness explores the
-		// pipeline through the hooked token paths, not these workers.
+		// asynchronous token paths, not these workers.
 		//netvet:allow spawn
 		go func() {
 			defer p.wg.Done()
-			defer close(p.stages[li+1])
-			buf := make([]int64, net.MaxGateWidth())
-			for vals := range p.stages[li] {
-				for _, id := range ids {
-					g := &net.Gates[id]
-					t := buf[:g.Width()]
-					for i, wire := range g.Wires {
-						t[i] = vals[wire]
-					}
-					insertionSortDesc(t)
-					for i, wire := range g.Wires {
-						vals[wire] = t[i]
-					}
-				}
-				p.stages[li+1] <- vals
+			defer close(p.stages[l+1])
+			gate := make([]int64, plan.maxWide)
+			for vals := range p.stages[l] {
+				plan.runLayer(l, vals, gate)
+				p.stages[l+1] <- vals
 			}
 		}()
 	}
@@ -118,19 +49,18 @@ func NewPipeline(net *network.Network, buffer int) *Pipeline {
 }
 
 // Submit feeds one batch (length Width) into the pipeline. The slice is
-// owned by the pipeline until it reappears on Results (rearranged to
-// output order). Submit blocks when the pipeline is full.
+// owned by the pipeline until it reappears on Results. Submit blocks
+// when the pipeline is full.
 func (p *Pipeline) Submit(batch []int64) {
-	if len(batch) != p.net.Width() {
-		panic(fmt.Sprintf("runner: %d inputs for width-%d network", len(batch), p.net.Width()))
+	if len(batch) != p.plan.Width() {
+		panic(fmt.Sprintf("runner: %d inputs for width-%d network", len(batch), p.plan.Width()))
 	}
 	p.stages[0] <- batch
 }
 
 // Results returns the channel of completed batches, in submission
-// order. Batches stay in wire order (zero-copy); when the network's
-// OutputOrder is not the identity, index batch[OutputOrder[k]] for the
-// k-th ranked value.
+// order. Batches stay in wire order (zero-copy); index
+// batch[OutputOrder()[k]] for the k-th ranked value.
 func (p *Pipeline) Results() <-chan []int64 { return p.out }
 
 // Close signals the end of input; Results closes after the last batch
@@ -143,22 +73,15 @@ func (p *Pipeline) Close() {
 // Results).
 func (p *Pipeline) Wait() { p.wg.Wait() }
 
-// OutputOrder exposes the network's output ordering so consumers can
-// interpret Results batches (which stay in wire order for zero-copy).
-func (p *Pipeline) OutputOrder() []int { return p.net.OutputOrder }
+// OutputOrder maps output position to wire, so consumers can interpret
+// Results batches (which stay in wire order for zero-copy).
+func (p *Pipeline) OutputOrder() []int32 { return p.plan.out }
 
-// SortBatches sorts every batch through the network using `workers`
-// data-parallel goroutines over one shared compiled plan, each worker
-// with private scratch. Batches are replaced in place with their sorted
-// contents in network output order (descending). It complements
-// Pipeline: data parallelism across batches rather than pipeline
-// parallelism across layers.
-func SortBatches(net *network.Network, batches [][]int64, workers int) {
-	CompilePlan(net).SortBatches(batches, workers)
-}
-
-// SortBatches is the plan-level SortBatches: callers holding a compiled
-// plan skip recompilation.
+// SortBatches sorts every batch through the plan using `workers`
+// data-parallel goroutines, each with private scratch. Batches are
+// replaced in place with their sorted contents in network output order
+// (descending). It complements Pipeline: data parallelism across
+// batches rather than pipeline parallelism across layers.
 func (plan *Plan) SortBatches(batches [][]int64, workers int) {
 	if workers < 1 {
 		workers = 1
@@ -179,7 +102,8 @@ func (plan *Plan) SortBatches(batches [][]int64, workers int) {
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
-		// Production-only worker pool (see NewParallel); not a replayed path.
+		// Production-only worker pool for the synchronous plan engine;
+		// not a replayed path.
 		//netvet:allow spawn
 		go func() {
 			defer wg.Done()

@@ -4,74 +4,11 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"countnet/internal/network"
 )
-
-func TestSorterMatchesApplyComparators(t *testing.T) {
-	net := twoSorter()
-	s := NewSorter(net)
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 200; trial++ {
-		in := make([]int64, 4)
-		for i := range in {
-			in[i] = int64(rng.Intn(50))
-		}
-		want := ApplyComparators(net, in)
-		got := s.Sort(in)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Sorter.Sort(%v) = %v, want %v", in, got, want)
-		}
-	}
-}
-
-func TestSorterWithOutputOrder(t *testing.T) {
-	b := network.NewBuilder(2)
-	b.Add([]int{0, 1}, "")
-	net := b.Build("rev", []int{1, 0})
-	s := NewSorter(net)
-	got := s.Sort([]int64{1, 9})
-	if !reflect.DeepEqual(got, []int64{1, 9}) {
-		t.Errorf("Sort with reversed order = %v", got)
-	}
-}
-
-func TestSorterReusesBuffer(t *testing.T) {
-	s := NewSorter(twoSorter())
-	a := s.Sort([]int64{4, 3, 2, 1})
-	b := s.Sort([]int64{1, 2, 3, 4})
-	if &a[0] != &b[0] {
-		t.Error("Sorter allocated a fresh output slice per call")
-	}
-}
-
-func TestSorterPanicsOnWidthMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewSorter(twoSorter()).Sort([]int64{1})
-}
-
-func TestInsertionSortDesc(t *testing.T) {
-	cases := [][]int64{
-		{}, {1}, {1, 2}, {2, 1}, {3, 1, 2}, {5, 5, 5}, {1, 2, 3, 4, 5},
-	}
-	for _, c := range cases {
-		cp := append([]int64(nil), c...)
-		insertionSortDesc(cp)
-		for i := 1; i < len(cp); i++ {
-			if cp[i-1] < cp[i] {
-				t.Fatalf("insertionSortDesc(%v) = %v", c, cp)
-			}
-		}
-	}
-}
 
 func TestPipelineSortsStream(t *testing.T) {
 	net := twoSorter()
-	p := NewPipeline(net, 4)
+	p := NewPipeline(CompilePlan(net), 4)
 	rng := rand.New(rand.NewSource(2))
 	const batches = 64
 	inputs := make([][]int64, batches)
@@ -109,7 +46,7 @@ func TestPipelineSortsStream(t *testing.T) {
 
 func TestPipelineOrderPreserved(t *testing.T) {
 	net := twoSorter()
-	p := NewPipeline(net, 1)
+	p := NewPipeline(CompilePlan(net), 1)
 	go func() {
 		for k := 0; k < 20; k++ {
 			p.Submit([]int64{int64(k), int64(k), int64(k), int64(k)})
@@ -127,7 +64,7 @@ func TestPipelineOrderPreserved(t *testing.T) {
 }
 
 func TestPipelineSubmitPanicsOnWidth(t *testing.T) {
-	p := NewPipeline(twoSorter(), 1)
+	p := NewPipeline(CompilePlan(twoSorter()), 1)
 	defer func() {
 		p.Close()
 		p.Wait()
@@ -151,7 +88,7 @@ func TestSortBatches(t *testing.T) {
 			}
 			wants[i] = ApplyComparators(net, batches[i])
 		}
-		SortBatches(net, batches, workers)
+		CompilePlan(net).SortBatches(batches, workers)
 		for i := range batches {
 			if !reflect.DeepEqual(batches[i], wants[i]) {
 				t.Fatalf("workers=%d batch %d: %v, want %v", workers, i, batches[i], wants[i])
@@ -159,15 +96,38 @@ func TestSortBatches(t *testing.T) {
 		}
 	}
 	// Degenerate inputs.
-	SortBatches(net, nil, 4)
-	SortBatches(net, [][]int64{}, 0)
+	CompilePlan(net).SortBatches(nil, 4)
+	CompilePlan(net).SortBatches([][]int64{}, 0)
 }
 
 func TestPipelineOutputOrderExposed(t *testing.T) {
-	p := NewPipeline(twoSorter(), 1)
+	p := NewPipeline(CompilePlan(twoSorter()), 1)
 	if len(p.OutputOrder()) != 4 {
 		t.Error("output order missing")
 	}
 	p.Close()
 	p.Wait()
+}
+
+// pipelineSort streams the batches through a Pipeline over the plan
+// and returns each result in output order, the form ApplyComparators
+// produces. The inputs are left untouched.
+func pipelineSort(plan *Plan, batches [][]int64) [][]int64 {
+	p := NewPipeline(plan, 2)
+	go func() {
+		for _, b := range batches {
+			p.Submit(append([]int64(nil), b...))
+		}
+		p.Close()
+	}()
+	var out [][]int64
+	for got := range p.Results() {
+		ranked := make([]int64, len(got))
+		for k, wire := range p.OutputOrder() {
+			ranked[k] = got[wire]
+		}
+		out = append(out, ranked)
+	}
+	p.Wait()
+	return out
 }

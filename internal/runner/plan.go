@@ -2,8 +2,6 @@ package runner
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"countnet/internal/network"
 )
@@ -19,18 +17,18 @@ import (
 // the hot loop dispatches without per-gate branching on gate width.
 //
 // A Plan is immutable after CompilePlan and safe for concurrent use;
-// all mutable state lives in per-caller Scratch (or in a Parallel
-// runner's workers). Three execution modes share the compiled form:
+// all mutable state lives in per-caller Scratch. Every int64 sorting
+// path runs the compiled form, one layer at a time through runLayer:
 //
 //   - Apply: one batch, allocation-free with caller-provided Scratch;
 //   - ApplyBatches: many batches streamed through the plan in blocks,
 //     so the plan's layer data stays cache-hot across a block;
-//   - Parallel.Apply: one batch with each layer's independent gates
-//     fanned across a reusable worker pool.
+//   - SortBatches: ApplyBatches fanned across data-parallel workers;
+//   - Pipeline: one goroutine per layer over a stream of batches.
 //
-// All three produce output identical to ApplyComparators: element k of
-// the result is the value leaving on wire OutputOrder[k], gates route
-// their largest input to their first wire.
+// All of them produce output identical to ApplyComparators: element k
+// of the result is the value leaving on wire OutputOrder[k], gates
+// route their largest input to their first wire.
 type Plan struct {
 	width     int
 	numLayers int
@@ -71,7 +69,7 @@ func CompilePlan(net *network.Network) *Plan {
 		out:       make([]int32, net.Width()),
 		outIdent:  true,
 	}
-	for li, ids := range net.Layers() {
+	for _, ids := range net.Layers() {
 		for _, id := range ids {
 			g := &net.Gates[id]
 			if g.Width() == 2 {
@@ -88,7 +86,6 @@ func CompilePlan(net *network.Network) *Plan {
 		}
 		p.pairOff = append(p.pairOff, int32(len(p.pairs)/2))
 		p.layerWide = append(p.layerWide, int32(len(p.wideOff)-1))
-		_ = li
 	}
 	for pos, wire := range net.OutputOrder {
 		p.out[pos] = int32(wire)
@@ -107,8 +104,7 @@ func (p *Plan) Width() int { return p.width }
 // wider than 4 takes the gather/insertion-sort/scatter path — the
 // reference engine the kernels are differential-tested and
 // benchmarked against. Call before the plan is shared: the flag is
-// read by concurrent Apply/ApplyBatches/Parallel runs without
-// synchronization.
+// read by concurrent runs without synchronization.
 func (p *Plan) SetWideKernels(on bool) { p.noKernels = !on }
 
 // NumLayers returns the number of compiled layers (the network depth).
@@ -278,106 +274,5 @@ func (p *Plan) ApplyBatches(batches [][]int64, block int) {
 				}
 			}
 		}
-	}
-}
-
-// Parallel executes one batch at a time with each layer's independent
-// gates fanned across a persistent worker pool: goroutine startup is
-// paid once at NewParallel, and each worker keeps private wide-gate
-// scratch. Gates within a layer touch disjoint wires, so the workers
-// never conflict; a barrier separates layers.
-//
-// A Parallel is not safe for concurrent Apply calls (it owns one set of
-// wire values); create one per concurrent caller, or use ApplyBatches
-// for data parallelism across batches instead. Close releases the
-// workers.
-//
-// Layer parallelism pays off when layers are wide (hundreds of gates);
-// for narrow networks the per-layer barrier dominates and Apply is
-// faster.
-type Parallel struct {
-	plan    *Plan
-	workers int
-	vals    []int64
-	work    []chan int // per-worker: layer index to run
-	wg      sync.WaitGroup
-	closed  bool
-}
-
-// NewParallel starts a worker pool for the plan. workers <= 0 selects
-// GOMAXPROCS.
-func (p *Plan) NewParallel(workers int) *Parallel {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	pl := &Parallel{
-		plan:    p,
-		workers: workers,
-		vals:    make([]int64, p.width),
-		work:    make([]chan int, workers),
-	}
-	for w := 0; w < workers; w++ {
-		pl.work[w] = make(chan int, 1)
-		// Production-only worker pool for the synchronous plan engine;
-		// the sched harness explores the asynchronous token paths.
-		//netvet:allow spawn
-		go pl.worker(w)
-	}
-	return pl
-}
-
-func (pl *Parallel) worker(id int) {
-	p := pl.plan
-	gate := make([]int64, p.maxWide)
-	for l := range pl.work[id] {
-		// Static partition of the layer's pairs and wide gates.
-		j0, j1 := int(p.pairOff[l]), int(p.pairOff[l+1])
-		lo, hi := chunk(j0, j1, id, pl.workers)
-		p.runPairs(lo, hi, pl.vals)
-		g0, g1 := int(p.layerWide[l]), int(p.layerWide[l+1])
-		lo, hi = chunk(g0, g1, id, pl.workers)
-		p.runWide(lo, hi, pl.vals, gate)
-		pl.wg.Done()
-	}
-}
-
-// chunk splits [lo,hi) into n near-equal parts and returns part id.
-func chunk(lo, hi, id, n int) (int, int) {
-	span := hi - lo
-	a := lo + span*id/n
-	b := lo + span*(id+1)/n
-	return a, b
-}
-
-// Apply runs one batch through the plan using the worker pool. The
-// contract matches Plan.Apply: dst receives the output sequence and may
-// alias src.
-func (pl *Parallel) Apply(dst, src []int64) {
-	p := pl.plan
-	if len(src) != p.width || len(dst) != p.width {
-		panic(fmt.Sprintf("runner: plan batch %d/%d for width-%d network", len(src), len(dst), p.width))
-	}
-	if pl.closed {
-		panic("runner: Apply on closed Parallel")
-	}
-	copy(pl.vals, src)
-	for l := 0; l < p.numLayers; l++ {
-		pl.wg.Add(pl.workers)
-		for _, ch := range pl.work {
-			ch <- l
-		}
-		pl.wg.Wait()
-	}
-	p.emit(dst, pl.vals)
-}
-
-// Close stops the workers. The Parallel must not be used afterwards.
-func (pl *Parallel) Close() {
-	if pl.closed {
-		return
-	}
-	pl.closed = true
-	for _, ch := range pl.work {
-		close(ch)
 	}
 }

@@ -135,24 +135,34 @@ func TestPlanApplyBatchesMatchesComparators(t *testing.T) {
 	}
 }
 
+// TestPlanParallelMatchesComparators runs both parallel engines over
+// the plan — SortBatches' data-parallel workers and the layer-pipelined
+// Pipeline — against the gate-by-gate reference on every network.
 func TestPlanParallelMatchesComparators(t *testing.T) {
 	for name, net := range allPlanNetworks(t) {
 		t.Run(name, func(t *testing.T) {
 			plan := CompilePlan(net)
-			for _, workers := range []int{1, 3, 0} {
-				pl := plan.NewParallel(workers)
-				rng := rand.New(rand.NewSource(3))
-				for trial := 0; trial < 10; trial++ {
-					in := randomBatch(rng, net.Width())
-					want := ApplyComparators(net, in)
-					got := make([]int64, len(in))
-					pl.Apply(got, in)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("workers %d trial %d: parallel %v, want %v", workers, trial, got, want)
-					}
+			rng := rand.New(rand.NewSource(3))
+			batches := make([][]int64, 2*DefaultBatchBlock+3)
+			want := make([][]int64, len(batches))
+			for i := range batches {
+				batches[i] = randomBatch(rng, net.Width())
+				want[i] = ApplyComparators(net, batches[i])
+			}
+			got := pipelineSort(plan, batches)
+			if len(got) != len(batches) {
+				t.Fatalf("pipeline returned %d batches, want %d", len(got), len(batches))
+			}
+			for i := range batches {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("batch %d: pipeline %v, want %v", i, got[i], want[i])
 				}
-				pl.Close()
-				pl.Close() // idempotent
+			}
+			plan.SortBatches(batches, 3)
+			for i := range batches {
+				if !reflect.DeepEqual(batches[i], want[i]) {
+					t.Fatalf("batch %d: SortBatches %v, want %v", i, batches[i], want[i])
+				}
 			}
 		})
 	}
@@ -179,17 +189,6 @@ func TestPlanWidthMismatchPanics(t *testing.T) {
 	}
 }
 
-func TestParallelApplyAfterClosePanics(t *testing.T) {
-	pl := CompilePlan(fuzzNet()).NewParallel(2)
-	pl.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	pl.Apply(make([]int64, 4), make([]int64, 4))
-}
-
 func TestPlanGatelessNetwork(t *testing.T) {
 	b := network.NewBuilder(3)
 	net := b.Build("empty", []int{2, 0, 1})
@@ -213,10 +212,6 @@ func TestPlanApplyAllocationFree(t *testing.T) {
 	dst := make([]int64, net.Width())
 	if n := testing.AllocsPerRun(100, func() { plan.Apply(dst, in, s) }); n != 0 {
 		t.Errorf("Plan.Apply allocates %v times per run, want 0", n)
-	}
-	sorter := NewPlanSorter(plan)
-	if n := testing.AllocsPerRun(100, func() { sorter.Sort(in) }); n != 0 {
-		t.Errorf("Sorter.Sort allocates %v times per run, want 0", n)
 	}
 }
 
@@ -272,11 +267,8 @@ func FuzzPlanVsComparators(f *testing.F) {
 			}
 		}
 
-		pl := plan.NewParallel(2)
-		defer pl.Close()
-		pl.Apply(got, in)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Parallel.Apply %v, want %v", got, want)
+		if got := pipelineSort(plan, [][]int64{in})[0]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("Pipeline %v, want %v", got, want)
 		}
 	})
 }

@@ -16,33 +16,7 @@ import (
 // ceil((t-j)/p) tokens, because the i-th token to enter leaves on wire
 // i mod p regardless of arrival interleaving.
 func ApplyTokens(net *network.Network, in []int64) []int64 {
-	if len(in) != net.Width() {
-		panic(fmt.Sprintf("runner: %d token counts for width-%d network", len(in), net.Width()))
-	}
-	counts := append([]int64(nil), in...)
-	for gi := range net.Gates {
-		g := &net.Gates[gi]
-		p := int64(g.Width())
-		var t int64
-		for _, wire := range g.Wires {
-			if counts[wire] < 0 {
-				panic(fmt.Sprintf("runner: negative token count on wire %d", wire))
-			}
-			t += counts[wire]
-		}
-		q, r := t/p, t%p
-		for j, wire := range g.Wires {
-			counts[wire] = q
-			if int64(j) < r {
-				counts[wire]++
-			}
-		}
-	}
-	out := make([]int64, len(counts))
-	for k, wire := range net.OutputOrder {
-		out[k] = counts[wire]
-	}
-	return out
+	return NewStepper(net).Step(in)
 }
 
 // Stepper is a reusable, allocation-free version of ApplyTokens for
@@ -63,13 +37,19 @@ func NewStepper(net *network.Network) *Stepper {
 }
 
 // Step computes the quiescent output distribution for the given input
-// token counts. The returned slice is reused by the next call.
+// token counts, which must be non-negative. The returned slice is
+// reused by the next call.
 func (s *Stepper) Step(in []int64) []int64 {
 	if len(in) != s.net.Width() {
 		panic(fmt.Sprintf("runner: %d token counts for width-%d network", len(in), s.net.Width()))
 	}
-	copy(s.counts, in)
 	counts := s.counts
+	for wire, t := range in {
+		if t < 0 {
+			panic(fmt.Sprintf("runner: negative token count on wire %d", wire))
+		}
+		counts[wire] = t
+	}
 	for gi := range s.net.Gates {
 		g := &s.net.Gates[gi]
 		p := int64(g.Width())
