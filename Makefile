@@ -201,6 +201,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzSnapshotMerge -fuzztime=30s ./internal/obs
 	$(GO) test -run '^$$' -fuzz=FuzzCounterSchedules -fuzztime=30s ./internal/counter
 	$(GO) test -run '^$$' -fuzz=FuzzAdaptiveSchedules -fuzztime=30s ./internal/counter
+	$(GO) test -run '^$$' -fuzz=FuzzRunsVsBlock -fuzztime=30s ./internal/counter
 	$(GO) test -run '^$$' -fuzz=FuzzPoolSchedules -fuzztime=30s ./internal/pool
 
 # Nightly-scale schedule exploration (see docs/TESTING.md).

@@ -40,7 +40,7 @@ type CombiningCounter struct {
 	exits   []int64                        // scratch: per-position exit counts
 	scratch *runner.BatchScratch
 	pending []*combineSlot // scratch: slots drained this pass
-	vals    []int64        // scratch: values minted this pass
+	runs    []Run          // scratch: runs minted this pass, at most one per exit wire
 
 	// watch is the observability hook, nil unless EnableObs was called;
 	// the combine pass and the handle spin loop pay one nil-check each
@@ -81,6 +81,7 @@ func NewCombiningCounter(net *network.Network) *CombiningCounter {
 		entry:   make([]int64, net.Width()),
 		exits:   make([]int64, net.Width()),
 		scratch: a.NewBatchScratch(),
+		runs:    make([]Run, 0, net.Width()),
 	}
 	empty := []*combineSlot{}
 	c.slots.Store(&empty)
@@ -122,8 +123,24 @@ func (c *CombiningCounter) NextBlock(dst []int64) {
 		return
 	}
 	c.combine.Lock()
-	c.combineLocked(dst, nil)
+	c.expand(dst, c.combineLocked(len(dst), nil), 0, 0)
 	c.combine.Unlock()
+}
+
+// NextRuns leases n fresh values in one combined pass without
+// expanding them: it returns them as runs in dst's storage (dst[:0]
+// grown as needed), at most one run per exit wire, so never more than
+// Width runs. Expanding the runs in order yields the values NextBlock
+// would have written for the same pass.
+func (c *CombiningCounter) NextRuns(n int, dst []Run) []Run {
+	dst = dst[:0]
+	if n <= 0 {
+		return dst
+	}
+	c.combine.Lock()
+	dst = append(dst, c.combineLocked(n, nil)...)
+	c.combine.Unlock()
+	return dst
 }
 
 // Handle returns a goroutine-local view backed by a freshly registered
@@ -193,7 +210,7 @@ func (h *CombiningHandle) await(dst []int64, yield func(op string), block func(o
 			// slot it finds; ours is pending (or was just served by the
 			// previous combiner, in which case it is done and skipped).
 			if s.state.Load() == slotPending {
-				c.combineLocked(nil, yield)
+				c.combineLocked(0, yield)
 			}
 			c.combine.Unlock()
 		}
@@ -256,13 +273,12 @@ func (c *CombiningCounter) inject(total int64) {
 	c.cursor = n
 }
 
-// mint claims one value range per touched exit position (exits[pos]
-// tokens left there) with one fetch-and-add on its local counter, and
-// appends the minted values to vals. A non-nil yield runs before each
-// claim.
+// mint claims one run per touched exit position (exits[pos] tokens
+// left there) with one fetch-and-add on its local counter, and appends
+// the runs to runs. A non-nil yield runs before each claim.
 //
 //netvet:hotpath
-func (c *CombiningCounter) mint(vals, exits []int64, yield func(op string)) []int64 {
+func (c *CombiningCounter) mint(runs []Run, exits []int64, yield func(op string)) []Run {
 	for pos, k := range exits {
 		if k == 0 {
 			continue
@@ -272,12 +288,34 @@ func (c *CombiningCounter) mint(vals, exits []int64, yield func(op string)) []in
 			yield(fmt.Sprintf("local claim %d", pos))
 		}
 		base := c.locals[pos].v.Add(k) - k
-		for m := int64(0); m < k; m++ {
-			//netvet:allow append -- grows into the caller's scratch backing; amortized to zero once pass sizes stabilize
-			vals = append(vals, (base+m)*c.width+int64(pos))
+		//netvet:allow append -- c.runs is allocated with capacity width, one run per exit wire
+		runs = append(runs, Run{Start: base*c.width + int64(pos), N: k})
+	}
+	return runs
+}
+
+// expand writes len(dst) values from runs, starting off values into
+// runs[r], and returns the cursor just past them. A run that dst ends
+// inside is split there: the cursor points into it.
+//
+//netvet:hotpath
+func (c *CombiningCounter) expand(dst []int64, runs []Run, r int, off int64) (int, int64) {
+	w := c.width
+	for len(dst) > 0 {
+		run := runs[r]
+		m := min(run.N-off, int64(len(dst)))
+		v := run.Start + off*w
+		seg := dst[:m]
+		for i := range seg {
+			seg[i] = v
+			v += w
+		}
+		dst = dst[m:]
+		if off += m; off == run.N {
+			r, off = r+1, 0
 		}
 	}
-	return vals
+	return r, off
 }
 
 // issued returns the number of values handed out (see
@@ -291,13 +329,16 @@ func (c *CombiningCounter) issued() int64 {
 }
 
 // combineLocked drains every pending slot plus the combiner's own
-// direct request (extra, nil for handle-driven passes), pushes the
-// whole demand through the network as one batch, and distributes the
-// minted values. Caller must hold c.combine. A non-nil yield runs
-// before every gate reservation, exit claim and done flip.
+// direct request for n values (0 for handle-driven passes), pushes the
+// whole demand through the network as one batch, mints one run per
+// touched exit wire, and expands each waiter's block from the runs
+// into its buffer. The direct request takes the rest, returned as runs
+// in the counter's scratch, valid until the caller releases c.combine.
+// Caller must hold c.combine. A non-nil yield runs before every gate
+// reservation, exit claim and done flip.
 //
 //netvet:hotpath
-func (c *CombiningCounter) combineLocked(extra []int64, yield func(op string)) {
+func (c *CombiningCounter) combineLocked(n int, yield func(op string)) []Run {
 	// Observability is woven into this body (Traverse instead reads the
 	// clock around its walk) because a pass already amortizes a whole
 	// batch traversal: the nil-checks below are noise next to the work
@@ -308,7 +349,7 @@ func (c *CombiningCounter) combineLocked(extra []int64, yield func(op string)) {
 		start = obs.Now()
 	}
 	pend := c.pending[:0]
-	total := int64(len(extra))
+	total := int64(n)
 	for _, s := range *c.slots.Load() {
 		if s.state.Load() == slotPending {
 			//netvet:allow append -- grows into c.pending's scratch backing; amortized to zero once the slot set stabilizes
@@ -318,7 +359,7 @@ func (c *CombiningCounter) combineLocked(extra []int64, yield func(op string)) {
 	}
 	if total == 0 {
 		c.pending = pend
-		return
+		return nil
 	}
 	var region *obs.TraceRegion
 	if o != nil {
@@ -338,23 +379,28 @@ func (c *CombiningCounter) combineLocked(extra []int64, yield func(op string)) {
 	} else {
 		c.async.TraverseBatchInto(exits, c.entry, c.scratch)
 	}
-	vals := c.mint(c.vals[:0], exits, yield)
-	// Token conservation guarantees len(vals) == total. Hand each
-	// waiter its block, then the direct request takes the rest.
-	i := 0
+	runs := c.mint(c.runs[:0], exits, yield)
+	c.runs = runs
+	// Token conservation guarantees the runs hold exactly total values.
+	// Hand each waiter its block, then the direct request takes the
+	// rest, starting mid-run where the last waiter's block ended.
+	r, off := 0, int64(0)
 	for _, s := range pend {
-		i += copy(s.buf[:s.n], vals[i:])
+		r, off = c.expand(s.buf[:s.n], runs, r, off)
 		s.buf = nil // release the waiter's buffer before waking it
 		hook(yield, "slot done")
 		s.state.Store(slotDone)
 	}
-	copy(extra, vals[i:])
+	if off > 0 {
+		runs[r].Start += off * c.width
+		runs[r].N -= off
+	}
 	c.pending = pend[:0]
-	c.vals = vals[:0]
 	if o != nil {
 		region.End()
 		// The clock reads here, start bound at entry: the sample covers
 		// the full pass. The region bracketed the same span for traces.
 		o.PassNs.ObserveSince(start)
 	}
+	return runs[r:]
 }

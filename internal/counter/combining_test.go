@@ -1,6 +1,7 @@
 package counter
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -135,5 +136,98 @@ func TestCombiningCounterEmptyBlock(t *testing.T) {
 	h.NextBlock(nil)
 	if v := c.Next(); v != 0 {
 		t.Errorf("first value %d after empty blocks, want 0", v)
+	}
+}
+
+// TestCombiningSplitRun: a direct NextRuns that finds a waiter pending
+// serves the waiter first and takes the rest of the pass as runs, the
+// first of them split where the waiter's block ended. Together they are
+// exactly the values one NextBlock of the same total would mint, in
+// the same order.
+func TestCombiningSplitRun(t *testing.T) {
+	c := NewCombiningCounter(testNetwork(t))
+	w := int64(c.Width())
+	h := c.Handle(0).(*CombiningHandle)
+	for _, sizes := range [][2]int{{3, 5}, {1, 20}, {13, 2}, {8, 8}, {5, 100}} {
+		// Publish the waiter's request by hand, as await would before
+		// finding the combiner lock taken.
+		buf := make([]int64, sizes[0])
+		h.slot.n, h.slot.buf = int32(len(buf)), buf
+		h.slot.state.Store(slotPending)
+		runs := c.NextRuns(sizes[1], nil)
+		if h.slot.state.Load() != slotDone {
+			t.Fatalf("sizes %v: pending slot not served by the direct pass", sizes)
+		}
+		h.slot.state.Store(slotIdle)
+		if int64(len(runs)) > w {
+			t.Fatalf("sizes %v: %d runs, width %d", sizes, len(runs), w)
+		}
+		got := append([]int64(nil), buf...)
+		for _, r := range runs {
+			got = r.AppendValues(got, w)
+		}
+
+		ref := NewCombiningCounter(testNetwork(t))
+		ref.NextBlock(make([]int64, c.issued()-int64(len(got))))
+		want := make([]int64, len(got))
+		ref.NextBlock(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("sizes %v: waiter %v + runs %v = %v, one NextBlock gives %v", sizes, buf, runs, got, want)
+		}
+	}
+}
+
+// TestCombiningRunsStress: handles drawing odd-sized blocks and direct
+// NextRuns callers share one counter, so passes regularly hand a
+// direct caller a run split after a waiter's block. At quiescence the
+// union is exactly 0..N-1 (run under -race in CI).
+func TestCombiningRunsStress(t *testing.T) {
+	c := NewCombiningCounter(testNetwork(t))
+	w := int64(c.Width())
+	const handles, direct, rounds = 4, 2, 300
+	out := make([][]int64, handles+direct)
+	var wg sync.WaitGroup
+	for g := range out {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if g < handles {
+				h := c.Handle(g).(*CombiningHandle)
+				block := make([]int64, 2*g+1) // 1, 3, 5, 7
+				for r := 0; r < rounds; r++ {
+					h.NextBlock(block)
+					out[g] = append(out[g], block...)
+				}
+				return
+			}
+			runs := make([]Run, 0, w)
+			for r := 0; r < rounds; r++ {
+				runs = c.NextRuns(5+6*(g-handles)+r%3, runs)
+				if int64(len(runs)) > w {
+					t.Errorf("%d runs, width %d", len(runs), w)
+					return
+				}
+				for _, r := range runs {
+					out[g] = r.AppendValues(out[g], w)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	var all []int64
+	for _, vs := range out {
+		all = append(all, vs...)
+	}
+	assertExactRange(t, all)
+}
+
+// TestNextRunsAllocFree: a lease as runs into a dst of capacity width
+// allocates nothing once the counter's scratch is warm.
+func TestNextRunsAllocFree(t *testing.T) {
+	c := NewCombiningCounter(testNetwork(t))
+	dst := make([]Run, 0, c.Width())
+	dst = c.NextRuns(1024, dst)
+	if a := testing.AllocsPerRun(100, func() { dst = c.NextRuns(1021, dst) }); a != 0 {
+		t.Errorf("NextRuns allocated %.1f times per call, want 0", a)
 	}
 }

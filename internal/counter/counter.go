@@ -51,12 +51,30 @@ type Handled interface {
 // values in one call, cheaper than len(dst) separate Nexts. The values
 // are distinct and all consumed by the caller on return, so block
 // requests preserve the gap-free-at-quiescence guarantee; they are not
-// necessarily consecutive integers (a network counter hands out value
-// progressions from several exit wires).
+// necessarily consecutive integers (a network counter hands out one Run
+// per exit wire it touched, so a block is the concatenation of up to
+// width runs).
 type BlockCounter interface {
 	Counter
 	// NextBlock fills dst with len(dst) fresh values.
 	NextBlock(dst []int64)
+}
+
+// Run is the share of a combined pass that left on one exit wire: the
+// N values Start, Start+w, …, Start+(N-1)·w, where the stride w is the
+// width of the counter that minted it. By the step property, exit wire
+// i of a width-w counting network issues exactly the values ≡ i mod w,
+// so a combined pass of any size mints at most w runs.
+type Run struct{ Start, N int64 }
+
+// AppendValues appends the run's values, stride apart, to dst.
+func (r Run) AppendValues(dst []int64, stride int64) []int64 {
+	v := r.Start
+	for m := int64(0); m < r.N; m++ {
+		dst = append(dst, v)
+		v += stride
+	}
+	return dst
 }
 
 // padded spaces local counters a full cache line apart: the 64 bytes

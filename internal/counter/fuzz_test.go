@@ -1,10 +1,12 @@
 package counter_test
 
 import (
+	"slices"
 	"testing"
 
 	"countnet/internal/core"
 	"countnet/internal/counter"
+	"countnet/internal/network"
 	"countnet/internal/sched"
 )
 
@@ -67,4 +69,83 @@ func FuzzAdaptiveSchedules(f *testing.F) {
 			t.Fatalf("schedule bytes %x: %v", data, err)
 		}
 	})
+}
+
+// FuzzRunsVsBlock pins the run form of a lease to the value form:
+// NextRuns on one fresh counter and NextBlock on another, fed the same
+// request sizes, must yield identical values call by call once the
+// runs are expanded, and every NextRuns result must hold at most width
+// runs, none empty. family picks the network (0: the width-1 wire, 1:
+// K, 2: L), factors its factorization (each byte maps to 2..5, at most
+// three), and each byte of sizes one request, 0..255 values, so most
+// requests are not multiples of the width.
+func FuzzRunsVsBlock(f *testing.F) {
+	f.Add(uint8(0), []byte{}, []byte{1, 5, 3, 0, 17})
+	f.Add(uint8(1), []byte{0, 0}, []byte{1, 3, 4, 9, 255, 2})
+	f.Add(uint8(2), []byte{2, 2}, []byte{255, 255, 255, 255, 1, 15, 16, 17})
+	f.Add(uint8(1), []byte{0, 1}, []byte{5, 6, 7, 12, 13, 100})
+	f.Add(uint8(2), []byte{1, 3, 0}, []byte{59, 60, 61, 0, 1, 119, 121})
+	f.Fuzz(func(t *testing.T, family uint8, factors, sizes []byte) {
+		net := fuzzNetwork(t, family, factors)
+		if len(sizes) > 64 {
+			sizes = sizes[:64]
+		}
+		w := int64(net.Width())
+		byRuns := counter.NewCombiningCounter(net)
+		byBlock := counter.NewCombiningCounter(net)
+		var runs []counter.Run
+		var all []int64
+		for call, b := range sizes {
+			n := int(b)
+			runs = byRuns.NextRuns(n, runs)
+			if int64(len(runs)) > w {
+				t.Fatalf("call %d: %d runs for %d values, width %d", call, len(runs), n, w)
+			}
+			var got []int64
+			for _, r := range runs {
+				if r.N < 1 {
+					t.Fatalf("call %d: empty run %+v in %v", call, r, runs)
+				}
+				got = r.AppendValues(got, w)
+			}
+			want := make([]int64, n)
+			byBlock.NextBlock(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("call %d (n=%d, width %d): runs %v expand to %v, NextBlock gave %v", call, n, w, runs, got, want)
+			}
+			all = append(all, got...)
+		}
+		slices.Sort(all)
+		for i, v := range all {
+			if v != int64(i) {
+				t.Fatalf("values are not exactly 0..%d: position %d holds %d", len(all)-1, i, v)
+			}
+		}
+	})
+}
+
+// fuzzNetwork builds the network FuzzRunsVsBlock's inputs name.
+func fuzzNetwork(t *testing.T, family uint8, factors []byte) *network.Network {
+	t.Helper()
+	if len(factors) > 3 {
+		factors = factors[:3]
+	}
+	ps := make([]int, len(factors))
+	for i, b := range factors {
+		ps[i] = 2 + int(b%4)
+	}
+	var net *network.Network
+	var err error
+	switch {
+	case family%3 == 0 || len(ps) == 0:
+		net = network.NewBuilder(1).Build("wire", nil)
+	case family%3 == 1:
+		net, err = core.K(ps...)
+	default:
+		net, err = core.L(ps...)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
 }

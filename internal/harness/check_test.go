@@ -1,8 +1,12 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"countnet/internal/core"
+	"countnet/internal/harness/syncsrv"
 )
 
 // seq returns 0..n-1.
@@ -185,5 +189,60 @@ func TestUnionValues(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("UnionValues = %v, want %v", got, want)
 		}
+	}
+}
+
+// TestCheckRunCatchesRunMutants keeps the oracle's teeth now that the
+// hub logs leases as strided runs: starting from a real hub's expanded
+// IssueLog, a run duplicated into a second worker must fail CheckRun
+// as a value issued twice, and a dropped run as a gap.
+func TestCheckRunCatchesRunMutants(t *testing.T) {
+	net, err := core.L(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := int64(net.Width())
+	hub := syncsrv.NewHub(net)
+	defer hub.Close()
+	for _, id := range []string{"w0", "w1"} {
+		if _, err := hub.Register(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, n := range []int{37, 100, 64, 5, 250} {
+		if _, err := hub.Draw(WorkerID(i%2), n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	issued := hub.IssueLog()
+	if err := CheckRun(net.Width(), issued, issued, nil); err != nil {
+		t.Fatalf("unmutated log: %v", err)
+	}
+
+	// w0's first run: its first value and the stride-w values after it.
+	w0 := issued["w0"]
+	k := 1
+	for k < len(w0) && w0[k] == w0[k-1]+w {
+		k++
+	}
+	run := w0[:k]
+	copyLog := func() map[string][]int64 {
+		out := map[string][]int64{}
+		for id, vals := range issued {
+			out[id] = slices.Clone(vals)
+		}
+		return out
+	}
+
+	dup := copyLog()
+	dup["w1"] = append(dup["w1"], run...)
+	if err := CheckRun(net.Width(), dup, dup, nil); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Errorf("run %v duplicated into w1: err %v, want a value drawn twice", run, err)
+	}
+
+	dropped := copyLog()
+	dropped["w0"] = dropped["w0"][k:]
+	if err := CheckRun(net.Width(), dropped, dropped, nil); err == nil || !strings.Contains(err.Error(), "gap") {
+		t.Errorf("run %v dropped from w0: err %v, want a gap", run, err)
 	}
 }

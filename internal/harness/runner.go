@@ -340,7 +340,7 @@ func (r *runner) spawn() error {
 	r.nextID++
 	p := &proc{id: id, lines: make(chan Message, 4), done: make(chan struct{}), snaps: map[int]*obs.Snapshot{}}
 
-	var out io.Reader
+	var out io.ReadCloser
 	if r.ropt.Bin == "" {
 		ctx, cancel := context.WithCancel(context.Background())
 		p.cancel = cancel
@@ -361,11 +361,20 @@ func (r *runner) spawn() error {
 		if err != nil {
 			return err
 		}
-		stdout, err := cmd.StdoutPipe()
+		// Not cmd.StdoutPipe: Wait closes that pipe as soon as the
+		// process exits, cutting off whatever the reader below has not
+		// consumed yet — the tail of a bye line carrying a full flight
+		// dump (~300 KB, past the pipe buffer) when a worker exits right
+		// after writing it. The reader owns this pipe and closes it.
+		stdout, childOut, err := os.Pipe()
 		if err != nil {
 			return err
 		}
-		if err := cmd.Start(); err != nil {
+		cmd.Stdout = childOut
+		err = cmd.Start()
+		childOut.Close() // the child holds its own copy
+		if err != nil {
+			stdout.Close()
 			return fmt.Errorf("harness: starting worker %s (%s): %w", id, r.ropt.Bin, err)
 		}
 		p.cmd = cmd
@@ -381,6 +390,7 @@ func (r *runner) spawn() error {
 	// into the message channel until the stream ends.
 	go func() {
 		defer close(p.lines)
+		defer out.Close()
 		sc := bufio.NewScanner(out)
 		sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
 		for sc.Scan() {

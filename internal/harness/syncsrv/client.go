@@ -4,10 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
+
+	"countnet/internal/counter"
 )
 
 // Client is the worker-side view of a sync Server. The zero client is
@@ -45,13 +48,50 @@ func (c *Client) Barrier(state string, n int) (int64, error) {
 	return out.Generation, err
 }
 
-// Draw leases n fresh counter values for the worker.
+// Draw leases n fresh counter values for the worker. The server ships
+// the lease as strided runs; Draw checks them against the request
+// before expanding them, so a malformed reply is an error, not an
+// allocation of whatever size it names.
 func (c *Client) Draw(worker string, n int) ([]int64, error) {
-	var out struct {
-		Values []int64 `json:"values"`
+	var out drawReply
+	if err := c.call("/draw?worker="+url.QueryEscape(worker)+"&n="+strconv.Itoa(n), &out); err != nil {
+		return nil, err
 	}
-	err := c.call("/draw?worker="+url.QueryEscape(worker)+"&n="+strconv.Itoa(n), &out)
-	return out.Values, err
+	if err := out.check(n); err != nil {
+		return nil, err
+	}
+	vals := make([]int64, 0, n)
+	for _, r := range out.Runs {
+		vals = counter.Run{Start: r[0], N: r[1]}.AppendValues(vals, out.Stride)
+	}
+	return vals, nil
+}
+
+// check validates a /draw reply for a lease of n values: at most
+// MaxDraw runs of stride >= 1, each non-empty, starting at a value
+// >= 0 and not overflowing, whose lengths sum to exactly n.
+func (d *drawReply) check(n int) error {
+	if d.Stride < 1 {
+		return fmt.Errorf("syncsrv: draw reply with stride %d", d.Stride)
+	}
+	if len(d.Runs) > MaxDraw {
+		return fmt.Errorf("syncsrv: draw reply with %d runs (max %d)", len(d.Runs), MaxDraw)
+	}
+	left := int64(n)
+	for _, r := range d.Runs {
+		start, k := r[0], r[1]
+		if start < 0 || k < 1 || k > left {
+			return fmt.Errorf("syncsrv: draw reply run [%d,%d] with %d of %d values left", start, k, left, n)
+		}
+		if (math.MaxInt64-start)/d.Stride < k-1 {
+			return fmt.Errorf("syncsrv: draw reply run [%d,%d] overflows at stride %d", start, k, d.Stride)
+		}
+		left -= k
+	}
+	if left != 0 {
+		return fmt.Errorf("syncsrv: draw reply holds %d values, want %d", int64(n)-left, n)
+	}
+	return nil
 }
 
 // call performs one JSON round trip (every endpoint is a bodiless

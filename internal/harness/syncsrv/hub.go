@@ -12,9 +12,18 @@
 // TestTicketGenerationRefuted shows why ticket-ordered release would
 // deadlock), and Quiesce checks the tickets' gap-free contract.
 // The draw endpoint serves value blocks from a combining counter over
-// the same network and keeps a per-worker issue log, which the
-// post-run checker (harness.CheckRun) cross-checks against what the
-// worker processes report having received.
+// the same network. A lease travels and is logged as runs: each
+// counter.Run is the share of one exit wire, Start, Start+w, … for N
+// values with stride w the network's width, so a lease of any size is
+// at most w runs on the wire,
+//
+//	{"stride":w,"runs":[[start,n],...]}
+//
+// and the client expands them only on arrival. The hub keeps a
+// per-worker issue log of the same runs, so its memory grows with
+// leases × w rather than with values; IssueLog expands it for the
+// post-run checker (harness.CheckRun), which cross-checks it against
+// what the worker processes report having received.
 package syncsrv
 
 import (
@@ -48,12 +57,12 @@ var (
 // an error after Close.
 type Hub struct {
 	net  *network.Network
-	draw counter.BlockCounter // shared value source for /draw leases
+	draw *counter.CombiningCounter // shared value source for /draw leases
 
 	mu       sync.Mutex
 	closed   bool
 	barriers map[string]*counter.Barrier
-	issued   map[string][]int64 // worker -> values leased to it, in issue order
+	issued   map[string][]counter.Run // worker -> runs leased to it, in issue order
 	workers  map[string]bool
 }
 
@@ -64,7 +73,7 @@ func NewHub(net *network.Network) *Hub {
 		net:      net,
 		draw:     counter.NewCombiningCounter(net),
 		barriers: map[string]*counter.Barrier{},
-		issued:   map[string][]int64{},
+		issued:   map[string][]counter.Run{},
 		workers:  map[string]bool{},
 	}
 }
@@ -153,11 +162,11 @@ func (h *Hub) barrier(state string, n int) (*counter.Barrier, error) {
 }
 
 // Draw leases n fresh values to the worker from the shared combining
-// counter and records them in the issue log. The values are distinct
-// across all workers and gap-free once the run quiesces — the
-// guarantee the post-run checker verifies end to end. n must lie in
-// 1..MaxDraw.
-func (h *Hub) Draw(worker string, n int) ([]int64, error) {
+// counter, as at most w runs of stride w (the network's width), and
+// records the runs in the issue log. The values are distinct across all
+// workers and gap-free once the run quiesces — the guarantee the
+// post-run checker verifies end to end. n must lie in 1..MaxDraw.
+func (h *Hub) Draw(worker string, n int) ([]counter.Run, error) {
 	if n < 1 || n > MaxDraw {
 		return nil, fmt.Errorf("syncsrv: draw of %d values (want 1..%d)", n, MaxDraw)
 	}
@@ -175,23 +184,32 @@ func (h *Hub) Draw(worker string, n int) ([]int64, error) {
 	// The network traversal runs outside h.mu: the whole point of the
 	// combining counter is that concurrent draws contend on balancers,
 	// not on one lock.
-	vals := make([]int64, n)
-	h.draw.NextBlock(vals)
-	obs.RecordFlight(obs.FlightBlockLease, vals[0], int64(n))
+	runs := h.draw.NextRuns(n, make([]counter.Run, 0, h.net.Width()))
+	obs.RecordFlight(obs.FlightBlockLease, runs[0].Start, int64(n))
 
 	h.mu.Lock()
-	h.issued[worker] = append(h.issued[worker], vals...)
+	h.issued[worker] = append(h.issued[worker], runs...)
 	h.mu.Unlock()
-	return vals, nil
+	return runs, nil
 }
 
-// IssueLog returns a copy of the per-worker issue log.
+// IssueLog returns the per-worker issue log expanded to values, in
+// issue order.
 func (h *Hub) IssueLog() map[string][]int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	out := make(map[string][]int64, len(h.issued))
-	for w, vals := range h.issued {
-		out[w] = append([]int64(nil), vals...)
+	stride := int64(h.net.Width())
+	for w, runs := range h.issued {
+		var n int64
+		for _, r := range runs {
+			n += r.N
+		}
+		vals := make([]int64, 0, n)
+		for _, r := range runs {
+			vals = r.AppendValues(vals, stride)
+		}
+		out[w] = vals
 	}
 	return out
 }

@@ -2,8 +2,12 @@ package syncsrv
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
+	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -272,5 +276,120 @@ func TestServerStatusCodes(t *testing.T) {
 	hub.Close()
 	if got := post("/register?worker=w1"); got != http.StatusServiceUnavailable {
 		t.Errorf("register on a closed hub = %d, want %d", got, http.StatusServiceUnavailable)
+	}
+}
+
+// TestIssueLogHoldsRuns: the hub logs leases as runs, so its log grows
+// with leases × width, not with values: 512 leases of 1,024 values on
+// L(4,4) hold at most 512·16 runs, and IssueLog still expands them to
+// every value, gap-free.
+func TestIssueLogHoldsRuns(t *testing.T) {
+	const leases, size = 512, 1024
+	net, err := core.L(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHub(net)
+	defer h.Close()
+	if _, err := h.Register("w0"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < leases; i++ {
+		if _, err := h.Draw("w0", size); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, max := len(h.issued["w0"]), leases*net.Width(); n > max {
+		t.Errorf("issue log holds %d runs for %d leases, want <= %d", n, leases, max)
+	}
+	vals := h.IssueLog()["w0"]
+	if len(vals) != leases*size {
+		t.Fatalf("IssueLog expands to %d values, want %d", len(vals), leases*size)
+	}
+	slices.Sort(vals)
+	for i, v := range vals {
+		if v != int64(i) {
+			t.Fatalf("expanded issue log is not 0..%d: position %d holds %d", len(vals)-1, i, v)
+		}
+	}
+}
+
+// TestDrawReplyIsRuns: a MaxDraw lease crosses the wire as at most
+// width runs in a body of at most 256 bytes (the value form took about
+// 7 B per value).
+func TestDrawReplyIsRuns(t *testing.T) {
+	net, err := core.L(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := NewHub(net)
+	srv := NewServer(hub)
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background()) //nolint:errcheck // test teardown
+	if _, err := hub.Register("w0"); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL()+"/draw?worker=w0&n="+strconv.Itoa(MaxDraw), "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reply drawReply
+	if err := json.Unmarshal(body, &reply); err != nil {
+		t.Fatalf("decode %s: %v", body, err)
+	}
+	if reply.Stride != int64(net.Width()) || len(reply.Runs) > net.Width() || reply.check(MaxDraw) != nil {
+		t.Errorf("MaxDraw reply: stride %d, %d runs (width %d), check %v", reply.Stride, len(reply.Runs), net.Width(), reply.check(MaxDraw))
+	}
+	t.Logf("MaxDraw reply: %d bytes, %d runs", len(body), len(reply.Runs))
+	if len(body) > 256 {
+		t.Errorf("MaxDraw reply is %d bytes, want <= 256: %s", len(body), body)
+	}
+}
+
+// TestClientRejectsBadRuns: Client.Draw checks a reply's runs before
+// it allocates, so a server naming a 2^40-value run, a bad stride or
+// start, an empty run, a short or long total or too many runs gets an
+// error back instead of an out-of-memory crash.
+func TestClientRejectsBadRuns(t *testing.T) {
+	tooMany := `{"stride":1,"runs":[` + strings.Repeat(`[0,1],`, MaxDraw) + `[0,1]]}`
+	for _, c := range []struct{ name, body, want string }{
+		{"huge run", `{"stride":1,"runs":[[0,1099511627776]]}`, "run [0,1099511627776] with 4 of 4"},
+		{"zero stride", `{"stride":0,"runs":[[0,4]]}`, "stride 0"},
+		{"negative stride", `{"stride":-2,"runs":[[0,4]]}`, "stride -2"},
+		{"missing stride", `{"runs":[[0,4]]}`, "stride 0"},
+		{"negative start", `{"stride":2,"runs":[[-1,4]]}`, "run [-1,4]"},
+		{"empty run", `{"stride":2,"runs":[[0,0],[1,4]]}`, "run [0,0]"},
+		{"negative length", `{"stride":2,"runs":[[0,-4],[1,8]]}`, "run [0,-4]"},
+		{"short total", `{"stride":2,"runs":[[0,3]]}`, "holds 3 values, want 4"},
+		{"long total", `{"stride":2,"runs":[[0,3],[1,2]]}`, "run [1,2] with 1 of 4"},
+		{"no runs", `{"stride":2,"runs":[]}`, "holds 0 values"},
+		{"overflowing run", `{"stride":4611686018427387904,"runs":[[1,4]]}`, "overflows"},
+		{"too many runs", tooMany, "65537 runs"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				io.WriteString(w, c.body) //nolint:errcheck // test server
+			}))
+			defer srv.Close()
+			vals, err := NewClient(srv.URL).Draw("w0", 4)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("reply %.80s: %d values, err %v; want an error naming %q", c.body, len(vals), err, c.want)
+			}
+		})
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, `{"stride":2,"runs":[[6,3],[1,1]]}`) //nolint:errcheck // test server
+	}))
+	defer srv.Close()
+	vals, err := NewClient(srv.URL).Draw("w0", 4)
+	if err != nil || !slices.Equal(vals, []int64{6, 8, 10, 1}) {
+		t.Fatalf("well-formed reply: %v, %v; want [6 8 10 1]", vals, err)
 	}
 }

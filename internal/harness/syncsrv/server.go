@@ -16,11 +16,14 @@ import (
 //
 //	POST /register?worker=W   -> {"workers":K}
 //	POST /barrier?state=S&n=N -> blocks; {"generation":G}
-//	POST /draw?worker=W&n=K   -> {"values":[...]}, 1 <= K <= MaxDraw
+//	POST /draw?worker=W&n=K   -> {"stride":S,"runs":[[start,n],...]}, 1 <= K <= MaxDraw
 //	GET  /healthz             -> ok
 //
 // Errors answer 409 for a duplicate worker id, 503 once the hub is
-// closed, and 400 for any other bad request.
+// closed, and 400 for any other bad request. A /draw reply carries the
+// lease as at most S runs, S the network's width: run [start,n] stands
+// for the n values start, start+S, …, start+(n-1)·S, and the runs' n
+// sum to K.
 type Server struct {
 	hub  *Hub
 	http *http.Server
@@ -95,12 +98,22 @@ func (s *Server) handleDraw(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "syncsrv: draw needs integer n", http.StatusBadRequest)
 		return
 	}
-	vals, err := s.hub.Draw(q.Get("worker"), n)
+	runs, err := s.hub.Draw(q.Get("worker"), n)
 	if err != nil {
 		httpError(w, err)
 		return
 	}
-	writeJSON(w, map[string][]int64{"values": vals})
+	reply := drawReply{Stride: int64(s.hub.net.Width()), Runs: make([][2]int64, len(runs))}
+	for i, r := range runs {
+		reply.Runs[i] = [2]int64{r.Start, r.N}
+	}
+	writeJSON(w, reply)
+}
+
+// drawReply is the /draw body: a lease as [start,n] runs of one stride.
+type drawReply struct {
+	Stride int64      `json:"stride"`
+	Runs   [][2]int64 `json:"runs"`
 }
 
 // httpError answers err with the status its sentinel maps to.
