@@ -203,6 +203,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzAdaptiveSchedules -fuzztime=30s ./internal/counter
 	$(GO) test -run '^$$' -fuzz=FuzzRunsVsBlock -fuzztime=30s ./internal/counter
 	$(GO) test -run '^$$' -fuzz=FuzzPoolSchedules -fuzztime=30s ./internal/pool
+	$(GO) test -run '^$$' -fuzz=FuzzCheckRunVsReference -fuzztime=30s ./internal/harness
 
 # Nightly-scale schedule exploration (see docs/TESTING.md).
 soak:

@@ -472,7 +472,8 @@ func BenchmarkTraverseBatch(b *testing.B) {
 
 // BenchmarkObsOverhead is the observability guard lane: the same
 // contended workloads as BenchmarkTraverseParallel and
-// BenchmarkCounterCombining, run with instrumentation compiled in but
+// BenchmarkCounterCombining, plus per-token counter handles (whose
+// timing obs samples), run with instrumentation compiled in but
 // disabled (obs=off — the state every production caller is in unless
 // they opt in) and with it recording (obs=on). The obs=off rows must
 // track the seed benchmarks within noise; `make bench-obs` commits
@@ -498,6 +499,21 @@ func BenchmarkObsOverhead(b *testing.B) {
 				for pb.Next() {
 					a.Traverse(wire)
 					wire = (wire + 1) % w
+				}
+			})
+		})
+		b.Run("counter_"+n.Name+"/"+mode, func(b *testing.B) {
+			// Per-token handles, the path whose latency obs samples
+			// one value in obs.SampleEvery.
+			c := counter.NewNetworkCounter(n, false)
+			if obsOn {
+				c.EnableObs("bench-counter", obs.NewRegistry())
+			}
+			var id atomic.Int64
+			b.RunParallel(func(pb *testing.PB) {
+				h := c.Handle(int(id.Add(1)))
+				for pb.Next() {
+					h.Next()
 				}
 			})
 		})

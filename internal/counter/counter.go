@@ -120,10 +120,13 @@ func (c *NetworkCounter) Width() int { return c.width }
 
 // EnableObs attaches observability under the given group name and
 // registers it with r (obs.Default when nil). Idempotent; call before
-// the counter sees concurrent traffic. When enabled, every issued
-// value records a Next-latency sample; the "ops" count and the
-// per-gate token counts are read from the counter's and the network's
-// own state, so they include traffic from before the call.
+// the counter sees concurrent traffic. When enabled, one issued value
+// in obs.SampleEvery records a Next-latency and a traversal-latency
+// sample, chosen by the handle's own draw count (or, for Next, the
+// shared dispatch sequence number); the rest read no clock. The "ops"
+// count and the per-gate token counts are exact: they are read from
+// the counter's and the network's own state, so they include traffic
+// from before the call.
 func (c *NetworkCounter) EnableObs(name string, r *obs.Registry) *obs.CounterObs {
 	if c.watch == nil {
 		c.watch = obs.NewCounterObs(name, c.async.EnableObs(name), c.issued)
@@ -142,13 +145,26 @@ func (c *NetworkCounter) EnableObs(name string, r *obs.Registry) *obs.CounterObs
 // entry wires privately, touching no shared state outside the network
 // itself (pinned by TestHandleBypassesSharedDispatch).
 //
-//netvet:hotpath
-func (c *NetworkCounter) Next() int64 { return c.nextOn(c.dispatch()) }
-
-// dispatch takes the next entry wire from the shared round-robin word.
+// With observability on, the dispatch sequence number the
+// fetch-and-add returns picks the values to time.
 //
 //netvet:hotpath
-func (c *NetworkCounter) dispatch() int { return int((c.entry.Add(1) - 1) % c.width64) }
+func (c *NetworkCounter) Next() int64 {
+	wire, seq := c.dispatch()
+	if o := c.watch; o != nil {
+		return c.observed(o, wire, obs.Sampled(seq))
+	}
+	return c.step(wire, nil)
+}
+
+// dispatch takes the next entry wire from the shared round-robin word,
+// with the 1-based dispatch sequence number it was taken at.
+//
+//netvet:hotpath
+func (c *NetworkCounter) dispatch() (wire int, seq int64) {
+	seq = c.entry.Add(1)
+	return int((seq - 1) % c.width64), seq
+}
 
 // NextBlock fills dst with len(dst) values via the shared dispatcher.
 //
@@ -159,15 +175,26 @@ func (c *NetworkCounter) NextBlock(dst []int64) {
 	}
 }
 
+// observed is the obs-on draw. A sampled value runs the timed step
+// (its traversal records traverse_ns) and records next_ns; any other
+// value walks the network without reading the clock, so it costs what
+// an obs-off draw costs plus the lock-mode contention count.
+//
 //netvet:hotpath
-func (c *NetworkCounter) nextOn(wire int) int64 {
-	if o := c.watch; o != nil {
+func (c *NetworkCounter) observed(o *obs.CounterObs, wire int, sampled bool) int64 {
+	if sampled {
 		start := obs.Now()
 		v := c.step(wire, nil)
 		o.NextNs.ObserveSince(start)
 		return v
 	}
-	return c.step(wire, nil)
+	var pos int
+	if c.useMu {
+		pos = c.async.WalkMutex(wire)
+	} else {
+		pos = c.async.Walk(wire)
+	}
+	return c.exit(pos)
 }
 
 // NextOnHooked issues a value entering on the given wire with schedule
@@ -197,6 +224,14 @@ func (c *NetworkCounter) step(wire int, yield func(op string)) int64 {
 	default:
 		pos = c.async.Traverse(wire)
 	}
+	return c.exit(pos)
+}
+
+// exit takes the token's value from the local counter of the output
+// position it left on.
+//
+//netvet:hotpath
+func (c *NetworkCounter) exit(pos int) int64 {
 	k := c.locals[pos].v.Add(1) - 1
 	return k*c.width64 + int64(pos)
 }
@@ -215,7 +250,8 @@ func hook(yield func(op string), op string) {
 // the shared entry-dispatch fetch-and-add is itself a yield point.
 func (c *NetworkCounter) NextHooked(yield func(op string)) int64 {
 	yield("entry dispatch")
-	return c.step(c.dispatch(), yield)
+	wire, _ := c.dispatch()
+	return c.step(wire, yield)
 }
 
 // Handle returns a goroutine-local view whose entry wires cycle
@@ -231,12 +267,24 @@ func (c *NetworkCounter) Handle(id int) Counter {
 }
 
 type handle struct {
-	c   *NetworkCounter
-	pos int
+	c    *NetworkCounter
+	pos  int
+	tick int64 // obs-on draws so far, the sampling clock; untouched with obs off
 }
 
+// Next draws one value. With observability on, the handle's own tick
+// picks every obs.SampleEvery-th draw for timing: one increment and
+// one mask test on goroutine-local state, no shared write. The obs-off
+// path never touches the tick.
+//
 //netvet:hotpath
-func (h *handle) Next() int64 { return h.c.nextOn(h.advance()) }
+func (h *handle) Next() int64 {
+	if o := h.c.watch; o != nil {
+		h.tick++
+		return h.c.observed(o, h.advance(), obs.Sampled(h.tick))
+	}
+	return h.c.step(h.advance(), nil)
+}
 
 // NextBlock fills dst with len(dst) values, one token each.
 //

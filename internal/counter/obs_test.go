@@ -6,6 +6,9 @@ package counter
 // account for the operations actually performed.
 
 import (
+	"fmt"
+	"io"
+	"strings"
 	"sync"
 	"testing"
 
@@ -110,7 +113,10 @@ func TestCounterObsOnAllocFree(t *testing.T) {
 
 // TestCounterObsConcurrent: the Fetch&Increment contract survives with
 // observability on, concurrent snapshots included, and the ops counter
-// accounts for every issued value. Doubles as the race-lane check.
+// accounts for every issued value. Latency is sampled per handle: each
+// handle times exactly its every obs.SampleEvery-th draw, the
+// histograms report that period, and the exposition scales their
+// counts by it. Doubles as the race-lane check.
 func TestCounterObsConcurrent(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := NewNetworkCounter(testNetwork(t), false)
@@ -126,6 +132,7 @@ func TestCounterObsConcurrent(t *testing.T) {
 				return
 			default:
 				_ = reg.Snapshot()
+				_ = reg.WritePrometheus(io.Discard) // renders read the histograms mid-draw
 			}
 		}
 	}()
@@ -138,8 +145,64 @@ func TestCounterObsConcurrent(t *testing.T) {
 	if got := o.OpsFn(); got != workers*perWorker {
 		t.Errorf("ops = %d, want %d", got, workers*perWorker)
 	}
-	if n := o.NextNs.Snapshot().Count; n != workers*perWorker {
-		t.Errorf("next_ns samples = %d, want %d", n, workers*perWorker)
+	const samples = workers * (perWorker / obs.SampleEvery) // Σ⌊ops_h/64⌋
+	for name, h := range map[string]*obs.Hist{"next_ns": o.NextNs, "traverse_ns": o.Net.TraverseNs} {
+		s := h.Snapshot()
+		if s.Count != samples || s.Every != obs.SampleEvery {
+			t.Errorf("%s: %d samples at period %d, want %d at %d", name, s.Count, s.Every, samples, obs.SampleEvery)
+		}
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf(`countnet_hist_count{group="conc-ctr",name="next_ns"} %d`+"\n", samples*obs.SampleEvery)
+	if !strings.Contains(b.String(), want) {
+		t.Errorf("exposition lacks the scaled count %q:\n%s", want, b.String())
+	}
+}
+
+// TestSharedNextSamplesBySequence: the shared-dispatch Next times the
+// values whose dispatch sequence number is a multiple of
+// obs.SampleEvery, so the sample count is ⌊N/64⌋ of the total however
+// the goroutines interleave (per-goroutine ticks would give
+// Σ⌊ops_g/64⌋, which is less here), and a handle's draws do not move
+// the shared sequence.
+func TestSharedNextSamplesBySequence(t *testing.T) {
+	for _, mutex := range []bool{false, true} {
+		c := NewNetworkCounter(testNetwork(t), mutex)
+		o := c.EnableObs("shared-seq", obs.NewRegistry())
+		const workers, perWorker = 4, 100
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perWorker; i++ {
+					c.Next()
+				}
+			}()
+		}
+		wg.Wait()
+		const shared = workers * perWorker / obs.SampleEvery // 400/64 = 6, not 4·⌊100/64⌋ = 4
+		if n := o.NextNs.Snapshot().Count; n != shared {
+			t.Fatalf("mutex=%v: %d next_ns samples after %d shared draws, want %d", mutex, n, workers*perWorker, shared)
+		}
+		h := c.Handle(0)
+		for i := 0; i < obs.SampleEvery-1; i++ {
+			h.Next()
+		}
+		if n := o.NextNs.Snapshot().Count; n != shared {
+			t.Fatalf("mutex=%v: handle draws below one period recorded samples: %d, want %d", mutex, n, shared)
+		}
+		h.Next()
+		c.Next() // sequence 401: not a multiple of 64
+		if n := o.NextNs.Snapshot().Count; n != shared+1 {
+			t.Fatalf("mutex=%v: %d samples, want %d after the handle's 64th draw", mutex, n, shared+1)
+		}
+		if n := o.Net.TraverseNs.Snapshot().Count; n != shared+1 {
+			t.Fatalf("mutex=%v: %d traverse_ns samples, want %d (one per timed value)", mutex, n, shared+1)
+		}
 	}
 }
 

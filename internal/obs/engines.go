@@ -10,22 +10,26 @@ import "sync/atomic"
 
 // CounterObs observes a per-token network counter (NetworkCounter):
 // operation count, Next latency, plus the underlying network's
-// per-gate traffic.
+// per-gate traffic. The counter times one value in SampleEvery, so
+// NextNs and the network's TraverseNs are histograms of that period;
+// ops and the per-gate token counts stay exact.
 type CounterObs struct {
 	Net *NetObs
 	// OpsFn reports total values issued, read from the counter's own
 	// per-wire local counters; the draw path records nothing for it.
 	OpsFn  func() int64
-	NextNs *Hist // end-to-end Next latency (dispatch + walk + local counter)
+	NextNs *Hist // end-to-end Next latency (dispatch + walk + local counter), sampled
 }
 
 // NewCounterObs builds counter obs over the network obs (which must
-// not be nil; the counter owns its compiled network) and the counter's
-// issued-value reader.
+// not be nil; the counter owns its compiled network, so every walk of
+// it is sampled by the counter and its TraverseNs takes the sampled
+// period too) and the counter's issued-value reader.
 func NewCounterObs(name string, net *NetObs, ops func() int64) *CounterObs {
 	net.name = name
 	net.kind = "counter"
-	return &CounterObs{Net: net, OpsFn: ops, NextNs: NewHist()}
+	net.TraverseNs = NewSampledHist()
+	return &CounterObs{Net: net, OpsFn: ops, NextNs: NewSampledHist()}
 }
 
 // GroupSnapshot implements Source.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"expvar"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -57,77 +56,171 @@ func (r *Registry) PublishExpvar(name string) bool {
 //	countnet_hist_bucket{group,name,le}            cumulative buckets
 //	countnet_hist_sum{group,name}
 //	countnet_hist_count{group,name}
+//
+// Histogram series are scaled by the histogram's sampling period, so a
+// counter's sampled next_ns reports estimated event counts and sums
+// (each sample stands for SampleEvery values) on the same footing as
+// the exact ops counter. The text is rendered into a pooled buffer, so
+// a steady scrape loop allocates only for its snapshot.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	return writePrometheus(w, r.Snapshot())
 }
 
+// expoBufs recycles exposition buffers across scrapes.
+var expoBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 func writePrometheus(w io.Writer, s Snapshot) error {
-	var b strings.Builder
-	b.WriteString("# TYPE countnet_counter_total counter\n")
+	bp := expoBufs.Get().(*[]byte)
+	*bp = appendPrometheus((*bp)[:0], s)
+	_, err := w.Write(*bp)
+	expoBufs.Put(bp)
+	return err
+}
+
+// appendPrometheus appends the text exposition of s to b.
+func appendPrometheus(b []byte, s Snapshot) []byte {
+	b = append(b, "# TYPE countnet_counter_total counter\n"...)
 	for _, g := range s.Groups {
-		for _, c := range g.Counters {
-			fmt.Fprintf(&b, "countnet_counter_total{group=%q,kind=%q,name=%q} %d\n",
-				escapeLabel(g.Name), escapeLabel(g.Kind), escapeLabel(c.Name), c.Value)
-		}
+		b = appendMetrics(b, "countnet_counter_total", &g, g.Counters)
 	}
-	b.WriteString("# TYPE countnet_gauge gauge\n")
+	b = append(b, "# TYPE countnet_gauge gauge\n"...)
 	for _, g := range s.Groups {
-		for _, c := range g.Gauges {
-			fmt.Fprintf(&b, "countnet_gauge{group=%q,kind=%q,name=%q} %d\n",
-				escapeLabel(g.Name), escapeLabel(g.Kind), escapeLabel(c.Name), c.Value)
-		}
+		b = appendMetrics(b, "countnet_gauge", &g, g.Gauges)
 	}
-	b.WriteString("# TYPE countnet_status_info gauge\n")
+	b = append(b, "# TYPE countnet_status_info gauge\n"...)
 	for _, g := range s.Groups {
 		for _, st := range g.Status {
 			if st.Value == "" {
 				continue
 			}
-			fmt.Fprintf(&b, "countnet_status_info{group=%q,name=%q,value=%q} 1\n",
-				escapeLabel(g.Name), escapeLabel(st.Name), escapeLabel(st.Value))
+			b = append(b, "countnet_status_info"...)
+			b = appendLabel(b, '{', "group", g.Name)
+			b = appendLabel(b, ',', "name", st.Name)
+			b = appendLabel(b, ',', "value", st.Value)
+			b = appendValue(b, 1)
 		}
 	}
-	b.WriteString("# TYPE countnet_gate_tokens_total counter\n")
-	b.WriteString("# TYPE countnet_gate_contended_total counter\n")
+	b = append(b, "# TYPE countnet_gate_tokens_total counter\n"...)
+	b = append(b, "# TYPE countnet_gate_contended_total counter\n"...)
 	for _, g := range s.Groups {
 		for _, gt := range g.Gates {
-			fmt.Fprintf(&b, "countnet_gate_tokens_total{group=%q,gate=\"%d\",layer=\"%d\"} %d\n",
-				escapeLabel(g.Name), gt.Gate, gt.Layer, gt.Tokens)
+			b = appendGate(b, "countnet_gate_tokens_total", g.Name, gt, gt.Tokens)
 			if gt.Contended != 0 {
-				fmt.Fprintf(&b, "countnet_gate_contended_total{group=%q,gate=\"%d\",layer=\"%d\"} %d\n",
-					escapeLabel(g.Name), gt.Gate, gt.Layer, gt.Contended)
+				b = appendGate(b, "countnet_gate_contended_total", g.Name, gt, gt.Contended)
 			}
 		}
 	}
-	b.WriteString("# TYPE countnet_layer_tokens_total counter\n")
+	b = append(b, "# TYPE countnet_layer_tokens_total counter\n"...)
 	for _, g := range s.Groups {
 		for _, l := range g.Layers {
-			fmt.Fprintf(&b, "countnet_layer_tokens_total{group=%q,layer=\"%d\"} %d\n",
-				escapeLabel(g.Name), l.Layer, l.Tokens)
+			b = append(b, "countnet_layer_tokens_total"...)
+			b = appendLabel(b, '{', "group", g.Name)
+			b = appendIntLabel(b, "layer", int64(l.Layer))
+			b = appendValue(b, l.Tokens)
 		}
 	}
-	b.WriteString("# TYPE countnet_hist histogram\n")
+	b = append(b, "# TYPE countnet_hist histogram\n"...)
 	for _, g := range s.Groups {
 		for _, h := range g.Hists {
+			every := h.Hist.Period()
 			cum := int64(0)
 			for i, n := range h.Hist.Buckets {
 				cum += n
 				if n == 0 && i != len(h.Hist.Buckets)-1 {
 					continue // keep the exposition sparse but cumulative-correct
 				}
-				fmt.Fprintf(&b, "countnet_hist_bucket{group=%q,name=%q,le=\"%d\"} %d\n",
-					escapeLabel(g.Name), escapeLabel(h.Name), BucketUpper(i), cum)
+				b = appendHistSeries(b, "countnet_hist_bucket", g.Name, h.Name)
+				b = appendIntLabel(b, "le", BucketUpper(i))
+				b = appendValue(b, cum*every)
 			}
-			fmt.Fprintf(&b, "countnet_hist_bucket{group=%q,name=%q,le=\"+Inf\"} %d\n",
-				escapeLabel(g.Name), escapeLabel(h.Name), h.Hist.Count)
-			fmt.Fprintf(&b, "countnet_hist_sum{group=%q,name=%q} %d\n",
-				escapeLabel(g.Name), escapeLabel(h.Name), h.Hist.Sum)
-			fmt.Fprintf(&b, "countnet_hist_count{group=%q,name=%q} %d\n",
-				escapeLabel(g.Name), escapeLabel(h.Name), h.Hist.Count)
+			b = appendHistSeries(b, "countnet_hist_bucket", g.Name, h.Name)
+			b = append(b, `,le="+Inf"`...)
+			b = appendValue(b, h.Hist.Count*every)
+			b = appendHistSeries(b, "countnet_hist_sum", g.Name, h.Name)
+			b = appendValue(b, h.Hist.Sum*every)
+			b = appendHistSeries(b, "countnet_hist_count", g.Name, h.Name)
+			b = appendValue(b, h.Hist.Count*every)
 		}
 	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	return b
+}
+
+// appendLabel appends sep, then key="value" with the value quoted as
+// Go's strconv.Quote does (escaped quotes, backslashes and control
+// characters). A newline is first spelled as the two characters \n,
+// so no label value ever breaks a line.
+func appendLabel(b []byte, sep byte, key, v string) []byte {
+	b = append(b, sep)
+	b = append(b, key...)
+	b = append(b, '=')
+	if plainLabel(v) {
+		b = append(b, '"')
+		b = append(b, v...)
+		return append(b, '"')
+	}
+	if strings.IndexByte(v, '\n') >= 0 {
+		v = strings.ReplaceAll(v, "\n", `\n`)
+	}
+	return strconv.AppendQuote(b, v)
+}
+
+// plainLabel reports whether strconv.Quote would leave v's bytes as
+// they are: printable ASCII other than the quote and the backslash.
+// Group, metric and engine names all are, so they skip the rune-wise
+// quoting.
+func plainLabel(v string) bool {
+	for i := 0; i < len(v); i++ {
+		if c := v[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return false
+		}
+	}
+	return true
+}
+
+// appendIntLabel appends ,key="n".
+func appendIntLabel(b []byte, key string, n int64) []byte {
+	b = append(b, ',')
+	b = append(b, key...)
+	b = append(b, `="`...)
+	b = strconv.AppendInt(b, n, 10)
+	return append(b, '"')
+}
+
+// appendValue closes a series' label set and appends its value line.
+func appendValue(b []byte, v int64) []byte {
+	b = append(b, "} "...)
+	b = strconv.AppendInt(b, v, 10)
+	return append(b, '\n')
+}
+
+// appendMetrics appends one metric{group,kind,name} series per metric
+// of group g.
+func appendMetrics(b []byte, metric string, g *GroupSnapshot, ms []Metric) []byte {
+	for _, m := range ms {
+		b = append(b, metric...)
+		b = appendLabel(b, '{', "group", g.Name)
+		b = appendLabel(b, ',', "kind", g.Kind)
+		b = appendLabel(b, ',', "name", m.Name)
+		b = appendValue(b, m.Value)
+	}
+	return b
+}
+
+// appendGate appends the open per-gate series metric{group,gate,layer}
+// with value v.
+func appendGate(b []byte, metric, group string, gt GateSnapshot, v int64) []byte {
+	b = append(b, metric...)
+	b = appendLabel(b, '{', "group", group)
+	b = appendIntLabel(b, "gate", int64(gt.Gate))
+	b = appendIntLabel(b, "layer", int64(gt.Layer))
+	return appendValue(b, v)
+}
+
+// appendHistSeries appends the open histogram series metric{group,name.
+func appendHistSeries(b []byte, metric, group, name string) []byte {
+	b = append(b, metric...)
+	b = appendLabel(b, '{', "group", group)
+	return appendLabel(b, ',', "name", name)
 }
 
 // flightDump is the /debug/flight response body: poll NextSeq, then
@@ -137,12 +230,6 @@ type flightDump struct {
 	Enabled bool          `json:"enabled"`
 	NextSeq uint64        `json:"next_seq"`
 	Events  []FlightEvent `json:"events"`
-}
-
-// escapeLabel escapes a Prometheus label value (the %q verb handles
-// quotes and backslashes; newlines must not survive either way).
-func escapeLabel(v string) string {
-	return strings.NewReplacer("\n", `\n`).Replace(v)
 }
 
 // Handler serves the registry's exposition endpoints: /snapshot
@@ -183,7 +270,7 @@ func (r *Registry) Handler() http.Handler {
 			http.NotFound(w, req)
 			return
 		}
-		fmt.Fprint(w, "countnet obs endpoints: /snapshot (JSON), /metrics (Prometheus), /debug/vars (expvar), /debug/flight (flight recorder)\n")
+		_, _ = io.WriteString(w, "countnet obs endpoints: /snapshot (JSON), /metrics (Prometheus), /debug/vars (expvar), /debug/flight (flight recorder)\n")
 	})
 	return mux
 }

@@ -1,10 +1,15 @@
 package obs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"io"
+	"math"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -45,6 +50,108 @@ func TestWritePrometheus(t *testing.T) {
 	// Cumulative buckets: the le=127 bucket (holding 100) must count 1.
 	if !strings.Contains(out, `countnet_hist_bucket{group="net",name="traverse_ns",le="127"} 1`) {
 		t.Errorf("cumulative bucket wrong:\n%s", out)
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
+
+// goldenSnapshot is a fixed period-1 snapshot touching every series
+// the exposition renders: label values that need quoting (quote,
+// backslash, newline, non-ASCII), skipped empty statuses, gates with
+// and without contention, sparse and empty histograms, and the
+// unbounded last bucket.
+func goldenSnapshot() Snapshot {
+	return Snapshot{TakenUnixNano: 1, Groups: []GroupSnapshot{
+		{
+			Name: `ctr"q\b`, Kind: "counter",
+			Counters: []Metric{{Name: "ops", Value: 12345}, {Name: "neg", Value: -7}},
+			Gauges:   []Metric{{Name: "block", Value: 64}},
+			Status: []StatusMetric{
+				{Name: "strategy", Value: "network"},
+				{Name: "empty", Value: ""},
+				{Name: "reason", Value: "line1\nline2 ünï"},
+			},
+			Hists: []HistMetric{
+				{Name: "next_ns", Hist: HistSnapshot{
+					Count: 6, Sum: 900, Min: 0, Max: 400,
+					Buckets: []int64{1, 0, 0, 0, 0, 0, 0, 2, 0, 3},
+				}},
+				{Name: "empty_ns", Hist: HistSnapshot{}},
+				{Name: "wide", Hist: HistSnapshot{
+					Count: 2, Sum: math.MaxInt64, Min: 1, Max: math.MaxInt64,
+					Buckets: append(make([]int64, 63), 2),
+				}},
+			},
+			Gates: []GateSnapshot{
+				{Gate: 0, Layer: 1, Tokens: 10},
+				{Gate: 1, Layer: 1, Tokens: 9, Contended: 4},
+				{Gate: 2, Layer: 2, Tokens: 19},
+			},
+			Layers: []LayerSnapshot{
+				{Layer: 1, Gates: 2, Tokens: 19, Contended: 4, MaxGateTokens: 10},
+				{Layer: 2, Gates: 1, Tokens: 19, MaxGateTokens: 19},
+			},
+		},
+		{Name: "pool", Kind: "pool", Counters: []Metric{{Name: "puts", Value: 0}}},
+	}}
+}
+
+// TestPrometheusGolden pins the text exposition byte for byte against
+// testdata/prometheus.golden (rewrite with -update).
+func TestPrometheusGolden(t *testing.T) {
+	var b bytes.Buffer
+	if err := writePrometheus(&b, goldenSnapshot()); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "prometheus.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b.Bytes(), want) {
+		t.Errorf("exposition differs from %s:\n got:\n%s\nwant:\n%s", path, b.Bytes(), want)
+	}
+}
+
+// TestPrometheusRenderAllocFree: rendering into a reused buffer
+// allocates nothing once the buffer has grown, whatever the snapshot
+// holds (quoted labels without newlines, sampled histograms).
+func TestPrometheusRenderAllocFree(t *testing.T) {
+	s := goldenSnapshot()
+	s.Groups[0].Status = s.Groups[0].Status[:2] // a newline costs one ReplaceAll
+	s.Groups[0].Hists[0].Hist.Every = SampleEvery
+	buf := appendPrometheus(nil, s)
+	if n := testing.AllocsPerRun(100, func() { buf = appendPrometheus(buf[:0], s) }); n != 0 {
+		t.Errorf("render into a reused buffer allocates %v per run", n)
+	}
+}
+
+// TestPrometheusScalesByPeriod: a sampled histogram's bucket, sum and
+// count series are its samples times its period.
+func TestPrometheusScalesByPeriod(t *testing.T) {
+	h := NewSampledHist()
+	h.Observe(100)
+	h.Observe(3)
+	var b bytes.Buffer
+	err := writePrometheus(&b, Snapshot{Groups: []GroupSnapshot{{Name: "c", Hists: []HistMetric{{Name: "next_ns", Hist: h.Snapshot()}}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`countnet_hist_bucket{group="c",name="next_ns",le="3"} 64`,
+		`countnet_hist_bucket{group="c",name="next_ns",le="127"} 128`,
+		`countnet_hist_bucket{group="c",name="next_ns",le="+Inf"} 128`,
+		`countnet_hist_sum{group="c",name="next_ns"} 6592`,
+		`countnet_hist_count{group="c",name="next_ns"} 128`,
+	} {
+		if !strings.Contains(b.String(), want+"\n") {
+			t.Errorf("exposition lacks %q:\n%s", want, b.String())
+		}
 	}
 }
 
@@ -119,4 +226,27 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// BenchmarkWritePrometheus renders a counter group shaped like one on
+// L(4,4): 16-wide network, 10 layers of 8 gates, three histograms.
+func BenchmarkWritePrometheus(b *testing.B) {
+	gateLayer := make([]int32, 80)
+	for i := range gateLayer {
+		gateLayer[i] = int32(i/8 + 1)
+	}
+	net := NewNetObs("bench", gateLayer, func(g int) int64 { return int64(1000 + g) })
+	c := NewCounterObs("count_observed", net, func() int64 { return 1 << 20 })
+	for i := int64(0); i < 1000; i++ {
+		c.NextNs.Observe(100 + i)
+		net.TraverseNs.Observe(50 + i)
+	}
+	r := NewRegistry()
+	r.Register("count_observed", c)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := r.WritePrometheus(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

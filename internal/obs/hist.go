@@ -14,12 +14,30 @@ import (
 // absorbs everything wider. 64 buckets cover the full int64 range.
 const histBuckets = 64
 
+// SampleEvery is the sampling period of the per-value latency
+// histograms (a counter's next_ns and traverse_ns): exactly one value
+// in SampleEvery is timed, chosen by a tick the drawing goroutine
+// already owns, so an unsampled value reads no clock and writes no
+// shared histogram. A power of two, so the choice is one mask test.
+const SampleEvery = 64
+
+// Sampled reports whether the n-th event (1-based) of a SampleEvery
+// sampler is the one to time: the SampleEvery-th, 2·SampleEvery-th, …
+//
+//netvet:hotpath
+func Sampled(n int64) bool { return n&(SampleEvery-1) == 0 }
+
 // Hist is a lock-free histogram over non-negative int64 samples
 // (latencies in nanoseconds, batch sizes, queue depths) with
 // power-of-two bucket boundaries. Observe is wait-free on count, sum
 // and the bucket counters; the min/max watermarks use a CAS loop whose
 // retries are themselves counted (casRetries) — the only place the obs
 // layer can spin, surfaced so it can never hide contention of its own.
+//
+// A histogram carries its sampling period: one recorded sample stands
+// for that many events. Its snapshot reports the period and the
+// Prometheus exposition scales counts and sums by it; the recording
+// side never looks at it (callers decide what to sample).
 //
 // The struct is padded to a whole number of cache lines so adjacent
 // histograms in a containing struct or slice never share a line.
@@ -32,13 +50,21 @@ type Hist struct {
 	max        atomic.Int64
 	casRetries atomic.Int64
 	buckets    [histBuckets]atomic.Int64
-	_          [24]byte
+	every      int64 // sampling period, fixed at construction
+	_          [16]byte
 }
 
-// NewHist returns an empty histogram. Hist must be constructed through
-// NewHist (the min watermark needs a non-zero seed).
-func NewHist() *Hist {
-	h := &Hist{}
+// NewHist returns an empty histogram that records every event (period
+// 1). Hist must be constructed through NewHist or NewSampledHist (the
+// min watermark needs a non-zero seed).
+func NewHist() *Hist { return newHist(1) }
+
+// NewSampledHist returns an empty histogram of period SampleEvery, for
+// a recorder that observes one event in SampleEvery.
+func NewSampledHist() *Hist { return newHist(SampleEvery) }
+
+func newHist(every int64) *Hist {
+	h := &Hist{every: every}
 	h.min.Store(math.MaxInt64)
 	return h
 }
@@ -103,14 +129,27 @@ func (h *Hist) Observe(v int64) {
 func (h *Hist) ObserveSince(start int64) { h.Observe(Now() - start) }
 
 // HistSnapshot is an atomic-free copy of a histogram's state. Buckets
-// are trimmed to the highest non-empty one.
+// are trimmed to the highest non-empty one. Count, Sum and Buckets
+// count recorded samples; Every is the period they were taken at, so
+// Count·Every estimates the events the histogram stands for. Mean and
+// quantiles need no scaling.
 type HistSnapshot struct {
 	Count      int64   `json:"count"`
 	Sum        int64   `json:"sum"`
 	Min        int64   `json:"min"`
 	Max        int64   `json:"max"`
 	CASRetries int64   `json:"cas_retries,omitempty"`
-	Buckets    []int64 `json:"buckets"` // Buckets[i] = samples with bucketIdx == i
+	Buckets    []int64 `json:"buckets"`         // Buckets[i] = samples with bucketIdx == i
+	Every      int64   `json:"every,omitempty"` // sampling period; 0 reads as 1
+}
+
+// Period returns the sampling period, reading an unset Every (a
+// snapshot built by hand or by an older producer) as 1.
+func (s HistSnapshot) Period() int64 {
+	if s.Every < 1 {
+		return 1
+	}
+	return s.Every
 }
 
 // Snapshot copies the current state. Concurrent Observes may straddle
@@ -121,6 +160,7 @@ func (h *Hist) Snapshot() HistSnapshot {
 		Count:      h.count.Load(),
 		Sum:        h.sum.Load(),
 		CASRetries: h.casRetries.Load(),
+		Every:      h.every,
 	}
 	if s.Count > 0 {
 		s.Min = h.min.Load()

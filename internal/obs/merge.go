@@ -27,9 +27,15 @@ import (
 // may be nil or empty (the identity); inputs are not modified.
 //
 // Per same-named group: Counters, Gauges, gate/layer Tokens and
-// Contended sum; histogram Count/Sum/CASRetries/buckets sum while
-// Min/Max merge as watermarks over the inputs that actually saw
-// samples; LayerSnapshot.MaxGateTokens is recomputed from the merged
+// Contended sum; histograms of equal period sum Count/Sum/CASRetries
+// and buckets and keep that period, while Min/Max merge as watermarks
+// over the inputs that actually saw samples. Histograms of different
+// periods are never added as if alike: the merged histogram takes the
+// finest common period (the gcd, which for power-of-two periods is the
+// smallest) and each input's Count, Sum and buckets are scaled by its
+// own period over that one before they are added, so every merged
+// count stays an estimate of the same events; CASRetries, a count of
+// the recorder's own retries, is not scaled; LayerSnapshot.MaxGateTokens is recomputed from the merged
 // per-gate sums whenever the merged group retains gates for that
 // layer (the exact busiest-gate figure), falling back to max of the
 // inputs' values otherwise; Kind, Origin and Status values union.
@@ -86,7 +92,8 @@ type groupAcc struct {
 
 type histAcc struct {
 	count, sum, casRetries int64
-	sampled                bool // any input had Count > 0
+	every                  int64 // period of count, sum and buckets; 0 until the first input
+	sampled                bool  // any input had Count > 0
 	min, max               int64
 	buckets                []int64
 }
@@ -187,8 +194,16 @@ func (sa *snapAcc) addGroup(g *GroupSnapshot) {
 }
 
 func (ha *histAcc) add(h HistSnapshot) {
-	ha.count += h.Count
-	ha.sum += h.Sum
+	p := h.Period()
+	if g := gcd(ha.every, p); g != ha.every {
+		if ha.every != 0 {
+			ha.scale(ha.every / g)
+		}
+		ha.every = g
+	}
+	k := p / ha.every
+	ha.count += h.Count * k
+	ha.sum += h.Sum * k
 	ha.casRetries += h.CASRetries
 	if h.Count > 0 {
 		if !ha.sampled || h.Min < ha.min {
@@ -203,8 +218,24 @@ func (ha *histAcc) add(h HistSnapshot) {
 		ha.buckets = append(ha.buckets, 0)
 	}
 	for i, n := range h.Buckets {
-		ha.buckets[i] += n
+		ha.buckets[i] += n * k
 	}
+}
+
+// scale re-expresses the accumulated samples at a period k times finer.
+func (ha *histAcc) scale(k int64) {
+	ha.count *= k
+	ha.sum *= k
+	for i := range ha.buckets {
+		ha.buckets[i] *= k
+	}
+}
+
+func gcd(a, b int64) int64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 // unionInto splits a comma-joined value set and adds its atoms.
@@ -290,7 +321,7 @@ func (acc *groupAcc) render(name string) GroupSnapshot {
 }
 
 func (ha *histAcc) render() HistSnapshot {
-	h := HistSnapshot{Count: ha.count, Sum: ha.sum, CASRetries: ha.casRetries}
+	h := HistSnapshot{Count: ha.count, Sum: ha.sum, CASRetries: ha.casRetries, Every: ha.every}
 	if ha.sampled {
 		h.Min, h.Max = ha.min, ha.max
 	}

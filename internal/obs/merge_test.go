@@ -80,6 +80,9 @@ func genHist(r *rand.Rand) HistSnapshot {
 		h.Sum = h.Count * (h.Min + h.Max) / 2
 		h.CASRetries = r.Int63n(10)
 	}
+	// Unset, unsampled and sampled periods, so the algebra covers
+	// rescaling too.
+	h.Every = []int64{0, 1, SampleEvery}[r.Intn(3)]
 	return h
 }
 
@@ -193,6 +196,61 @@ func TestMergeSumsAndWatermarks(t *testing.T) {
 	if l.Tokens != 16 || l.MaxGateTokens != 9 {
 		t.Fatalf("layer merge wrong (want tokens=16, maxGate=9 recomputed): %+v", l)
 	}
+}
+
+// TestMergeEqualPeriods: sampled histograms of one period add sample
+// for sample and keep the period, exactly as one shared sampled
+// histogram would have recorded them.
+func TestMergeEqualPeriods(t *testing.T) {
+	a, b, ref := NewSampledHist(), NewSampledHist(), NewSampledHist()
+	for i, v := range []int64{3, 100, 7, 4000, 0} {
+		h := a
+		if i%2 == 1 {
+			h = b
+		}
+		h.Observe(v)
+		ref.Observe(v)
+	}
+	got := mergeHists(a.Snapshot(), b.Snapshot())
+	want := ref.Snapshot()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("equal-period merge:\n got=%+v\nwant=%+v", got, want)
+	}
+	if got.Every != SampleEvery {
+		t.Fatalf("merged period %d, want %d", got.Every, SampleEvery)
+	}
+}
+
+// TestMergeMixedPeriods: a sampled and an unsampled histogram are not
+// added as if alike. The result takes the finer period and the sampled
+// side's samples count SampleEvery times each, so counts, sums and
+// buckets all estimate the same events; watermarks merge unscaled.
+func TestMergeMixedPeriods(t *testing.T) {
+	sampled := HistSnapshot{Count: 2, Sum: 30, Min: 10, Max: 20, Buckets: []int64{0, 0, 0, 0, 1, 1}, Every: SampleEvery}
+	full := HistSnapshot{Count: 3, Sum: 6, Min: 1, Max: 3, Buckets: []int64{0, 1, 2}, Every: 1}
+	want := HistSnapshot{
+		Count: 2*SampleEvery + 3, Sum: 30*SampleEvery + 6, Min: 1, Max: 20,
+		Buckets: []int64{0, 1, 2, 0, SampleEvery, SampleEvery}, Every: 1,
+	}
+	for _, pair := range [][2]HistSnapshot{{sampled, full}, {full, sampled}} {
+		if got := mergeHists(pair[0], pair[1]); !reflect.DeepEqual(got, want) {
+			t.Fatalf("mixed-period merge:\n got=%+v\nwant=%+v", got, want)
+		}
+	}
+	// An unset period reads as 1, so it rescales the same way.
+	full.Every = 0
+	if got := mergeHists(sampled, full); !reflect.DeepEqual(got, want) {
+		t.Fatalf("merge with an unset period:\n got=%+v\nwant=%+v", got, want)
+	}
+}
+
+// mergeHists merges two histograms through Merge, as one group's
+// same-named histogram.
+func mergeHists(a, b HistSnapshot) HistSnapshot {
+	wrap := func(h HistSnapshot) *Snapshot {
+		return &Snapshot{Groups: []GroupSnapshot{{Name: "g", Hists: []HistMetric{{Name: "h", Hist: h}}}}}
+	}
+	return Merge(wrap(a), wrap(b)).Groups[0].Hists[0].Hist
 }
 
 func TestMergeHistDifferential(t *testing.T) {

@@ -87,8 +87,12 @@ func renderHists(b *strings.Builder, g GroupSnapshot) {
 			continue
 		}
 		s := h.Hist.Summary()
-		fmt.Fprintf(b, "  %-14s n=%-10d mean=%-9.3g p50=%-9.3g p90=%-9.3g p99=%-9.3g max=%.3g\n",
+		fmt.Fprintf(b, "  %-14s n=%-10d mean=%-9.3g p50=%-9.3g p90=%-9.3g p99=%-9.3g max=%.3g",
 			h.Name, s.N, s.Mean, s.P50, s.P90, s.P99, s.Max)
+		if every := h.Hist.Period(); every > 1 {
+			fmt.Fprintf(b, "  (1 in %d sampled)", every)
+		}
+		b.WriteByte('\n')
 	}
 }
 

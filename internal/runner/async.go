@@ -163,6 +163,14 @@ func (a *Async) Traverse(entryWire int) int {
 	return a.walk(entryWire, nil)
 }
 
+// Walk is Traverse without the clock: the atomic walk alone, for an
+// owner that samples its own timing (a counter times one value in
+// obs.SampleEvery and walks the rest through here). Per-gate counts
+// are the balancers' own, so nothing else is lost.
+//
+//netvet:hotpath
+func (a *Async) Walk(entryWire int) int { return a.walk(entryWire, nil) }
+
 // TraverseHooked is Traverse instrumented for controlled scheduling:
 // yield is called immediately before every atomic balancer access, so
 // a scheduler that serializes its tasks (package sched) fully
@@ -222,13 +230,29 @@ func (a *Async) walk(entryWire int, yield func(op string)) int {
 //
 //netvet:hotpath
 func (a *Async) TraverseMutex(entryWire int) int {
+	o := a.watch
+	if o == nil {
+		return a.lockWalk(entryWire, nil)
+	}
+	start := obs.Now()
+	pos := a.lockWalk(entryWire, o)
+	o.TraverseNs.ObserveSince(start)
+	return pos
+}
+
+// WalkMutex is TraverseMutex without the clock (see Walk); with
+// observability on it still counts every contended acquisition.
+//
+//netvet:hotpath
+func (a *Async) WalkMutex(entryWire int) int { return a.lockWalk(entryWire, a.watch) }
+
+// lockWalk is the lock-based traversal; a non-nil o counts each
+// acquisition that found its gate held.
+//
+//netvet:hotpath
+func (a *Async) lockWalk(entryWire int, o *obs.NetObs) int {
 	if entryWire < 0 || entryWire >= a.width {
 		panic(fmt.Sprintf("runner: entry wire %d outside width %d", entryWire, a.width))
-	}
-	o := a.watch
-	var start int64
-	if o != nil {
-		start = obs.Now()
 	}
 	wire := int32(entryWire)
 	gid := a.entry[wire]
@@ -249,9 +273,6 @@ func (a *Async) TraverseMutex(entryWire int) int {
 		port := i % g.width
 		wire = g.wires[port]
 		gid = g.next[port]
-	}
-	if o != nil {
-		o.TraverseNs.ObserveSince(start)
 	}
 	return int(a.outPos[wire])
 }

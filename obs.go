@@ -35,9 +35,14 @@ func buildOptions(opts []Option) options {
 // observability registry (exposed by ObsHandler, ObsSnapshotJSON and
 // WriteObsPrometheus). Observed structures record per-balancer and
 // per-layer token counts, contention events, and latency histograms —
-// all allocation-free and safe to snapshot concurrently. Structures
-// built without this option pay a single nil pointer check per
-// operation and record nothing.
+// all allocation-free and safe to snapshot concurrently. Counts (ops,
+// per-balancer tokens, contention) are exact. A per-token counter
+// times one value in 64 (obs.SampleEvery), picked by a tick its handle
+// owns, so the other values read no clock: its next_ns and traverse_ns
+// histograms count samples, their snapshots carry the period, and the
+// Prometheus exposition scales them by it. Structures built without
+// this option pay a single nil pointer check per operation and record
+// nothing.
 //
 // Registering a second structure under an existing name replaces the
 // previous group in the registry (the old structure keeps recording
