@@ -236,7 +236,7 @@ func runTables(ctx context.Context, cfg *config) {
 		}
 		if want["adaptive"] {
 			measure(name+" (adaptive)", func() counter.Counter {
-				c := counter.NewAdaptiveCounter(net, counter.EngineAtomic, nil)
+				c := counter.NewAdaptiveCounter(net, counter.EngineAtomic)
 				c.EnableObs(base+".adaptive", adaptReg)
 				if err := c.StartGovernor(); err != nil {
 					panic(err) // unreachable: obs was just enabled

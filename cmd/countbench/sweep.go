@@ -62,7 +62,7 @@ func sweepLanes(cfg *config, net *network.Network) []sweepLane {
 	add("network-mutex", func() counter.Counter { return counter.NewNetworkCounter(net, true) })
 	add("combining", func() counter.Counter { return counter.NewCombiningCounter(net) })
 	add("adaptive", func() counter.Counter {
-		c := counter.NewAdaptiveCounter(net, counter.EngineAtomic, nil)
+		c := counter.NewAdaptiveCounter(net, counter.EngineAtomic)
 		c.EnableObs("sweep.adaptive"+suffix, reg)
 		if err := c.StartGovernor(); err != nil {
 			panic(err) // unreachable: obs was just enabled

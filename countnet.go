@@ -372,13 +372,10 @@ func NewCombiningCounter(n *Network, opts ...Option) *Counter {
 // flat-combining counter over the given network, and — when
 // observability is on — switches between them live along the measured
 // lower envelope of the three (see docs/PERFORMANCE.md, "Adaptive
-// engine"). Values are distinct always, across every engine switch.
-// The exact range holds only while the governor is stopped (no
-// WithObservability, or after Close): then, at quiescence, the values
-// handed out — including small per-handle prefetch blocks not yet
-// returned by Next — are exactly 0..N-1. The governor's timed probe
-// draws take real values that no caller receives, so while it runs
-// the issued values have gaps.
+// engine"). Across every engine switch, with or without the governor
+// running, the values handed out at quiescence — including small
+// per-handle prefetch blocks not yet returned by Next — are exactly
+// 0..N-1.
 type AdaptiveCounter struct {
 	inner *counter.AdaptiveCounter
 }
@@ -390,10 +387,9 @@ type AdaptiveCounter struct {
 // the strategy from self-measured load; without it the counter stays
 // on its initial engine (the atomic word) unless the caller switches
 // manually via the internal API. Call Close when done to stop the
-// governor; while it runs, its probe draws leave gaps in the issued
-// values (see AdaptiveCounter).
+// governor.
 func NewAdaptiveCounter(n *Network, opts ...Option) *AdaptiveCounter {
-	c := counter.NewAdaptiveCounter(n.inner, counter.EngineAtomic, nil)
+	c := counter.NewAdaptiveCounter(n.inner, counter.EngineAtomic)
 	if o := buildOptions(opts); o.obsName != "" {
 		c.EnableObs(o.obsName, nil)
 		// EnableObs preceded, so StartGovernor cannot fail.

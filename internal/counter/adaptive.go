@@ -46,16 +46,18 @@ package counter
 //
 // # Governor
 //
-// StartGovernor runs a background loop that estimates the offered
-// load from two self-measured signals: the aggregate draw rate (per-
-// handle slot counters, owner-written, no shared RMW) and the current
-// per-value latency (timed probe draws through the governor's own
-// handle). Their product is, by Little's law, the mean number of
-// concurrent requesters inside the counter — the x-axis of the
-// BENCH_counter crossover plot. The estimate picks the engine band
+// StartGovernor runs a background loop that measures the offered load
+// from the handles' own draws and decides on it. With observability on,
+// each handle times one draw in obs.SampleEvery (an owner-local tick)
+// into the sampled draw_ns histogram. By Little's law, SampleEvery ×
+// the time those draws took, over the elapsed time, is the mean number
+// of draws in flight inside the counter — the x-axis of the
+// BENCH_counter crossover plot. The decision step bands the estimate
 // (with hysteresis and a dwell requirement so jitter cannot thrash),
 // and while combining is active the prefetch block grows or shrinks
-// with the observed combiner pass occupancy.
+// with the observed combiner pass occupancy. The governor draws no
+// values of its own, so the exact range holds while it runs; its
+// decision step is explored under internal/sched through GovernHooked.
 
 import (
 	"errors"
@@ -103,59 +105,32 @@ func (k EngineKind) String() string {
 // benchmarked at.
 const maxPrefetch = 64
 
-// AdaptivePolicy tunes the governor. The zero value is not valid; use
-// DefaultAdaptivePolicy (whose thresholds are calibrated against the
-// committed BENCH_counter.json crossovers) and override fields.
-type AdaptivePolicy struct {
-	// Interval between governor ticks.
-	Interval time.Duration
-	// AtomicMaxLoad and NetworkMaxLoad band the load estimate
-	// (mean concurrent requesters): at or below AtomicMaxLoad the
-	// atomic engine wins, above NetworkMaxLoad combining wins, the
-	// network counter takes the band between.
-	AtomicMaxLoad  float64
-	NetworkMaxLoad float64
-	// Hysteresis is the fractional margin the estimate must clear
-	// beyond a band edge before a switch is considered.
-	Hysteresis float64
-	// DwellTicks is how many consecutive ticks must agree on the
-	// same target engine before switching.
-	DwellTicks int
-	// ProbeDraws is the number of timed probe blocks per tick.
-	ProbeDraws int
-	// Prefetch is the per-engine refill size for handle Next; the
-	// combining entry is the starting block, governed live between
-	// CombineBlockMin and CombineBlockMax afterwards.
-	Prefetch [numEngineKinds]int
-	// CombineBlockMin/Max bound the governed combining block.
-	CombineBlockMin int
-	CombineBlockMax int
-	// GrowOccupancy / ShrinkOccupancy are mean-pending-slots-per-
-	// combiner-pass thresholds: above the first the block doubles,
-	// below the second it halves.
-	GrowOccupancy   float64
-	ShrinkOccupancy float64
-}
-
-// DefaultAdaptivePolicy returns the policy tuned on the committed
-// benchmark data (BENCH_counter.json crossovers, BENCH_adaptive.json
-// sweep: the atomic prefetch of 32 keeps the per-value lane inside
-// 15% of the best block lane across the whole g sweep).
-func DefaultAdaptivePolicy() AdaptivePolicy {
-	return AdaptivePolicy{
-		Interval:        2 * time.Millisecond,
-		AtomicMaxLoad:   2.0,
-		NetworkMaxLoad:  6.0,
-		Hysteresis:      0.3,
-		DwellTicks:      2,
-		ProbeDraws:      4,
-		Prefetch:        [numEngineKinds]int{32, 8, 16},
-		CombineBlockMin: 8,
-		CombineBlockMax: maxPrefetch,
-		GrowOccupancy:   1.5,
-		ShrinkOccupancy: 0.75,
-	}
-}
+// The governor's constants, calibrated on the committed benchmark data
+// (BENCH_counter.json crossovers, BENCH_adaptive.json sweep: the
+// atomic prefetch of 32 keeps the per-value lane inside 15% of the
+// best block lane across the whole g sweep).
+const (
+	govInterval = 2 * time.Millisecond // between governor ticks
+	// The load estimate (mean draws in flight) picks atomic at or
+	// below atomicMaxLoad, combining above networkMaxLoad, and the
+	// network counter between; a switch needs the estimate beyond the
+	// edge by the hysteresis fraction for dwellTicks consecutive ticks.
+	atomicMaxLoad  = 2.0
+	networkMaxLoad = 6.0
+	hysteresis     = 0.3
+	dwellTicks     = 2
+	// Refill sizes for handle Next. The combining block starts at
+	// combineBlockStart and doubles while the mean pending slots per
+	// combiner pass is at least growOccupancy, halves while it is at
+	// most shrinkOccupancy, within [combineBlockMin, combineBlockMax].
+	atomicPrefetch    = 32
+	networkPrefetch   = 8
+	combineBlockStart = 16
+	combineBlockMin   = 8
+	combineBlockMax   = maxPrefetch
+	growOccupancy     = 1.5
+	shrinkOccupancy   = 0.75
+)
 
 // adaptiveEpoch routes draws to one engine with one value offset. A
 // fresh epoch is allocated per switch, so pointer identity
@@ -167,25 +142,20 @@ type adaptiveEpoch struct {
 }
 
 // adaptiveSlot is one handle's epoch-participation record: active
-// publishes the epoch a draw is in flight against (nil when idle), ops
-// counts values drawn through the handle (the governor's rate signal,
-// owner-written so it never bounces between cores).
+// publishes the epoch a draw is in flight against (nil when idle).
 //
 //netvet:padalign 128
 type adaptiveSlot struct {
 	active atomic.Pointer[adaptiveEpoch]
-	ops    atomic.Int64
-	_      [112]byte
+	_      [120]byte
 }
 
 // AdaptiveCounter is a Fetch&Increment counter that switches between
 // an atomic word, a counting-network counter, and a flat-combining
 // counter at runtime, preserving the gap-free step property across
-// switches: values are distinct always, and while the governor is
-// stopped the values handed to handles — including their prefetch
-// buffers, see AdaptiveHandle.Unserved — are exactly 0..N-1 at
-// quiescence. The governor's probe draws take values no caller
-// receives, so while it runs the issued range has gaps.
+// switches: at quiescence the values handed to handles — including
+// their prefetch buffers, see AdaptiveHandle.Unserved — are exactly
+// 0..N-1, whether or not the governor is running.
 type AdaptiveCounter struct {
 	atomicEng    *AtomicCounter
 	networkEng   *NetworkCounter
@@ -202,54 +172,34 @@ type AdaptiveCounter struct {
 	switchMu sync.Mutex // serializes switches; guards base
 	base     int64      // values issued across completed epochs
 
-	pol AdaptivePolicy
-
 	dirMu sync.Mutex // guards dir, the counter-level direct handle
 	dir   *AdaptiveHandle
 
-	govMu     sync.Mutex
-	govStop   chan struct{}
-	govDone   chan struct{}
-	govHandle *AdaptiveHandle
+	govMu   sync.Mutex
+	govStop chan struct{}
+	govDone chan struct{}
 
 	// watch is the observability hook, nil unless EnableObs was
-	// called; the draw path itself never writes to it.
+	// called; the draw path writes only its sampled draw_ns to it.
 	watch   *obs.AdaptiveObs
 	combObs *obs.CombineObs
 }
 
 // NewAdaptiveCounter builds an adaptive counter over the given
 // counting network (used by the network and combining engines),
-// starting on the given engine. A nil policy uses
-// DefaultAdaptivePolicy. The governor is off until StartGovernor;
-// until then the counter stays on its engine unless SwitchTo is
-// called.
-func NewAdaptiveCounter(net *network.Network, initial EngineKind, pol *AdaptivePolicy) *AdaptiveCounter {
+// starting on the given engine. The governor is off until
+// StartGovernor; until then the counter stays on its engine unless
+// SwitchTo is called.
+func NewAdaptiveCounter(net *network.Network, initial EngineKind) *AdaptiveCounter {
 	if initial < 0 || initial >= numEngineKinds {
 		panic(fmt.Sprintf("countnet/counter: unknown engine kind %d", initial))
-	}
-	p := DefaultAdaptivePolicy()
-	if pol != nil {
-		p = *pol
-	}
-	if p.CombineBlockMax > maxPrefetch {
-		p.CombineBlockMax = maxPrefetch
-	}
-	for k := range p.Prefetch {
-		if p.Prefetch[k] < 1 {
-			p.Prefetch[k] = 1
-		}
-		if p.Prefetch[k] > maxPrefetch {
-			p.Prefetch[k] = maxPrefetch
-		}
 	}
 	c := &AdaptiveCounter{
 		atomicEng:    NewAtomicCounter(),
 		networkEng:   NewNetworkCounter(net, false),
 		combiningEng: NewCombiningCounter(net),
-		pol:          p,
 	}
-	c.combineBlock.Store(int32(p.Prefetch[EngineCombining]))
+	c.combineBlock.Store(combineBlockStart)
 	empty := []*adaptiveSlot{}
 	c.slots.Store(&empty)
 	// base is 0 and every engine is fresh, so the initial offset is 0.
@@ -271,7 +221,7 @@ func (c *AdaptiveCounter) Switches() int64 { return c.switches.Load() }
 func (c *AdaptiveCounter) CombineBlock() int { return int(c.combineBlock.Load()) }
 
 // LoadEstimate returns the governor's latest load estimate (mean
-// concurrent requesters), 0 before the first tick or without obs.
+// draws in flight), 0 before the first tick or without obs.
 func (c *AdaptiveCounter) LoadEstimate() float64 {
 	if o := c.watch; o != nil {
 		return float64(o.LoadMilli.Load()) / 1000
@@ -283,10 +233,10 @@ func (c *AdaptiveCounter) LoadEstimate() float64 {
 // registers it with r (obs.Default when nil). Idempotent; call before
 // the counter sees concurrent traffic. The adaptive group carries the
 // strategy gauges (active engine, switch count, last switch reason,
-// load estimate, combining block) and the governor's probe latencies;
-// the network and combining engines are registered as sub-groups
-// name.network and name.combining so their per-gate and per-pass
-// signals stay readable.
+// load estimate, combining block) and the handles' sampled draw
+// latencies, the governor's load signal; the network and combining
+// engines are registered as sub-groups name.network and
+// name.combining so their per-gate and per-pass signals stay readable.
 func (c *AdaptiveCounter) EnableObs(name string, r *obs.Registry) *obs.AdaptiveObs {
 	if c.watch == nil {
 		w := obs.NewAdaptiveObs(name)
@@ -305,22 +255,21 @@ func (c *AdaptiveCounter) EnableObs(name string, r *obs.Registry) *obs.AdaptiveO
 	return c.watch
 }
 
-// totalOps sums the per-handle slot counters: every value drawn out of
-// an engine (including values still buffered in a handle).
+// totalOps sums the engines' own issued counts: every value drawn out
+// of an engine (including values still buffered in a handle).
 func (c *AdaptiveCounter) totalOps() int64 {
-	var n int64
-	for _, s := range *c.slots.Load() {
-		n += s.ops.Load()
-	}
-	return n
+	return c.atomicEng.issued() + c.networkEng.issued() + c.combiningEng.issued()
 }
 
 // prefetch returns the refill size for the given engine.
 func (c *AdaptiveCounter) prefetch(k EngineKind) int {
-	if k == EngineCombining {
-		return int(c.combineBlock.Load())
+	switch k {
+	case EngineAtomic:
+		return atomicPrefetch
+	case EngineNetwork:
+		return networkPrefetch
 	}
-	return c.pol.Prefetch[k]
+	return int(c.combineBlock.Load())
 }
 
 // engineIssued returns the given engine's issued-value count, exact
@@ -382,6 +331,7 @@ type AdaptiveHandle struct {
 	combH *CombiningHandle
 	pos   int
 	n     int
+	tick  int64 // obs-on draws so far, the sampling clock; untouched with obs off
 	buf   [maxPrefetch]int64
 }
 
@@ -480,11 +430,30 @@ func (h *AdaptiveHandle) enter(yield func(op string), block func(op string, read
 	}
 }
 
-// draw runs a pinned draw on the epoch's engine, retires the handle's
-// slot, and offsets the engine values into the epoch.
+// draw runs a pinned draw. With observability on, the handle's own
+// tick picks every obs.SampleEvery-th draw for timing into draw_ns,
+// the governor's load signal: one increment and one mask test on
+// goroutine-local state. The obs-off path never touches the tick.
 //
 //netvet:hotpath
 func (h *AdaptiveHandle) draw(e *adaptiveEpoch, dst []int64, yield func(op string), block func(op string, ready func() bool)) {
+	if o := h.c.watch; o != nil {
+		h.tick++
+		if obs.Sampled(h.tick) {
+			start := obs.Now()
+			h.drawOn(e, dst, yield, block)
+			o.DrawNs.ObserveSince(start)
+			return
+		}
+	}
+	h.drawOn(e, dst, yield, block)
+}
+
+// drawOn runs the draw on the epoch's engine, retires the handle's
+// slot, and offsets the engine values into the epoch.
+//
+//netvet:hotpath
+func (h *AdaptiveHandle) drawOn(e *adaptiveEpoch, dst []int64, yield func(op string), block func(op string, ready func() bool)) {
 	switch e.kind {
 	case EngineAtomic:
 		hook(yield, "atomic draw")
@@ -496,7 +465,6 @@ func (h *AdaptiveHandle) draw(e *adaptiveEpoch, dst []int64, yield func(op strin
 	}
 	hook(yield, "slot clear")
 	h.slot.active.Store(nil)
-	h.slot.ops.Add(int64(len(dst)))
 	off := e.offset
 	for i := range dst {
 		dst[i] += off
@@ -595,8 +563,6 @@ func (c *AdaptiveCounter) install(e *adaptiveEpoch, kind EngineKind, reason stri
 	}
 }
 
-// --- governor ---
-
 // StartGovernor starts the background strategy loop. Requires
 // EnableObs (the governor both reads and publishes through obs).
 // Idempotent while running; Close stops it.
@@ -608,9 +574,6 @@ func (c *AdaptiveCounter) StartGovernor() error {
 	defer c.govMu.Unlock()
 	if c.govStop != nil {
 		return nil
-	}
-	if c.govHandle == nil {
-		c.govHandle = c.Handle(1).(*AdaptiveHandle)
 	}
 	c.govStop = make(chan struct{})
 	c.govDone = make(chan struct{})
@@ -634,76 +597,93 @@ func (c *AdaptiveCounter) Close() {
 	}
 }
 
-// govState is the governor's between-tick memory.
+// govState is the governor's between-tick memory: the clock and
+// histogram totals at the previous tick, and the dwell streak.
 type govState struct {
-	lastT          int64
-	lastOps        int64
-	lastQueueSum   int64
-	lastQueueCount int64
-	streak         int
-	want           EngineKind
-	probe          [maxPrefetch]int64
+	lastT      int64
+	lastBusy   int64 // DrawNs sum
+	lastQueued int64 // PassQueue sum
+	lastPasses int64 // PassQueue count
+	streak     int
+	want       EngineKind
 }
 
 func (c *AdaptiveCounter) govern(stop, done chan struct{}) {
 	defer close(done)
 	// Wall-clock pacing is inherently nondeterministic; the governor
-	// never runs under the replay harness.
+	// loop never runs under the replay harness (GovernHooked drives
+	// its decision step there).
 	//netvet:allow nondeterminism
-	tick := time.NewTicker(c.pol.Interval)
+	tick := time.NewTicker(govInterval)
 	defer tick.Stop()
 	var g govState
-	g.lastT = obs.Now()
-	g.lastOps = c.totalOps()
+	c.measure(&g) // the first tick then measures its own interval only
 	for {
 		select {
 		case <-stop:
 			return
 		case <-tick.C:
-			c.govTick(&g)
+			t := c.measure(&g)
+			c.watch.LoadMilli.Store(int64(t.Load * 1000))
+			c.decide(&g, t, nil, nil)
 		}
 	}
 }
 
-// govTick runs one governor step: estimate the load, retune the
-// combining block, and switch engines when the estimate has cleared a
-// band edge (plus hysteresis) for DwellTicks consecutive ticks.
-// Exported to tests via export_test.go.
-func (c *AdaptiveCounter) govTick(g *govState) {
+// GovernorTick is one governor interval's measurement, the input of
+// the decision step.
+type GovernorTick struct {
+	Load      float64 // mean draws in flight
+	Occupancy float64 // mean pending slots per combiner pass, 0 when none ran
+}
+
+// measure reads the clock and the histogram deltas since the previous
+// tick. The load is Little's law over the handles' sampled draws:
+// obs.SampleEvery × the time spent in sampled draws, over the elapsed
+// time, is the mean number of draws in flight. Requires obs
+// (StartGovernor checks).
+func (c *AdaptiveCounter) measure(g *govState) GovernorTick {
+	var t GovernorTick
 	now := obs.Now()
-	ops := c.totalOps()
-	dt := now - g.lastT
-	dOps := ops - g.lastOps
-	g.lastT, g.lastOps = now, ops
-	if dt <= 0 {
-		return
+	busy := c.watch.DrawNs.Snapshot().Sum
+	if dt := now - g.lastT; dt > 0 {
+		t.Load = float64(obs.SampleEvery*(busy-g.lastBusy)) / float64(dt)
 	}
-	e := c.cur.Load()
-	// Timed probe draws measure the current per-value latency. The
-	// probes are real draws (they count as issued values); the rate
-	// signal above already includes previous ticks' probes.
-	b := c.prefetch(e.kind)
-	n := c.pol.ProbeDraws
-	if n < 1 {
-		n = 1
+	g.lastT, g.lastBusy = now, busy
+	q := c.combObs.PassQueue.Snapshot()
+	if n := q.Count - g.lastPasses; n > 0 {
+		t.Occupancy = float64(q.Sum-g.lastQueued) / float64(n)
 	}
-	t0 := obs.Now()
-	for i := 0; i < n; i++ {
-		c.govHandle.NextBlock(g.probe[:b])
-	}
-	perVal := float64(obs.Now()-t0) / float64(n*b)
-	c.watch.ProbeNs.Observe(int64(perVal))
-	// Little's law: rate × per-value time = mean concurrent
-	// requesters inside the counter.
-	load := float64(dOps) / float64(dt) * perVal
-	c.watch.LoadMilli.Store(int64(load * 1000))
+	g.lastQueued, g.lastPasses = q.Sum, q.Count
+	return t
+}
 
-	if e.kind == EngineCombining {
-		c.govBlock(g)
+// GovernHooked runs the governor's decision step over the scripted
+// ticks in order, from a fresh between-tick memory, with schedule
+// instrumentation (see NextHooked): the task stands in for the
+// governor loop with the script in place of its measurements. For
+// package sched.
+func (c *AdaptiveCounter) GovernHooked(ticks []GovernorTick, yield func(op string), block func(op string, ready func() bool)) {
+	var g govState
+	for _, t := range ticks {
+		c.decide(&g, t, yield, block)
 	}
+}
 
-	want := chooseEngine(e.kind, load, &c.pol)
-	if want == e.kind {
+// decide is the governor's decision step over one tick: retune the
+// combining block while combining is active, band the load estimate,
+// and switch engines once the same target has won dwellTicks
+// consecutive ticks. A non-nil yield runs before its read of the
+// active engine and before a block store; the switch is the shipped
+// switchTo, with yield and block passed through.
+func (c *AdaptiveCounter) decide(g *govState, t GovernorTick, yield func(op string), block func(op string, ready func() bool)) {
+	hook(yield, "governor read")
+	cur := c.cur.Load().kind
+	if cur == EngineCombining {
+		c.retuneBlock(t.Occupancy, yield)
+	}
+	want := chooseEngine(cur, t.Load)
+	if want == cur {
 		g.streak = 0
 		return
 	}
@@ -712,75 +692,50 @@ func (c *AdaptiveCounter) govTick(g *govState) {
 	} else {
 		g.streak++
 	}
-	if g.streak >= c.pol.DwellTicks {
+	if g.streak >= dwellTicks {
 		g.streak = 0
-		c.switchTo(want, fmt.Sprintf("load %.2f -> %s", load, want), nil, nil)
+		c.switchTo(want, fmt.Sprintf("load %.2f -> %s", t.Load, want), yield, block)
 	}
 }
 
-// govBlock retunes the combining prefetch block from the combiner's
-// observed pass occupancy (mean pending slots per pass since the last
-// tick): sustained queueing means bigger blocks amortize better,
-// single-requester passes mean the block can shrink.
-func (c *AdaptiveCounter) govBlock(g *govState) {
-	o := c.combObs
-	if o == nil {
+// retuneBlock retunes the combining prefetch block from the combiner's
+// pass occupancy (mean pending slots per pass): sustained queueing
+// means bigger blocks amortize better, single-requester passes mean
+// the block can shrink. An occupancy of 0 (no pass) leaves it alone.
+func (c *AdaptiveCounter) retuneBlock(occ float64, yield func(op string)) {
+	if occ <= 0 {
 		return
 	}
-	s := o.PassQueue.Snapshot()
-	dSum, dCount := s.Sum-g.lastQueueSum, s.Count-g.lastQueueCount
-	g.lastQueueSum, g.lastQueueCount = s.Sum, s.Count
-	if dCount <= 0 {
-		return
-	}
-	occ := float64(dSum) / float64(dCount)
 	b := int(c.combineBlock.Load())
 	switch {
-	case occ >= c.pol.GrowOccupancy && b*2 <= c.pol.CombineBlockMax:
+	case occ >= growOccupancy && b*2 <= combineBlockMax:
 		b *= 2
-	case occ <= c.pol.ShrinkOccupancy && b/2 >= c.pol.CombineBlockMin:
+	case occ <= shrinkOccupancy && b/2 >= combineBlockMin:
 		b /= 2
 	default:
 		return
 	}
+	hook(yield, "block retune")
 	c.combineBlock.Store(int32(b))
-	c.watch.Block.Store(int64(b))
+	if o := c.watch; o != nil {
+		o.Block.Store(int64(b))
+	}
 }
 
 // chooseEngine maps a load estimate to the engine band, with
-// hysteresis relative to the current engine: crossing into a heavier
-// engine requires clearing the band edge by (1+h), dropping to a
-// lighter one requires falling below it by (1-h).
-func chooseEngine(cur EngineKind, load float64, pol *AdaptivePolicy) EngineKind {
+// hysteresis relative to the current engine: moving to a heavier
+// engine requires clearing the target band's lower edge by (1+h),
+// moving to a lighter one requires falling below its upper edge by
+// (1-h).
+func chooseEngine(cur EngineKind, load float64) EngineKind {
+	edges := [...]float64{atomicMaxLoad, networkMaxLoad} // upper edge of every band but combining's
 	target := EngineAtomic
-	switch {
-	case load > pol.NetworkMaxLoad:
-		target = EngineCombining
-	case load > pol.AtomicMaxLoad:
-		target = EngineNetwork
+	for int(target) < len(edges) && load > edges[target] {
+		target++
 	}
-	if target == cur {
+	if target > cur && load <= edges[target-1]*(1+hysteresis) ||
+		target < cur && load >= edges[target]*(1-hysteresis) {
 		return cur
-	}
-	h := pol.Hysteresis
-	if target > cur {
-		// The edge crossed into the target band is the higher of the
-		// two when jumping straight from atomic to combining.
-		edge := pol.AtomicMaxLoad
-		if target == EngineCombining {
-			edge = pol.NetworkMaxLoad
-		}
-		if load <= edge*(1+h) {
-			return cur
-		}
-	} else {
-		edge := pol.NetworkMaxLoad
-		if target == EngineAtomic {
-			edge = pol.AtomicMaxLoad
-		}
-		if load >= edge*(1-h) {
-			return cur
-		}
 	}
 	return target
 }

@@ -1,7 +1,6 @@
 package counter
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -48,7 +47,7 @@ func collectAdaptive(c *AdaptiveCounter, workers, perWorker int, block int) []in
 // concurrency.
 func TestAdaptiveFetchIncrement(t *testing.T) {
 	for _, k := range []EngineKind{EngineAtomic, EngineNetwork, EngineCombining} {
-		c := NewAdaptiveCounter(testNetwork(t), k, nil)
+		c := NewAdaptiveCounter(testNetwork(t), k)
 		vals := collectAdaptive(c, 8, 300, 5)
 		assertExactRange(t, vals)
 	}
@@ -58,7 +57,7 @@ func TestAdaptiveFetchIncrement(t *testing.T) {
 // while the main goroutine cycles the engine through every kind many
 // times. No value may be lost or duplicated across any transition.
 func TestAdaptiveSwitchStress(t *testing.T) {
-	c := NewAdaptiveCounter(testNetwork(t), EngineAtomic, nil)
+	c := NewAdaptiveCounter(testNetwork(t), EngineAtomic)
 	const workers, perWorker = 8, 400
 	var stop atomic.Bool
 	var sw sync.WaitGroup
@@ -84,7 +83,7 @@ func TestAdaptiveSwitchStress(t *testing.T) {
 // single-threaded, including re-entering an engine whose issued count
 // is already non-zero.
 func TestAdaptiveSequentialSwitchAccounting(t *testing.T) {
-	c := NewAdaptiveCounter(testNetwork(t), EngineAtomic, nil)
+	c := NewAdaptiveCounter(testNetwork(t), EngineAtomic)
 	h := c.Handle(0).(*AdaptiveHandle)
 	var vals []int64
 	draw := func(n int) {
@@ -111,7 +110,7 @@ func TestAdaptiveSequentialSwitchAccounting(t *testing.T) {
 // TestAdaptiveSwitchToSameEngineIsNoop: no epoch churn, no switch
 // counted.
 func TestAdaptiveSwitchToSameEngineIsNoop(t *testing.T) {
-	c := NewAdaptiveCounter(testNetwork(t), EngineNetwork, nil)
+	c := NewAdaptiveCounter(testNetwork(t), EngineNetwork)
 	c.SwitchTo(EngineNetwork)
 	if c.Switches() != 0 {
 		t.Fatalf("Switches() = %d after no-op switch", c.Switches())
@@ -128,7 +127,7 @@ func TestAdaptiveSwitchToSameEngineIsNoop(t *testing.T) {
 func TestAdaptiveObsOffDifferential(t *testing.T) {
 	net := testNetwork(t)
 	t.Run("next/atomic", func(t *testing.T) {
-		c := NewAdaptiveCounter(net, EngineAtomic, nil)
+		c := NewAdaptiveCounter(net, EngineAtomic)
 		h := c.Handle(0).(*AdaptiveHandle)
 		oracle := NewAtomicCounter()
 		for i := 0; i < 500; i++ {
@@ -138,7 +137,7 @@ func TestAdaptiveObsOffDifferential(t *testing.T) {
 		}
 	})
 	t.Run("next/network", func(t *testing.T) {
-		c := NewAdaptiveCounter(net, EngineNetwork, nil)
+		c := NewAdaptiveCounter(net, EngineNetwork)
 		h := c.Handle(0).(*AdaptiveHandle)
 		oracle := NewNetworkCounter(net, false).Handle(0)
 		for i := 0; i < 500; i++ {
@@ -149,7 +148,7 @@ func TestAdaptiveObsOffDifferential(t *testing.T) {
 	})
 	for _, k := range []EngineKind{EngineAtomic, EngineNetwork, EngineCombining} {
 		t.Run("block/"+k.String(), func(t *testing.T) {
-			c := NewAdaptiveCounter(net, k, nil)
+			c := NewAdaptiveCounter(net, k)
 			h := c.Handle(0).(*AdaptiveHandle)
 			var oracle BlockCounter
 			switch k {
@@ -178,14 +177,12 @@ func TestAdaptiveObsOffDifferential(t *testing.T) {
 // TestAdaptiveUnserved: after one Next the rest of the prefetch block
 // sits in the buffer, and consumed ∪ unserved is gap-free.
 func TestAdaptiveUnserved(t *testing.T) {
-	pol := DefaultAdaptivePolicy()
-	pol.Prefetch[EngineAtomic] = 16
-	c := NewAdaptiveCounter(testNetwork(t), EngineAtomic, &pol)
+	c := NewAdaptiveCounter(testNetwork(t), EngineAtomic)
 	h := c.Handle(0).(*AdaptiveHandle)
 	vals := []int64{h.Next()}
 	un := h.Unserved()
-	if len(un) != 15 {
-		t.Fatalf("Unserved() has %d values, want 15", len(un))
+	if len(un) != atomicPrefetch-1 {
+		t.Fatalf("Unserved() has %d values, want %d", len(un), atomicPrefetch-1)
 	}
 	assertExactRange(t, append(vals, un...))
 }
@@ -201,7 +198,7 @@ func TestAdaptiveAllocFree(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			for _, k := range []EngineKind{EngineAtomic, EngineNetwork, EngineCombining} {
-				c := NewAdaptiveCounter(net, k, nil)
+				c := NewAdaptiveCounter(net, k)
 				if withObs {
 					c.EnableObs("alloc-"+k.String(), obs.NewRegistry())
 				}
@@ -222,7 +219,7 @@ func TestAdaptiveAllocFree(t *testing.T) {
 // TestChooseEngineBands pins the governor's banding, including the
 // hysteresis margins that prevent thrashing at a band edge.
 func TestChooseEngineBands(t *testing.T) {
-	pol := DefaultAdaptivePolicy() // atomic ≤ 2, network ≤ 6, h = 0.3
+	// atomic ≤ 2, network ≤ 6, h = 0.3
 	cases := []struct {
 		cur  EngineKind
 		load float64
@@ -242,7 +239,7 @@ func TestChooseEngineBands(t *testing.T) {
 		{EngineCombining, 0.5, EngineAtomic},
 	}
 	for _, tc := range cases {
-		if got := ChooseEngineForTest(tc.cur, tc.load, &pol); got != tc.want {
+		if got := chooseEngine(tc.cur, tc.load); got != tc.want {
 			t.Errorf("chooseEngine(%v, %.1f) = %v, want %v", tc.cur, tc.load, got, tc.want)
 		}
 	}
@@ -251,66 +248,198 @@ func TestChooseEngineBands(t *testing.T) {
 // TestAdaptiveGovernorRequiresObs: the governor reads and publishes
 // through obs, so starting it blind is an error.
 func TestAdaptiveGovernorRequiresObs(t *testing.T) {
-	c := NewAdaptiveCounter(testNetwork(t), EngineAtomic, nil)
+	c := NewAdaptiveCounter(testNetwork(t), EngineAtomic)
 	if err := c.StartGovernor(); err == nil {
 		t.Fatal("StartGovernor without EnableObs did not error")
 	}
 }
 
-// TestAdaptiveGovernorLive runs the governor against real load and
-// checks the live signals without asserting timing-dependent switch
-// behaviour: values stay distinct (the probes draw real values, so
-// exact-range doesn't apply), the estimate publishes, and Close stops
-// the loop.
+// TestGovernorDecisionStep pins the decision step over scripted
+// ticks: the dwell (one tick beyond an edge does not switch, two
+// consecutive ones do, and a tick back inside the band restarts the
+// count), the hysteresis margins, and the combining block's grow and
+// shrink within its bounds.
+func TestGovernorDecisionStep(t *testing.T) {
+	c := NewAdaptiveCounter(testNetwork(t), EngineAtomic)
+	o := c.EnableObs("decide", obs.NewRegistry())
+	var g govState
+	step := func(load, occ float64, want EngineKind, wantBlock int) {
+		t.Helper()
+		c.decide(&g, GovernorTick{Load: load, Occupancy: occ}, nil, nil)
+		if got := c.Strategy(); got != want {
+			t.Fatalf("after tick {%.2f %.2f}: strategy %v, want %v", load, occ, got, want)
+		}
+		if got := c.CombineBlock(); got != wantBlock {
+			t.Fatalf("after tick {%.2f %.2f}: block %d, want %d", load, occ, got, wantBlock)
+		}
+	}
+	// Dwell: one tick beyond the edge, then one back inside, restarts.
+	step(3, 0, EngineAtomic, 16)
+	step(1, 0, EngineAtomic, 16)
+	step(3, 0, EngineAtomic, 16)
+	if c.Switches() != 0 {
+		t.Fatalf("Switches() = %d before any dwell completed", c.Switches())
+	}
+	step(3, 0, EngineNetwork, 16)
+	if r := o.Reason(); r != "load 3.00 -> network" {
+		t.Fatalf("switch reason %q", r)
+	}
+	// Hysteresis: 1.8 is below the atomic edge of 2 but within 30%.
+	step(1.8, 0, EngineNetwork, 16)
+	step(1.8, 0, EngineNetwork, 16)
+	// Upward: 7 is in the combining band but within 6×1.3; the block
+	// is not retuned while another engine is active.
+	step(7, 2, EngineNetwork, 16)
+	step(7, 2, EngineNetwork, 16)
+	step(9, 2, EngineNetwork, 16)
+	step(9, 2, EngineCombining, 16)
+	// Block: doubles at occupancy ≥ 1.5 up to 64, halves at ≤ 0.75
+	// down to 8, holds between and when no pass ran.
+	step(9, 1.5, EngineCombining, 32)
+	step(9, 3, EngineCombining, 64)
+	step(9, 3, EngineCombining, 64)
+	step(9, 1, EngineCombining, 64)
+	step(9, 0, EngineCombining, 64)
+	step(9, 0.75, EngineCombining, 32)
+	step(9, 0.5, EngineCombining, 16)
+	step(9, 0.5, EngineCombining, 8)
+	step(9, 0.5, EngineCombining, 8)
+	if got := o.Block.Load(); got != 8 {
+		t.Fatalf("combine_block gauge = %d, want 8", got)
+	}
+	// Downward hysteresis from combining: 5 stays, 0.5 drops to atomic.
+	step(5, 0, EngineCombining, 8)
+	step(5, 0, EngineCombining, 8)
+	step(0.5, 0, EngineCombining, 8)
+	step(0.5, 0, EngineAtomic, 8)
+	if c.Switches() != 3 {
+		t.Fatalf("Switches() = %d, want 3", c.Switches())
+	}
+}
+
+// TestAdaptiveGovernorLive runs the governor for at least ten
+// intervals against mixed live traffic — prefetching Next, NextBlock
+// of varying sizes and the counter-level Next and NextBlock — while a
+// scripted decision step forces switches and block retunes beside it.
+// After Close, consumed ∪ unserved must be exactly 0..N-1: the
+// governor draws nothing of its own. The load signal must have been
+// sampled into draw_ns at period SampleEvery and published as
+// est_load_milli.
 func TestAdaptiveGovernorLive(t *testing.T) {
-	pol := DefaultAdaptivePolicy()
-	pol.Interval = 200 * time.Microsecond
-	pol.DwellTicks = 1
-	c := NewAdaptiveCounter(testNetwork(t), EngineAtomic, &pol)
+	c := NewAdaptiveCounter(testNetwork(t), EngineAtomic)
 	reg := obs.NewRegistry()
-	c.EnableObs("governed", reg)
+	o := c.EnableObs("governed", reg)
 	if err := c.StartGovernor(); err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	const workers, perWorker = 8, 2000
-	out := make([][]int64, workers)
+	var stop atomic.Bool
+	const workers = 6
+	out := make([][]int64, workers+1)
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			h := c.Handle(g + 2).(*AdaptiveHandle)
-			vals := make([]int64, 0, perWorker)
-			for i := 0; i < perWorker; i++ {
+			h := c.Handle(g).(*AdaptiveHandle)
+			var vals []int64
+			var dst [64]int64
+			sizes := []int{1, 3, 16, 64, 5}
+			for i := 0; !stop.Load(); i++ {
+				if i%4 == 3 {
+					n := sizes[(i/4)%len(sizes)]
+					h.NextBlock(dst[:n])
+					vals = append(vals, dst[:n]...)
+					continue
+				}
 				vals = append(vals, h.Next())
 			}
 			out[g] = append(vals, h.Unserved()...)
 		}(g)
 	}
+	wg.Add(2)
+	go func() { // counter-level draws through the shared direct handle
+		defer wg.Done()
+		var vals []int64
+		var dst [7]int64
+		for i := 0; !stop.Load(); i++ {
+			if i%2 == 0 {
+				vals = append(vals, c.Next())
+				continue
+			}
+			c.NextBlock(dst[:])
+			vals = append(vals, dst[:]...)
+		}
+		out[workers] = vals
+	}()
+	go func() { // scripted ticks beside the real governor
+		defer wg.Done()
+		script := []GovernorTick{{Load: 3}, {Load: 3}, {Load: 9}, {Load: 9},
+			{Load: 9, Occupancy: 2}, {Load: 9, Occupancy: 0.5}, {Load: 0.5}, {Load: 0.5}}
+		var g govState
+		for i := 0; !stop.Load(); i++ {
+			c.decide(&g, script[i%len(script)], nil, nil)
+			time.Sleep(govInterval / 4)
+		}
+	}()
+	// The estimate is read while traffic runs: a tick after the
+	// workers stop publishes a true load of 0. Oversubscribed, the
+	// ticking goroutines may wait a whole preemption slice per tick, so
+	// the window also lasts until the script has switched a few times.
+	var est int64
+	start := time.Now()
+	for time.Since(start) < 10*govInterval || est == 0 || c.Switches() < 3 {
+		if time.Since(start) > 10*time.Second {
+			stop.Store(true)
+			wg.Wait()
+			t.Fatalf("after 10s: load estimate %d milli, %d switches", est, c.Switches())
+		}
+		time.Sleep(govInterval)
+		if v := o.LoadMilli.Load(); v != 0 {
+			est = v
+		}
+	}
+	stop.Store(true)
 	wg.Wait()
+	c.Close()
+
 	var all []int64
 	for _, vs := range out {
 		all = append(all, vs...)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	for i := 1; i < len(all); i++ {
-		if all[i] == all[i-1] {
-			t.Fatalf("duplicate value %d issued under governed switching", all[i])
-		}
-	}
-	if k := c.Strategy(); k < 0 || k >= 3 {
-		t.Fatalf("Strategy() = %v out of range", k)
-	}
-	s := reg.Snapshot()
-	g := s.Group("governed")
+	all = append(all, c.dir.Unserved()...)
+	assertExactRange(t, all)
+
+	snap := reg.Snapshot()
+	g := snap.Group("governed")
 	if g == nil {
 		t.Fatal("governed group missing from snapshot")
 	}
 	if g.Kind != "adaptive" {
 		t.Fatalf("group kind = %q, want adaptive", g.Kind)
 	}
+	var draw *obs.HistSnapshot
+	for i := range g.Hists {
+		if g.Hists[i].Name == "draw_ns" {
+			draw = &g.Hists[i].Hist
+		}
+	}
+	if draw == nil || draw.Count == 0 {
+		t.Fatalf("draw_ns has no samples: %+v", draw)
+	}
+	if draw.Period() != obs.SampleEvery {
+		t.Fatalf("draw_ns period = %d, want %d", draw.Period(), obs.SampleEvery)
+	}
+	exported := false
+	for _, m := range g.Gauges {
+		exported = exported || m.Name == "est_load_milli"
+	}
+	if !exported {
+		t.Fatalf("est_load_milli gauge missing: %+v", g.Gauges)
+	}
+	t.Logf("%d values, %d switches, %d draw_ns samples, load estimate %.3f over %v",
+		len(all), c.Switches(), draw.Count, float64(est)/1000, time.Since(start))
 	c.Close() // idempotent with the deferred Close
 }
 
@@ -318,7 +447,7 @@ func TestAdaptiveGovernorLive(t *testing.T) {
 // strings the netmon table and Prometheus exposition rely on.
 func TestAdaptiveObsSnapshot(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := NewAdaptiveCounter(testNetwork(t), EngineAtomic, nil)
+	c := NewAdaptiveCounter(testNetwork(t), EngineAtomic)
 	c.EnableObs("adapt", reg)
 	h := c.Handle(0).(*AdaptiveHandle)
 	for i := 0; i < 40; i++ {

@@ -1,9 +1,9 @@
 // Schedule-exploration suite for the adaptive counter: the shipped
 // draw, prefetch, epoch handoff (seal → drain → fence → install racing
-// against publish → seal-check draws) and combining slot protocol run
-// under controlled interleavings, and at quiescence the values
-// consumed plus those still buffered in handles must be exactly 0..N-1
-// across atomic↔network↔combining switches. Lives in package
+// against publish → seal-check draws), governor decision step and
+// combining slot protocol run under controlled interleavings, and at
+// quiescence the values consumed plus those still buffered in handles
+// must be exactly 0..N-1 across atomic↔network↔combining switches. Lives in package
 // counter_test because sched imports counter.
 package counter_test
 
@@ -16,35 +16,27 @@ import (
 	"countnet/internal/sched"
 )
 
-// perDraw makes every draw cross the epoch protocol: a one-value
-// refill for every engine, so each Next is its own epoch entry.
-var perDraw = func() *counter.AdaptivePolicy {
-	p := counter.DefaultAdaptivePolicy()
-	p.Prefetch = [3]int{1, 1, 1}
-	return &p
-}()
-
-// explorePolicies are the policies every transition exploration runs
-// under: perDraw (today's per-draw coverage) and the default policy,
-// whose prefetch buffers are the shipped Next path.
-var explorePolicies = []struct {
-	name string
-	pol  *counter.AdaptivePolicy
+// exploreBlocks are the drawer shapes every transition exploration
+// runs under: one-value draws, each its own crossing of the epoch
+// protocol, and prefetching Next, the shipped buffer path.
+var exploreBlocks = []struct {
+	name   string
+	blocks []int
 }{
-	{"prefetch1", perDraw},
-	{"default", nil},
+	{"draw1", []int{1, 1}},
+	{"prefetch", []int{0, 0}},
 }
 
 // adaptiveBuild returns a builder for a fresh adaptive counter on the
-// given initial engine and policy over K(2,2).
-func adaptiveBuild(t *testing.T, initial counter.EngineKind, pol *counter.AdaptivePolicy) func() *counter.AdaptiveCounter {
+// given initial engine over K(2,2).
+func adaptiveBuild(t *testing.T, initial counter.EngineKind) func() *counter.AdaptiveCounter {
 	t.Helper()
 	net, err := core.K(2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return func() *counter.AdaptiveCounter {
-		return counter.NewAdaptiveCounter(net, initial, pol)
+		return counter.NewAdaptiveCounter(net, initial)
 	}
 }
 
@@ -65,10 +57,10 @@ func TestAdaptiveTransitionsExplored(t *testing.T) {
 		{"network->combining->network", counter.EngineNetwork,
 			[]counter.EngineKind{counter.EngineCombining, counter.EngineNetwork}},
 	}
-	for _, p := range explorePolicies {
+	for _, p := range exploreBlocks {
 		for _, tc := range plans {
 			name := p.name + " " + tc.name
-			sys := sched.AdaptiveSystem(adaptiveBuild(t, tc.initial, p.pol), []int{0, 0}, 2, sched.SwitchPlan(tc.plan...))
+			sys := sched.AdaptiveSystem(adaptiveBuild(t, tc.initial), p.blocks, 2, sched.SwitchPlan(tc.plan...))
 			if rep := sched.ExploreRandom(sys, 0xadab, 200, 30_000); rep.Failure != nil {
 				t.Errorf("%s random: %s", name, rep.Failure)
 			}
@@ -88,8 +80,8 @@ func TestAdaptiveTransitionsExplored(t *testing.T) {
 // from its previous epoch.
 func TestAdaptiveRevisitsEngineExplored(t *testing.T) {
 	sw := sched.SwitchPlan(counter.EngineNetwork, counter.EngineAtomic)
-	for _, p := range explorePolicies {
-		sys := sched.AdaptiveSystem(adaptiveBuild(t, counter.EngineAtomic, p.pol), []int{0, 0}, 2, sw)
+	for _, p := range exploreBlocks {
+		sys := sched.AdaptiveSystem(adaptiveBuild(t, counter.EngineAtomic), p.blocks, 2, sw)
 		if rep := sched.ExploreRandom(sys, 0xcafe, 300, 30_000); rep.Failure != nil {
 			t.Errorf("%s random: %s", p.name, rep.Failure)
 		}
@@ -106,8 +98,8 @@ func TestAdaptiveRevisitsEngineExplored(t *testing.T) {
 func TestAdaptiveConcurrentSwitchersExplored(t *testing.T) {
 	a := sched.SwitchPlan(counter.EngineNetwork, counter.EngineCombining)
 	b := sched.SwitchPlan(counter.EngineCombining, counter.EngineAtomic)
-	for _, p := range explorePolicies {
-		sys := sched.AdaptiveSystem(adaptiveBuild(t, counter.EngineAtomic, p.pol), []int{0, 0}, 2, a, b)
+	for _, p := range exploreBlocks {
+		sys := sched.AdaptiveSystem(adaptiveBuild(t, counter.EngineAtomic), p.blocks, 2, a, b)
 		if rep := sched.ExploreRandom(sys, 0x5e1c, 200, 30_000); rep.Failure != nil {
 			t.Errorf("%s random: %s", p.name, rep.Failure)
 		}
@@ -122,13 +114,12 @@ func TestAdaptiveConcurrentSwitchersExplored(t *testing.T) {
 
 // TestCombiningSlotProtocolExplored explores the combining slot
 // protocol on its own: a counter that starts on combining with no
-// switcher, three handles drawing blocks of 1 (through the prefetch
-// buffer), 2 and 3 values. Handles publish, race for the combiner lock
+// switcher, three handles drawing blocks of 1, 2 and 3 values. Handles publish, race for the combiner lock
 // with TryLock, and the winner drains every pending slot and flips
 // each done; a combiner that served a slot it never collected, or
 // missed one it did, surfaces as a gap or duplicate.
 func TestCombiningSlotProtocolExplored(t *testing.T) {
-	sys := sched.AdaptiveSystem(adaptiveBuild(t, counter.EngineCombining, perDraw), []int{0, 2, 3}, 2)
+	sys := sched.AdaptiveSystem(adaptiveBuild(t, counter.EngineCombining), []int{1, 2, 3}, 2)
 	if rep := sched.ExploreRandom(sys, 0xc0b1, 300, 30_000); rep.Failure != nil {
 		t.Errorf("random: %s", rep.Failure)
 	}
@@ -150,10 +141,60 @@ func TestAdaptiveUndrainedSwitchRefuted(t *testing.T) {
 	undrained := func(c *counter.AdaptiveCounter, y *sched.Yield) {
 		c.UndrainedSwitchHookedForTest(counter.EngineNetwork, y.Step, y.Block)
 	}
-	sys := sched.AdaptiveSystem(adaptiveBuild(t, counter.EngineAtomic, perDraw), []int{0, 0}, 2, undrained)
+	sys := sched.AdaptiveSystem(adaptiveBuild(t, counter.EngineAtomic), []int{1, 1}, 2, undrained)
 	rep := sched.ExploreRandom(sys, 7, 10_000, 30_000)
 	if rep.Failure == nil {
 		t.Fatal("undrained engine switch not detected by exploration")
+	}
+	if !strings.Contains(rep.Failure.Err.Error(), "gap-free") {
+		t.Fatalf("unexpected failure: %v", rep.Failure.Err)
+	}
+	t.Logf("detected in %d schedule(s): %v", rep.Schedules, rep.Failure.Err)
+}
+
+// governScript walks the governor's decision step atomic → network →
+// combining → atomic, two agreeing ticks per switch (the dwell), with
+// a block grow and shrink while combining is active.
+var governScript = []counter.GovernorTick{
+	{Load: 3}, {Load: 3},
+	{Load: 9}, {Load: 9},
+	{Load: 9, Occupancy: 2}, {Load: 9, Occupancy: 0.5},
+	{Load: 0.5}, {Load: 0.5},
+}
+
+// TestAdaptiveGovernorExplored runs the shipped governor decision step
+// as a task beside the drawers: its engine read, block retunes and
+// switches interleave with draws, and consumed ∪ unserved must stay
+// exactly 0..N-1 — the governor mints no values of its own.
+func TestAdaptiveGovernorExplored(t *testing.T) {
+	for _, p := range exploreBlocks {
+		sys := sched.AdaptiveSystem(adaptiveBuild(t, counter.EngineAtomic), p.blocks, 2, sched.GovernPlan(governScript...))
+		if rep := sched.ExploreRandom(sys, 0x90e7, 200, 30_000); rep.Failure != nil {
+			t.Errorf("%s random: %s", p.name, rep.Failure)
+		}
+		if rep := sched.ExplorePCT(sys, 0x90e7, 200, 30_000, 3, 3); rep.Failure != nil {
+			t.Errorf("%s pct: %s", p.name, rep.Failure)
+		}
+		rep := sched.ExploreDFS(sys, 1, 20_000, 30_000)
+		if rep.Failure != nil {
+			t.Errorf("%s dfs: %s", p.name, rep.Failure)
+		}
+		t.Logf("%s: dfs covered %d schedules", p.name, rep.Schedules)
+	}
+}
+
+// TestAdaptiveProbingGovernorRefuted gives the governor exploration its
+// teeth: a decision step that also draws one probe value per tick and
+// discards it leaves a value no caller holds, and exploration must
+// report the range as not gap-free.
+func TestAdaptiveProbingGovernorRefuted(t *testing.T) {
+	probing := func(c *counter.AdaptiveCounter, y *sched.Yield) {
+		c.ProbingGovernHookedForTest(governScript, y.Step, y.Block)
+	}
+	sys := sched.AdaptiveSystem(adaptiveBuild(t, counter.EngineAtomic), []int{1, 1}, 2, probing)
+	rep := sched.ExploreRandom(sys, 7, 10_000, 30_000)
+	if rep.Failure == nil {
+		t.Fatal("probing governor not detected by exploration")
 	}
 	if !strings.Contains(rep.Failure.Err.Error(), "gap-free") {
 		t.Fatalf("unexpected failure: %v", rep.Failure.Err)

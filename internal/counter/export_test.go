@@ -18,9 +18,20 @@ func (c *AdaptiveCounter) UndrainedSwitchHookedForTest(kind EngineKind, yield fu
 	c.install(e, kind, "undrained", yield)
 }
 
-// ChooseEngineForTest exposes the governor's banding decision.
-func ChooseEngineForTest(cur EngineKind, load float64, pol *AdaptivePolicy) EngineKind {
-	return chooseEngine(cur, load, pol)
+// ProbingGovernHookedForTest is the refuted governor for
+// TestAdaptiveProbingGovernorRefuted: GovernHooked plus one discarded
+// draw per tick through a handle of its own, as a governor that timed
+// probe draws to measure latency would take. It runs the shipped
+// decision step, so the values its probe mints and no caller receives
+// are its only difference from the explored governor.
+func (c *AdaptiveCounter) ProbingGovernHookedForTest(ticks []GovernorTick, yield func(op string), block func(op string, ready func() bool)) {
+	probe := c.Handle(1).(*AdaptiveHandle)
+	var discard [1]int64
+	var g govState
+	for _, t := range ticks {
+		probe.DrawHooked(discard[:], yield, block)
+		c.decide(&g, t, yield, block)
+	}
 }
 
 // TicketArriveHookedForTest is the refuted barrier rule for

@@ -40,9 +40,10 @@ func FuzzCounterSchedules(f *testing.F) {
 }
 
 // FuzzAdaptiveSchedules drives the adaptive counter's transition
-// window — concurrent draws racing a switcher that walks atomic →
-// network → combining → atomic — through fuzz-chosen interleavings,
-// with one-value refills so every draw crosses the epoch protocol.
+// window — concurrent one-value draws, each crossing the epoch
+// protocol, racing a switcher that walks atomic → network → combining
+// → atomic and the governor's decision step over a scripted load —
+// through fuzz-chosen interleavings.
 // Unlike the plain counter workload the adaptive one blocks (epoch
 // turnover, drain), so the decoder only ever picks among runnable
 // tasks; any reported error is still a real bug, and the gap-free
@@ -57,8 +58,10 @@ func FuzzAdaptiveSchedules(f *testing.F) {
 		f.Fatal(err)
 	}
 	sys := sched.AdaptiveSystem(func() *counter.AdaptiveCounter {
-		return counter.NewAdaptiveCounter(net, counter.EngineAtomic, perDraw)
-	}, []int{0, 0}, 2, sched.SwitchPlan(counter.EngineNetwork, counter.EngineCombining, counter.EngineAtomic))
+		return counter.NewAdaptiveCounter(net, counter.EngineAtomic)
+	}, []int{1, 1}, 2,
+		sched.SwitchPlan(counter.EngineNetwork, counter.EngineCombining, counter.EngineAtomic),
+		sched.GovernPlan(governScript...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tasks, check := sys()
 		tr, err := sched.Run(&sched.ByteDecoder{Data: data}, 30_000, tasks)

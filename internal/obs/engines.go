@@ -82,14 +82,15 @@ func (o *CombineObs) GroupSnapshot() GroupSnapshot {
 
 // AdaptiveObs observes the adaptive counter front-end: which engine is
 // active, how often and why it switched, the governor's load estimate,
-// and the probe latencies the estimate rests on. The draw fast path
-// writes nothing here — issued-value totals come from the counter's
-// own per-handle slots via OpsFn, so observation stays allocation- and
-// contention-free while the strategy gauges track the governor.
+// and the draw latencies the estimate rests on. The draw path writes
+// here for one draw in SampleEvery — each handle times that draw into
+// DrawNs — and issued-value totals come from the engines' own counts
+// via OpsFn, so observation stays allocation-free and adds no shared
+// write to an unsampled draw.
 type AdaptiveObs struct {
 	name string
-	// OpsFn reports total values issued (sum of per-handle slot
-	// counters); set by the owning counter when obs is enabled.
+	// OpsFn reports total values issued (the sum of the engines'
+	// issued counts); set by the owning counter when obs is enabled.
 	OpsFn func() int64
 	// StrategyFn resolves the current engine id to its name; set by
 	// the owning counter (keeps obs free of an engine-name table).
@@ -99,14 +100,14 @@ type AdaptiveObs struct {
 	Switches  PaddedCount  // completed strategy transitions
 	LoadMilli atomic.Int64 // governor load estimate ×1000 (gauge)
 	Block     atomic.Int64 // current combining prefetch block (gauge)
-	ProbeNs   *Hist        // governor probe: per-value draw latency
+	DrawNs    *Hist        // handle draw latency, sampled 1 in SampleEvery
 
 	reason atomic.Pointer[string] // last switch reason
 }
 
 // NewAdaptiveObs builds adaptive obs.
 func NewAdaptiveObs(name string) *AdaptiveObs {
-	return &AdaptiveObs{name: name, ProbeNs: NewHist()}
+	return &AdaptiveObs{name: name, DrawNs: NewSampledHist()}
 }
 
 // SetReason records why the last switch happened.
@@ -133,7 +134,7 @@ func (o *AdaptiveObs) GroupSnapshot() GroupSnapshot {
 			{Name: "est_load_milli", Value: o.LoadMilli.Load()},
 			{Name: "combine_block", Value: o.Block.Load()},
 		},
-		Hists: []HistMetric{{Name: "probe_ns", Hist: o.ProbeNs.Snapshot()}},
+		Hists: []HistMetric{{Name: "draw_ns", Hist: o.DrawNs.Snapshot()}},
 	}
 	if o.OpsFn != nil {
 		g.Counters = append([]Metric{{Name: "ops", Value: o.OpsFn()}}, g.Counters...)

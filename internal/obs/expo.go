@@ -8,9 +8,9 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 )
 
 // Exposition: a registry snapshot rendered three ways —
@@ -145,36 +145,43 @@ func appendPrometheus(b []byte, s Snapshot) []byte {
 	return b
 }
 
-// appendLabel appends sep, then key="value" with the value quoted as
-// Go's strconv.Quote does (escaped quotes, backslashes and control
-// characters). A newline is first spelled as the two characters \n,
-// so no label value ever breaks a line.
+// appendLabel appends sep, then key="value" with the value escaped as
+// the Prometheus text format defines: a backslash, a double quote and
+// a newline become \\, \" and \n. Every other byte passes through,
+// except that an invalid UTF-8 byte becomes U+FFFD. Runs of plain
+// bytes are appended whole, so names that need no escaping (group,
+// metric and engine names) cost one copy.
 func appendLabel(b []byte, sep byte, key, v string) []byte {
 	b = append(b, sep)
 	b = append(b, key...)
-	b = append(b, '=')
-	if plainLabel(v) {
-		b = append(b, '"')
-		b = append(b, v...)
-		return append(b, '"')
-	}
-	if strings.IndexByte(v, '\n') >= 0 {
-		v = strings.ReplaceAll(v, "\n", `\n`)
-	}
-	return strconv.AppendQuote(b, v)
-}
-
-// plainLabel reports whether strconv.Quote would leave v's bytes as
-// they are: printable ASCII other than the quote and the backslash.
-// Group, metric and engine names all are, so they skip the rune-wise
-// quoting.
-func plainLabel(v string) bool {
+	b = append(b, '=', '"')
+	plain := 0 // start of the pending run of plain bytes
 	for i := 0; i < len(v); i++ {
-		if c := v[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
-			return false
+		c := v[i]
+		if c < utf8.RuneSelf && c != '\\' && c != '"' && c != '\n' {
+			continue
 		}
+		var esc string
+		switch c {
+		case '\\':
+			esc = `\\`
+		case '"':
+			esc = `\"`
+		case '\n':
+			esc = `\n`
+		default:
+			if r, n := utf8.DecodeRuneInString(v[i:]); r != utf8.RuneError || n > 1 {
+				i += n - 1 // a valid rune, U+FFFD included, passes through
+				continue
+			}
+			esc = "\uFFFD"
+		}
+		b = append(b, v[plain:i]...)
+		b = append(b, esc...)
+		plain = i + 1
 	}
-	return true
+	b = append(b, v[plain:]...)
+	return append(b, '"')
 }
 
 // appendIntLabel appends ,key="n".

@@ -10,7 +10,9 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -208,16 +210,49 @@ func TestHandlerEndpoints(t *testing.T) {
 	}
 }
 
+// publishRuns numbers TestPublishExpvarOnce's invocations: expvar
+// names are process-global and -count reruns a test in one process,
+// so each run publishes under a name of its own.
+var publishRuns atomic.Int64
+
 func TestPublishExpvarOnce(t *testing.T) {
+	name := "countnet_test_once_" + strconv.FormatInt(publishRuns.Add(1), 10)
 	r := testRegistry()
-	if !r.PublishExpvar("countnet_test_once") {
+	if !r.PublishExpvar(name) {
 		t.Fatal("first publish refused")
 	}
-	if r.PublishExpvar("countnet_test_once") {
+	if r.PublishExpvar(name) {
 		t.Fatal("second publish of the same name must be refused, not panic")
 	}
-	if NewRegistry().PublishExpvar("countnet_test_once") {
+	if NewRegistry().PublishExpvar(name) {
 		t.Fatal("other registry must not steal a published name")
+	}
+}
+
+// TestPrometheusLabelEscaping pins label values to the text format's
+// escapes: exactly backslash, double quote and newline are escaped,
+// every other byte passes through, and an invalid UTF-8 byte becomes
+// U+FFFD.
+func TestPrometheusLabelEscaping(t *testing.T) {
+	cases := []struct{ in, want string }{
+		{"plain", `v="plain"`},
+		{"", `v=""`},
+		{`a\b`, `v="a\\b"`},
+		{`say "hi"`, `v="say \"hi\""`},
+		{"line1\nline2", `v="line1\nline2"`},
+		{"\n", `v="\n"`},
+		{"ctl\x01\t\r", "v=\"ctl\x01\t\r\""},
+		{"ünï €", `v="ünï €"`},
+		{"bad\xffbyte", "v=\"bad\uFFFDbyte\""},
+		{"cut\xe2\x82", "v=\"cut\uFFFD\uFFFD\""},
+		{"\uFFFD", "v=\"\uFFFD\""},
+		{"\\\"\n\x80", "v=\"\\\\\\\"\\n\uFFFD\""},
+	}
+	for _, tc := range cases {
+		got := string(appendLabel(nil, '{', "v", tc.in))
+		if want := "{" + tc.want; got != want {
+			t.Errorf("label %q renders %s, want %s", tc.in, got, want)
+		}
 	}
 }
 

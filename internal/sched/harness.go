@@ -277,13 +277,14 @@ func LinearizabilityWitness(net *network.Network) (desc string, vA, vB int64, fo
 // AdaptiveSystem runs one drawing task per entry of blocks, each
 // making opsPer draws through its own handle of one
 // counter.AdaptiveCounter (built fresh per schedule by build, so tests
-// control the initial engine and the policy): a zero block draws
+// control the initial engine): a zero block draws
 // single values with NextHooked, through the handle's prefetch buffer;
 // a block k > 0 draws k values at a time with DrawHooked. Each
-// switcher runs as one more task (see SwitchPlan). Every shared step
-// of the shipped draw, prefetch, switch and combine paths — epoch
-// load, slot publish, seal check, the seal, the per-slot drain, the
-// fence/install, each balancer and exit claim, the combiner lock
+// switcher runs as one more task (see SwitchPlan and GovernPlan).
+// Every shared step of the shipped draw, prefetch, switch, governor
+// and combine paths — epoch load, slot publish, seal check, the seal,
+// the per-slot drain, the fence/install, the governor's engine read
+// and block retune, each balancer and exit claim, the combiner lock
 // attempt and done flips — is a scheduling point, so exploration
 // covers draws racing arbitrarily with each other and with
 // transitions. At quiescence the values consumed plus those still
@@ -340,6 +341,16 @@ func SwitchPlan(plan ...counter.EngineKind) func(c *counter.AdaptiveCounter, y *
 		for _, kind := range plan {
 			c.SwitchToHooked(kind, y.Step, y.Block)
 		}
+	}
+}
+
+// GovernPlan is an AdaptiveSystem switcher that runs the shipped
+// governor decision step (GovernHooked) over the scripted ticks, so
+// its engine switches and combining block retunes interleave with the
+// drawers.
+func GovernPlan(script ...counter.GovernorTick) func(c *counter.AdaptiveCounter, y *Yield) {
+	return func(c *counter.AdaptiveCounter, y *Yield) {
+		c.GovernHooked(script, y.Step, y.Block)
 	}
 }
 
