@@ -478,8 +478,10 @@ func BenchmarkTraverseBatch(b *testing.B) {
 // they opt in) and with it recording (obs=on). The obs=off rows must
 // track the seed benchmarks within noise; `make bench-obs` commits
 // both sides to BENCH_obs.json and benchjson -overhead reports the
-// ratio. The flight=off/flight=on pair guards the flight recorder the
-// same way at its block-lease granularity.
+// ratio. A bare network's walks read no clock, so its traverse pair
+// runs the same code on both sides and guards that it stays so. The
+// flight=off/flight=on pair guards the flight recorder the same way at
+// its block-lease granularity.
 func BenchmarkObsOverhead(b *testing.B) {
 	n, err := core.L(4, 4)
 	if err != nil {

@@ -95,8 +95,8 @@ func (c *CombiningCounter) Width() int { return int(c.width) }
 // registers it with r (obs.Default when nil). Idempotent; call before
 // the counter sees concurrent traffic. When enabled, each combine pass
 // records its queue depth, values served and latency, handles count
-// their spin retries, and the underlying network records batch sizes;
-// per-gate token counts are read from the balancers themselves.
+// their spin retries, and per-gate token counts are read from the
+// balancers themselves; the batch traversal itself records nothing.
 func (c *CombiningCounter) EnableObs(name string, r *obs.Registry) *obs.CombineObs {
 	if c.watch == nil {
 		c.watch = obs.NewCombineObs(name, c.async.EnableObs(name))
@@ -339,10 +339,10 @@ func (c *CombiningCounter) issued() int64 {
 //
 //netvet:hotpath
 func (c *CombiningCounter) combineLocked(n int, yield func(op string)) []Run {
-	// Observability is woven into this body (Traverse instead reads the
-	// clock around its walk) because a pass already amortizes a whole
-	// batch traversal: the nil-checks below are noise next to the work
-	// they guard.
+	// Observability is woven into this body, the batch traversal's only
+	// production caller, because a pass already amortizes a whole batch
+	// traversal: the nil-checks below are noise next to the work they
+	// guard.
 	o := c.watch
 	var start int64
 	if o != nil {

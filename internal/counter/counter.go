@@ -122,11 +122,11 @@ func (c *NetworkCounter) Width() int { return c.width }
 // registers it with r (obs.Default when nil). Idempotent; call before
 // the counter sees concurrent traffic. When enabled, one issued value
 // in obs.SampleEvery records a Next-latency and a traversal-latency
-// sample, chosen by the handle's own draw count (or, for Next, the
-// shared dispatch sequence number); the rest read no clock. The "ops"
-// count and the per-gate token counts are exact: they are read from
-// the counter's and the network's own state, so they include traffic
-// from before the call.
+// sample from one start, chosen by the handle's own draw count (or,
+// for Next, the shared dispatch sequence number); the rest run the
+// obs-off step and read no clock. The "ops" count and the per-gate
+// token counts are exact: they are read from the counter's and the
+// network's own state, so they include traffic from before the call.
 func (c *NetworkCounter) EnableObs(name string, r *obs.Registry) *obs.CounterObs {
 	if c.watch == nil {
 		c.watch = obs.NewCounterObs(name, c.async.EnableObs(name), c.issued)
@@ -151,8 +151,8 @@ func (c *NetworkCounter) EnableObs(name string, r *obs.Registry) *obs.CounterObs
 //netvet:hotpath
 func (c *NetworkCounter) Next() int64 {
 	wire, seq := c.dispatch()
-	if o := c.watch; o != nil {
-		return c.observed(o, wire, obs.Sampled(seq))
+	if o := c.watch; o != nil && obs.Sampled(seq) {
+		return c.timed(o, wire)
 	}
 	return c.step(wire, nil)
 }
@@ -175,26 +175,19 @@ func (c *NetworkCounter) NextBlock(dst []int64) {
 	}
 }
 
-// observed is the obs-on draw. A sampled value runs the timed step
-// (its traversal records traverse_ns) and records next_ns; any other
-// value walks the network without reading the clock, so it costs what
-// an obs-off draw costs plus the lock-mode contention count.
+// timed is the sampled obs-on draw: the step with three clock reads,
+// so next_ns and traverse_ns time the same value from one start. Every
+// other draw, obs on or off, runs step and reads no clock.
 //
 //netvet:hotpath
-func (c *NetworkCounter) observed(o *obs.CounterObs, wire int, sampled bool) int64 {
-	if sampled {
-		start := obs.Now()
-		v := c.step(wire, nil)
-		o.NextNs.ObserveSince(start)
-		return v
-	}
-	var pos int
-	if c.useMu {
-		pos = c.async.WalkMutex(wire)
-	} else {
-		pos = c.async.Walk(wire)
-	}
-	return c.exit(pos)
+func (c *NetworkCounter) timed(o *obs.CounterObs, wire int) int64 {
+	start := obs.Now()
+	pos := c.walk(wire, nil)
+	walked := obs.Now()
+	v := c.exit(pos)
+	o.TraverseNs.Observe(walked - start)
+	o.NextNs.ObserveSince(start)
+	return v
 }
 
 // NextOnHooked issues a value entering on the given wire with schedule
@@ -206,25 +199,35 @@ func (c *NetworkCounter) NextOnHooked(wire int, yield func(op string)) int64 {
 	return c.step(wire, yield)
 }
 
-// step is the per-value body shared by every draw path: one token
-// through the network, then one fetch-and-add on the exit wire's local
-// counter. A non-nil yield selects the hooked atomic walk and runs
-// before the local fetch too.
+// step is the per-value body shared by every unsampled draw path: one
+// token through the network, then one fetch-and-add on the exit wire's
+// local counter. A non-nil yield selects the hooked atomic walk and
+// runs before the local fetch too.
 //
 //netvet:hotpath
 func (c *NetworkCounter) step(wire int, yield func(op string)) int64 {
-	var pos int
-	switch {
-	case yield != nil:
-		pos = c.async.TraverseHooked(wire, yield)
+	pos := c.walk(wire, yield)
+	if yield != nil {
 		//netvet:allow hotpath escape -- sched-hooked lane only; production callers pass a nil yield
 		yield(fmt.Sprintf("local %d", pos))
-	case c.useMu:
-		pos = c.async.TraverseMutex(wire)
-	default:
-		pos = c.async.Traverse(wire)
 	}
 	return c.exit(pos)
+}
+
+// walk is the counter's one balancer-mode switch: the hooked atomic
+// walk under a non-nil yield, else the lock or the atomic walk. With
+// observability on, the lock walk counts contended acquisitions.
+//
+//netvet:hotpath
+func (c *NetworkCounter) walk(wire int, yield func(op string)) int {
+	switch {
+	case yield != nil:
+		return c.async.TraverseHooked(wire, yield)
+	case c.useMu:
+		return c.async.TraverseMutex(wire)
+	default:
+		return c.async.Traverse(wire)
+	}
 }
 
 // exit takes the token's value from the local counter of the output
@@ -281,7 +284,9 @@ type handle struct {
 func (h *handle) Next() int64 {
 	if o := h.c.watch; o != nil {
 		h.tick++
-		return h.c.observed(o, h.advance(), obs.Sampled(h.tick))
+		if obs.Sampled(h.tick) {
+			return h.c.timed(o, h.advance())
+		}
 	}
 	return h.c.step(h.advance(), nil)
 }

@@ -146,7 +146,7 @@ func TestCounterObsConcurrent(t *testing.T) {
 		t.Errorf("ops = %d, want %d", got, workers*perWorker)
 	}
 	const samples = workers * (perWorker / obs.SampleEvery) // Σ⌊ops_h/64⌋
-	for name, h := range map[string]*obs.Hist{"next_ns": o.NextNs, "traverse_ns": o.Net.TraverseNs} {
+	for name, h := range map[string]*obs.Hist{"next_ns": o.NextNs, "traverse_ns": o.TraverseNs} {
 		s := h.Snapshot()
 		if s.Count != samples || s.Every != obs.SampleEvery {
 			t.Errorf("%s: %d samples at period %d, want %d at %d", name, s.Count, s.Every, samples, obs.SampleEvery)
@@ -200,8 +200,38 @@ func TestSharedNextSamplesBySequence(t *testing.T) {
 		if n := o.NextNs.Snapshot().Count; n != shared+1 {
 			t.Fatalf("mutex=%v: %d samples, want %d after the handle's 64th draw", mutex, n, shared+1)
 		}
-		if n := o.Net.TraverseNs.Snapshot().Count; n != shared+1 {
+		if n := o.TraverseNs.Snapshot().Count; n != shared+1 {
 			t.Fatalf("mutex=%v: %d traverse_ns samples, want %d (one per timed value)", mutex, n, shared+1)
+		}
+	}
+}
+
+// TestTimedPairsNextAndTraverse: a timed value records next_ns and
+// traverse_ns from one start, the walk before the local counter, so in
+// both balancer modes, for shared Next and for handles alike, the two
+// histograms hold equal counts at the same period and the walks sum to
+// no more than the draws.
+func TestTimedPairsNextAndTraverse(t *testing.T) {
+	for _, mutex := range []bool{false, true} {
+		for _, path := range []string{"shared", "handle"} {
+			c := NewNetworkCounter(testNetwork(t), mutex)
+			o := c.EnableObs("timed-pair", obs.NewRegistry())
+			next := c.Next
+			if path == "handle" {
+				next = c.Handle(3).Next
+			}
+			const draws = 10 * obs.SampleEvery
+			for i := 0; i < draws; i++ {
+				next()
+			}
+			n, tr := o.NextNs.Snapshot(), o.TraverseNs.Snapshot()
+			if n.Count != draws/obs.SampleEvery || tr.Count != n.Count || tr.Every != n.Every || n.Every != obs.SampleEvery {
+				t.Errorf("mutex=%v %s: next_ns %d@%d, traverse_ns %d@%d, want %d each at %d",
+					mutex, path, n.Count, n.Every, tr.Count, tr.Every, draws/obs.SampleEvery, obs.SampleEvery)
+			}
+			if tr.Sum > n.Sum {
+				t.Errorf("mutex=%v %s: traverse_ns sum %d exceeds next_ns sum %d", mutex, path, tr.Sum, n.Sum)
+			}
 		}
 	}
 }

@@ -9,34 +9,37 @@ import "sync/atomic"
 // operation latency at the top, per-gate contention underneath.
 
 // CounterObs observes a per-token network counter (NetworkCounter):
-// operation count, Next latency, plus the underlying network's
-// per-gate traffic. The counter times one value in SampleEvery, so
-// NextNs and the network's TraverseNs are histograms of that period;
-// ops and the per-gate token counts stay exact.
+// operation count, Next and walk latency, plus the underlying
+// network's per-gate traffic. The counter times one value in
+// SampleEvery, so NextNs and TraverseNs are histograms of that period
+// with equal counts; ops and the per-gate token counts stay exact.
 type CounterObs struct {
 	Net *NetObs
 	// OpsFn reports total values issued, read from the counter's own
 	// per-wire local counters; the draw path records nothing for it.
-	OpsFn  func() int64
-	NextNs *Hist // end-to-end Next latency (dispatch + walk + local counter), sampled
+	OpsFn      func() int64
+	NextNs     *Hist // Next latency (walk + local counter), sampled
+	TraverseNs *Hist // the same sampled values' network walk alone
 }
 
 // NewCounterObs builds counter obs over the network obs (which must
-// not be nil; the counter owns its compiled network, so every walk of
-// it is sampled by the counter and its TraverseNs takes the sampled
-// period too) and the counter's issued-value reader.
+// not be nil) and the counter's issued-value reader. The counter owns
+// its compiled network and is the only one to time its walks, one
+// value in SampleEvery, so both histograms take that period.
 func NewCounterObs(name string, net *NetObs, ops func() int64) *CounterObs {
 	net.name = name
 	net.kind = "counter"
-	net.TraverseNs = NewSampledHist()
-	return &CounterObs{Net: net, OpsFn: ops, NextNs: NewSampledHist()}
+	return &CounterObs{Net: net, OpsFn: ops, NextNs: NewSampledHist(), TraverseNs: NewSampledHist()}
 }
 
 // GroupSnapshot implements Source.
 func (o *CounterObs) GroupSnapshot() GroupSnapshot {
 	g := o.Net.GroupSnapshot()
 	g.Counters = append(g.Counters, Metric{Name: "ops", Value: o.OpsFn()})
-	g.Hists = append([]HistMetric{{Name: "next_ns", Hist: o.NextNs.Snapshot()}}, g.Hists...)
+	g.Hists = []HistMetric{
+		{Name: "next_ns", Hist: o.NextNs.Snapshot()},
+		{Name: "traverse_ns", Hist: o.TraverseNs.Snapshot()},
+	}
 	return g
 }
 
@@ -72,11 +75,11 @@ func (o *CombineObs) GroupSnapshot() GroupSnapshot {
 		Metric{Name: "passes", Value: o.Passes.Load()},
 		Metric{Name: "spin_retries", Value: o.SpinRetries.Load()},
 	)
-	g.Hists = append([]HistMetric{
+	g.Hists = []HistMetric{
 		{Name: "pass_ns", Hist: o.PassNs.Snapshot()},
 		{Name: "pass_served", Hist: o.PassServed.Snapshot()},
 		{Name: "pass_queue", Hist: o.PassQueue.Snapshot()},
-	}, g.Hists...)
+	}
 	return g
 }
 
@@ -151,16 +154,19 @@ func (o *AdaptiveObs) GroupSnapshot() GroupSnapshot {
 }
 
 // PoolObs observes the producer/consumer pool: operation counts and
-// how often a Get had to block for its item.
+// how often a Get had to block for its item. Puts and gets are the
+// values issued by the pool's put and get counters, read from their
+// own state; only the blocking Get records anything.
 type PoolObs struct {
-	name     string
-	Puts     PaddedCount
-	Gets     PaddedCount
-	GetWaits PaddedCount // Gets that blocked before their item arrived
+	name       string
+	puts, gets func() int64
+	GetWaits   PaddedCount // Gets that blocked before their item arrived
 }
 
-// NewPoolObs builds pool obs.
-func NewPoolObs(name string) *PoolObs { return &PoolObs{name: name} }
+// NewPoolObs builds pool obs over readers of the put and get counts.
+func NewPoolObs(name string, puts, gets func() int64) *PoolObs {
+	return &PoolObs{name: name, puts: puts, gets: gets}
+}
 
 // GroupSnapshot implements Source.
 func (o *PoolObs) GroupSnapshot() GroupSnapshot {
@@ -168,8 +174,8 @@ func (o *PoolObs) GroupSnapshot() GroupSnapshot {
 		Name: o.name,
 		Kind: "pool",
 		Counters: []Metric{
-			{Name: "puts", Value: o.Puts.Load()},
-			{Name: "gets", Value: o.Gets.Load()},
+			{Name: "puts", Value: o.puts()},
+			{Name: "gets", Value: o.gets()},
 			{Name: "get_waits", Value: o.GetWaits.Load()},
 		},
 	}

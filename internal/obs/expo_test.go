@@ -23,10 +23,10 @@ func testRegistry() *Registry {
 	tokens[0] = 1
 	tokens[2] = 5
 	n.GateContended(3)
-	n.TraverseNs.Observe(100)
 	r.Register("net", n)
 	c := NewCombineObs("cmb", NewNetObs("cmb", []int32{1}, func(int) int64 { return 0 }))
 	c.Passes.Inc()
+	c.PassNs.Observe(100)
 	r.Register("cmb", c)
 	return r
 }
@@ -42,15 +42,15 @@ func TestWritePrometheus(t *testing.T) {
 		`countnet_gate_tokens_total{group="net",gate="2",layer="2"} 5`,
 		`countnet_gate_contended_total{group="net",gate="3",layer="2"} 1`,
 		`countnet_layer_tokens_total{group="net",layer="1"} 1`,
-		`countnet_hist_count{group="net",name="traverse_ns"} 1`,
-		`countnet_hist_bucket{group="net",name="traverse_ns",le="+Inf"} 1`,
+		`countnet_hist_count{group="cmb",name="pass_ns"} 1`,
+		`countnet_hist_bucket{group="cmb",name="pass_ns",le="+Inf"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus output missing %q\n%s", want, out)
 		}
 	}
 	// Cumulative buckets: the le=127 bucket (holding 100) must count 1.
-	if !strings.Contains(out, `countnet_hist_bucket{group="net",name="traverse_ns",le="127"} 1`) {
+	if !strings.Contains(out, `countnet_hist_bucket{group="cmb",name="pass_ns",le="127"} 1`) {
 		t.Errorf("cumulative bucket wrong:\n%s", out)
 	}
 }
@@ -264,7 +264,7 @@ func min(a, b int) int {
 }
 
 // BenchmarkWritePrometheus renders a counter group shaped like one on
-// L(4,4): 16-wide network, 10 layers of 8 gates, three histograms.
+// L(4,4): 16-wide network, 10 layers of 8 gates, two histograms.
 func BenchmarkWritePrometheus(b *testing.B) {
 	gateLayer := make([]int32, 80)
 	for i := range gateLayer {
@@ -274,7 +274,7 @@ func BenchmarkWritePrometheus(b *testing.B) {
 	c := NewCounterObs("count_observed", net, func() int64 { return 1 << 20 })
 	for i := int64(0); i < 1000; i++ {
 		c.NextNs.Observe(100 + i)
-		net.TraverseNs.Observe(50 + i)
+		c.TraverseNs.Observe(50 + i)
 	}
 	r := NewRegistry()
 	r.Register("count_observed", c)

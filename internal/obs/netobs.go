@@ -1,9 +1,11 @@
 package obs
 
-// NetObs holds the per-gate/per-layer counters and phase histograms of
-// one compiled network. Create with NewNetObs before the network sees
-// concurrent traffic; recording methods are safe for concurrent use
-// and allocation-free.
+// NetObs holds the per-gate/per-layer counts of one compiled network.
+// Token counts are the balancers' own; the only thing it records is
+// lock-mode contention. It holds no histogram: the walks read no
+// clock, and latency belongs to the engine that owns the network.
+// Create with NewNetObs before the network sees concurrent traffic;
+// recording is safe for concurrent use and allocation-free.
 type NetObs struct {
 	name      string
 	kind      string
@@ -15,13 +17,6 @@ type NetObs struct {
 	// contended counts lock-mode acquisitions that found the gate busy,
 	// one padded counter per gate.
 	contended []PaddedCount
-
-	// TraverseNs is the per-token network walk latency (Traverse,
-	// TraverseMutex); BatchNs the whole-batch propagation latency
-	// (TraverseBatch); BatchTokens the token count per batch.
-	TraverseNs  *Hist
-	BatchNs     *Hist
-	BatchTokens *Hist
 }
 
 // NewNetObs builds obs state for a network whose gate i sits on
@@ -34,15 +29,12 @@ func NewNetObs(name string, gateLayer []int32, tokens func(g int) int64) *NetObs
 		}
 	}
 	return &NetObs{
-		name:        name,
-		kind:        "network",
-		gateLayer:   append([]int32(nil), gateLayer...),
-		layers:      layers,
-		tokens:      tokens,
-		contended:   make([]PaddedCount, len(gateLayer)),
-		TraverseNs:  NewHist(),
-		BatchNs:     NewHist(),
-		BatchTokens: NewHist(),
+		name:      name,
+		kind:      "network",
+		gateLayer: append([]int32(nil), gateLayer...),
+		layers:    layers,
+		tokens:    tokens,
+		contended: make([]PaddedCount, len(gateLayer)),
 	}
 }
 
@@ -57,15 +49,7 @@ func (o *NetObs) GateContended(g int32) { o.contended[g].Inc() }
 
 // GroupSnapshot implements Source.
 func (o *NetObs) GroupSnapshot() GroupSnapshot {
-	g := GroupSnapshot{
-		Name: o.name,
-		Kind: o.kind,
-		Hists: []HistMetric{
-			{Name: "traverse_ns", Hist: o.TraverseNs.Snapshot()},
-			{Name: "batch_ns", Hist: o.BatchNs.Snapshot()},
-			{Name: "batch_tokens", Hist: o.BatchTokens.Snapshot()},
-		},
-	}
+	g := GroupSnapshot{Name: o.name, Kind: o.kind}
 	o.appendGateLayers(&g)
 	return g
 }

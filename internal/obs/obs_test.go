@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -19,7 +20,6 @@ func TestNetObsSnapshot(t *testing.T) {
 	tokens[0] = 2
 	tokens[2] = 5
 	o.GateContended(3)
-	o.TraverseNs.Observe(100)
 
 	g := o.GroupSnapshot()
 	if g.Name != "test-net" || g.Kind != "network" {
@@ -38,8 +38,8 @@ func TestNetObsSnapshot(t *testing.T) {
 	if l2.Layer != 2 || l2.Gates != 2 || l2.Tokens != 5 || l2.Contended != 1 || l2.MaxGateTokens != 5 {
 		t.Errorf("layer 2: %+v", l2)
 	}
-	if len(g.Hists) != 3 || g.Hists[0].Name != "traverse_ns" || g.Hists[0].Hist.Count != 1 {
-		t.Errorf("hists: %+v", g.Hists)
+	if len(g.Hists) != 0 {
+		t.Errorf("a bare network times nothing, yet exports hists %+v", g.Hists)
 	}
 }
 
@@ -47,6 +47,7 @@ func TestCounterObsSnapshot(t *testing.T) {
 	net, _ := testNetObs()
 	o := NewCounterObs("ctr", net, func() int64 { return 3 })
 	o.NextNs.Observe(50)
+	o.TraverseNs.Observe(30)
 	g := o.GroupSnapshot()
 	if g.Kind != "counter" || g.Name != "ctr" {
 		t.Fatalf("group header: %+v", g)
@@ -54,8 +55,13 @@ func TestCounterObsSnapshot(t *testing.T) {
 	if len(g.Counters) != 1 || g.Counters[0].Name != "ops" || g.Counters[0].Value != 3 {
 		t.Fatalf("counters: %+v", g.Counters)
 	}
-	if g.Hists[0].Name != "next_ns" || g.Hists[0].Hist.Count != 1 {
-		t.Fatalf("next_ns must lead the hists: %+v", g.Hists)
+	if len(g.Hists) != 2 || g.Hists[0].Name != "next_ns" || g.Hists[1].Name != "traverse_ns" {
+		t.Fatalf("hists = %+v, want next_ns then traverse_ns", g.Hists)
+	}
+	for _, h := range g.Hists {
+		if h.Hist.Count != 1 || h.Hist.Every != SampleEvery {
+			t.Errorf("%s: %d samples at period %d, want 1 at %d", h.Name, h.Hist.Count, h.Hist.Every, SampleEvery)
+		}
 	}
 }
 
@@ -81,30 +87,29 @@ func TestCombineObsSnapshot(t *testing.T) {
 	for i, h := range g.Hists {
 		names[i] = h.Name
 	}
-	want := "pass_ns pass_served pass_queue traverse_ns batch_ns batch_tokens"
+	want := "pass_ns pass_served pass_queue"
 	if got := strings.Join(names, " "); got != want {
 		t.Fatalf("hist order = %q, want %q", got, want)
 	}
 }
 
 func TestPoolObsSnapshot(t *testing.T) {
-	o := NewPoolObs("pool")
-	o.Puts.Add(2)
-	o.Gets.Inc()
+	o := NewPoolObs("pool", func() int64 { return 2 }, func() int64 { return 1 })
 	o.GetWaits.Inc()
 	g := o.GroupSnapshot()
-	if g.Kind != "pool" || len(g.Counters) != 3 {
+	want := []Metric{{Name: "puts", Value: 2}, {Name: "gets", Value: 1}, {Name: "get_waits", Value: 1}}
+	if g.Kind != "pool" || !reflect.DeepEqual(g.Counters, want) {
 		t.Fatalf("pool group: %+v", g)
 	}
 }
 
 func TestRegistryRegisterReplaces(t *testing.T) {
 	r := NewRegistry()
-	a, b := NewPoolObs("x"), NewPoolObs("x")
-	b.Puts.Add(9)
+	zero := func() int64 { return 0 }
+	a, b := NewPoolObs("x", zero, zero), NewPoolObs("x", func() int64 { return 9 }, zero)
 	r.Register("lane", a)
 	r.Register("lane", b)
-	r.Register("other", NewPoolObs("y"))
+	r.Register("other", NewPoolObs("y", zero, zero))
 	s := r.Snapshot()
 	if len(s.Groups) != 2 {
 		t.Fatalf("groups = %d, want 2 (replace, not append)", len(s.Groups))
@@ -159,8 +164,9 @@ func TestRenderTable(t *testing.T) {
 	n, tokens := testNetObs()
 	tokens[0] = 1
 	tokens[2] = 4
-	n.TraverseNs.Observe(120)
-	r.Register("net-lane", n)
+	c := NewCounterObs("net-lane", n, func() int64 { return 0 })
+	c.TraverseNs.Observe(120)
+	r.Register("net-lane", c)
 	cur := r.Snapshot()
 
 	out := RenderTable(nil, cur, 0)

@@ -38,7 +38,7 @@ type Pool[T any] struct {
 	bufs  []buffer[T]
 
 	// watch is the observability hook, nil unless EnableObs was
-	// called; Put/Get pay one nil-check each when disabled.
+	// called; only a Get that has to wait reads it.
 	watch *obs.PoolObs
 }
 
@@ -73,18 +73,19 @@ func New[T any](net *network.Network) *Pool[T] {
 // EnableObs attaches observability under the given group name and
 // registers it with r (obs.Default when nil): one "<name>" pool group
 // (puts, gets, get waits) plus "<name>.put" / "<name>.get" counter
-// groups exposing the two underlying networks gate by gate.
+// groups exposing the two underlying networks gate by gate. Puts and
+// gets are those groups' ops, the values each counter has issued.
 // Idempotent; call before the pool sees concurrent traffic.
 func (p *Pool[T]) EnableObs(name string, r *obs.Registry) *obs.PoolObs {
+	puts := p.put.EnableObs(name+".put", r)
+	gets := p.get.EnableObs(name+".get", r)
 	if p.watch == nil {
-		p.watch = obs.NewPoolObs(name)
+		p.watch = obs.NewPoolObs(name, puts.OpsFn, gets.OpsFn)
 	}
 	if r == nil {
 		r = obs.Default
 	}
 	r.Register(name, p.watch)
-	p.put.EnableObs(name+".put", r)
-	p.get.EnableObs(name+".get", r)
 	return p.watch
 }
 
@@ -131,9 +132,6 @@ func (p *Pool[T]) Get() T { return p.getAt(p.get.Next()) }
 
 //netvet:hotpath
 func (p *Pool[T]) putAt(v int64, item T) {
-	if o := p.watch; o != nil {
-		o.Puts.Inc()
-	}
 	b := &p.bufs[v%int64(p.width)]
 	b.mu.Lock()
 	//netvet:allow append -- per-buffer queue grows with outstanding items by design; rank matching needs the whole history
@@ -144,15 +142,11 @@ func (p *Pool[T]) putAt(v int64, item T) {
 
 //netvet:hotpath
 func (p *Pool[T]) getAt(v int64) T {
-	o := p.watch
-	if o != nil {
-		o.Gets.Inc()
-	}
 	b := &p.bufs[v%int64(p.width)]
 	rank := int(v / int64(p.width)) // this consumer takes the rank-th item of the buffer
 	b.mu.Lock()
 	for len(b.items) <= rank {
-		if o != nil {
+		if o := p.watch; o != nil {
 			o.GetWaits.Inc() // counts each park, so futile wakeups show
 		}
 		b.cv.Wait()

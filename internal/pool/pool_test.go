@@ -7,6 +7,7 @@ import (
 
 	"countnet/internal/core"
 	"countnet/internal/network"
+	"countnet/internal/obs"
 )
 
 func testNet(t *testing.T) *network.Network {
@@ -147,5 +148,58 @@ func TestPoolManyMoreGettersQueued(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("only %d of %d getters woke", i, n)
 		}
+	}
+}
+
+// TestPoolObsReadsCounters: the pool group's puts and gets are the ops
+// of its put and get counter groups, read from the counters' own
+// state, so they include traffic from before EnableObs and agree with
+// the groups after any mix of handle and shared operations.
+func TestPoolObsReadsCounters(t *testing.T) {
+	p := New[int](testNet(t))
+	p.Put(-1)
+	reg := obs.NewRegistry()
+	p.EnableObs("pool", reg)
+	const n = 300
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			h := p.Handle(g)
+			for i := 0; i < n; i++ {
+				h.Put(i)
+				if i%3 != 0 {
+					h.Get()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	p.Get()
+	s := reg.Snapshot()
+	counter := func(group, name string) int64 {
+		t.Helper()
+		g := s.Group(group)
+		if g == nil {
+			t.Fatalf("no group %q", group)
+		}
+		for _, m := range g.Counters {
+			if m.Name == name {
+				return m.Value
+			}
+		}
+		t.Fatalf("group %q has no %q", group, name)
+		return 0
+	}
+	puts, gets := counter("pool", "puts"), counter("pool", "gets")
+	if puts != 1+3*n || gets != 1+3*(n-n/3) {
+		t.Errorf("puts, gets = %d, %d; want %d, %d", puts, gets, 1+3*n, 1+3*(n-n/3))
+	}
+	if op := counter("pool.put", "ops"); op != puts {
+		t.Errorf("puts = %d but pool.put ops = %d", puts, op)
+	}
+	if og := counter("pool.get", "ops"); og != gets {
+		t.Errorf("gets = %d but pool.get ops = %d", gets, og)
 	}
 }

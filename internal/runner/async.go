@@ -36,11 +36,9 @@ type Async struct {
 	gateLayer []int32 // gate -> 1-based layer, for observability
 
 	// watch is the observability hook, nil unless EnableObs was
-	// called. Every hot entry point pays exactly one nil-check for it.
-	// Per-gate token counts are the balancers' own hot[g].count, so the
-	// atomic walk records nothing per gate; Traverse reads the clock
-	// around it (pinned by the obs-off differential and alloc tests and
-	// the BenchmarkObsOverhead guard lane).
+	// called. Per-gate token counts are the balancers' own hot[g].count,
+	// so no walk records anything per token and none reads the clock;
+	// only the lock walk reads watch, to count contended acquisitions.
 	watch *obs.NetObs
 }
 
@@ -133,11 +131,12 @@ func (a *Async) Width() int { return a.width }
 // EnableObs attaches observability state under the given group name
 // and returns it; subsequent calls return the existing state. Call
 // before the network sees concurrent traffic — the hook is installed
-// with a plain store. When enabled, traversals record latency
-// histograms, and snapshots read each gate's token count straight from
-// its balancer (so they include traffic from before the call, and
-// Reset clears them); when never called, every hot path pays one
-// nil-check only.
+// with a plain store. Snapshots read each gate's token count straight
+// from its balancer (so they include traffic from before the call, and
+// Reset clears them), and the lock walk counts acquisitions that found
+// their gate held. No walk reads the clock: latency belongs to an
+// owner that samples it (a network counter times one value in
+// obs.SampleEvery), so a bare network exports counts only.
 func (a *Async) EnableObs(name string) *obs.NetObs {
 	if a.watch == nil {
 		a.watch = obs.NewNetObs(name, a.gateLayer, func(g int) int64 { return a.hot[g].count.Load() })
@@ -145,40 +144,21 @@ func (a *Async) EnableObs(name string) *obs.NetObs {
 	return a.watch
 }
 
-// Obs returns the observability state, nil when disabled.
-func (a *Async) Obs() *obs.NetObs { return a.watch }
-
 // Traverse pushes one token into the network on the given entry wire
 // using atomic fetch-and-add balancers, and returns the output-order
 // position on which the token exits. Safe for concurrent use.
 //
 //netvet:hotpath
-func (a *Async) Traverse(entryWire int) int {
-	if o := a.watch; o != nil {
-		start := obs.Now()
-		pos := a.walk(entryWire, nil)
-		o.TraverseNs.ObserveSince(start)
-		return pos
-	}
-	return a.walk(entryWire, nil)
-}
-
-// Walk is Traverse without the clock: the atomic walk alone, for an
-// owner that samples its own timing (a counter times one value in
-// obs.SampleEvery and walks the rest through here). Per-gate counts
-// are the balancers' own, so nothing else is lost.
-//
-//netvet:hotpath
-func (a *Async) Walk(entryWire int) int { return a.walk(entryWire, nil) }
+func (a *Async) Traverse(entryWire int) int { return a.walk(entryWire, nil) }
 
 // TraverseHooked is Traverse instrumented for controlled scheduling:
 // yield is called immediately before every atomic balancer access, so
 // a scheduler that serializes its tasks (package sched) fully
 // determines the interleaving of balancer operations. It runs the same
-// walk as Traverse but never reads the clock, so an observed
-// controlled run stays deterministic under replay. It shares the
-// atomic balancer state with Traverse; do not mix hooked and unhooked
-// traversals within one controlled run.
+// walk as Traverse, which reads no clock, so an observed controlled
+// run stays deterministic under replay. It shares the atomic balancer
+// state with Traverse; do not mix hooked and unhooked traversals
+// within one controlled run.
 func (a *Async) TraverseHooked(entryWire int, yield func(op string)) int {
 	return a.walk(entryWire, yield)
 }
@@ -231,26 +211,6 @@ func (a *Async) walk(entryWire int, yield func(op string)) int {
 //netvet:hotpath
 func (a *Async) TraverseMutex(entryWire int) int {
 	o := a.watch
-	if o == nil {
-		return a.lockWalk(entryWire, nil)
-	}
-	start := obs.Now()
-	pos := a.lockWalk(entryWire, o)
-	o.TraverseNs.ObserveSince(start)
-	return pos
-}
-
-// WalkMutex is TraverseMutex without the clock (see Walk); with
-// observability on it still counts every contended acquisition.
-//
-//netvet:hotpath
-func (a *Async) WalkMutex(entryWire int) int { return a.lockWalk(entryWire, a.watch) }
-
-// lockWalk is the lock-based traversal; a non-nil o counts each
-// acquisition that found its gate held.
-//
-//netvet:hotpath
-func (a *Async) lockWalk(entryWire int, o *obs.NetObs) int {
 	if entryWire < 0 || entryWire >= a.width {
 		panic(fmt.Sprintf("runner: entry wire %d outside width %d", entryWire, a.width))
 	}

@@ -1,10 +1,6 @@
 package runner
 
-import (
-	"fmt"
-
-	"countnet/internal/obs"
-)
+import "fmt"
 
 // Batched token propagation.
 //
@@ -63,21 +59,7 @@ func (a *Async) TraverseBatchInto(dst, entryCounts []int64, s *BatchScratch) []i
 	}
 	a.batchArgs(dst, entryCounts)
 	copy(s.cur, entryCounts)
-	if o := a.watch; o != nil {
-		var total int64
-		for _, t := range entryCounts {
-			total += t
-		}
-		start := obs.Now()
-		//netvet:allow escape -- context.Background's zero-size boxing at trace.StartRegion; no runtime allocation (BenchmarkObsOverhead alloc guard)
-		r := obs.Region("countnet.batch")
-		a.propagate(s.cur, nil)
-		r.End()
-		o.BatchNs.ObserveSince(start)
-		o.BatchTokens.Observe(total)
-	} else {
-		a.propagate(s.cur, nil)
-	}
+	a.propagate(s.cur, nil)
 	for wire, pos := range a.outPos {
 		dst[pos] = s.cur[wire]
 	}

@@ -8,8 +8,11 @@ package runner
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+
+	"countnet/internal/obs"
 )
 
 // TestTraverseObsOffAllocFree: with EnableObs never called, the hot
@@ -25,9 +28,9 @@ func TestTraverseObsOffAllocFree(t *testing.T) {
 	}
 }
 
-// TestTraverseObsOnAllocFree: recording per-gate counts and latency
-// samples allocates nothing either, so enabling observability never
-// perturbs the allocator behaviour it is trying to measure.
+// TestTraverseObsOnAllocFree: with observability on, the walks still
+// allocate nothing, so enabling it never perturbs the allocator
+// behaviour it is trying to measure.
 func TestTraverseObsOnAllocFree(t *testing.T) {
 	a := Compile(counting4())
 	a.EnableObs("alloc-probe")
@@ -47,8 +50,10 @@ func TestTraverseObsOnAllocFree(t *testing.T) {
 
 // TestTraverseObsDifferential: an observed network routes every token
 // exactly as an unobserved one — same exits for the same arrival
-// sequence, for all three traversal modes — and the recorded per-gate
-// token totals account for precisely the tokens pushed.
+// sequence, for all three traversal modes — its per-gate token counts
+// equal the unobserved network's balancer state, its layer totals
+// account for precisely the tokens pushed, and, the walks reading no
+// clock, it exports no histogram.
 func TestTraverseObsDifferential(t *testing.T) {
 	net := counting4()
 	plain := Compile(net)
@@ -88,18 +93,73 @@ func TestTraverseObsDifferential(t *testing.T) {
 	if layer1 != int64(tokens) {
 		t.Errorf("layer-1 token count = %d, want %d (one per injected token)", layer1, tokens)
 	}
-	if g.Hists[0].Name != "traverse_ns" || g.Hists[0].Hist.Count != 200 {
-		t.Errorf("traverse_ns samples = %+v, want 200", g.Hists[0].Hist.Count)
-	}
+	assertCountsOnly(t, "atomic", g, plain)
 
 	// Mutex mode, fresh pair (modes must not mix on one Async).
 	plainMu, seenMu := Compile(net), Compile(net)
-	seenMu.EnableObs("diff-mu")
+	oMu := seenMu.EnableObs("diff-mu")
 	for i := 0; i < 100; i++ {
 		wire := rng.Intn(net.Width())
 		if p, s := plainMu.TraverseMutex(wire), seenMu.TraverseMutex(wire); p != s {
 			t.Fatalf("mutex token %d on wire %d: plain exits %d, observed exits %d", i, wire, p, s)
 		}
+	}
+	g = oMu.GroupSnapshot()
+	assertCountsOnly(t, "mutex", g, plainMu)
+	for _, l := range g.Layers {
+		if l.Contended != 0 {
+			t.Errorf("mutex layer %d: %d contended acquisitions from one goroutine, want 0", l.Layer, l.Contended)
+		}
+	}
+}
+
+// assertCountsOnly checks a bare network's group: each gate's token
+// count equals the balancer state of want, driven by the same tokens,
+// and no histogram is exported.
+func assertCountsOnly(t *testing.T, mode string, g obs.GroupSnapshot, want *Async) {
+	t.Helper()
+	for _, gs := range g.Gates {
+		if n := want.hot[gs.Gate].count.Load(); gs.Tokens != n {
+			t.Errorf("%s gate %d: %d tokens, want %d", mode, gs.Gate, gs.Tokens, n)
+		}
+	}
+	if len(g.Hists) != 0 {
+		t.Errorf("%s: a bare network exports hists %+v; only an owning engine times its walks", mode, g.Hists)
+	}
+}
+
+// TestTraverseMutexObsCountsContention: a lock walk that finds its
+// gate held counts exactly one contended acquisition on that gate and
+// its layer, then waits for the lock and routes as usual.
+func TestTraverseMutexObsCountsContention(t *testing.T) {
+	a := Compile(counting4())
+	o := a.EnableObs("contended")
+	held := &a.hot[0].mu // gate 0 (wires 0 and 1, layer 1) is wire 0's entry
+	held.Lock()
+	done := make(chan int)
+	go func() { done <- a.TraverseMutex(0) }()
+	for o.GroupSnapshot().Gates[0].Contended == 0 {
+		runtime.Gosched()
+	}
+	held.Unlock()
+	if pos := <-done; pos != 0 {
+		t.Errorf("first token exits on %d, want 0", pos)
+	}
+	g := o.GroupSnapshot()
+	for _, gs := range g.Gates {
+		want := int64(0)
+		if gs.Gate == 0 {
+			want = 1
+		}
+		if gs.Contended != want {
+			t.Errorf("gate %d: %d contended, want %d", gs.Gate, gs.Contended, want)
+		}
+	}
+	if g.Layers[0].Contended != 1 || g.Layers[0].Tokens != 1 {
+		t.Errorf("layer 1 = %+v, want 1 token and 1 contended", g.Layers[0])
+	}
+	if len(g.Hists) != 0 {
+		t.Errorf("lock walk exports hists %+v", g.Hists)
 	}
 }
 
@@ -146,16 +206,16 @@ func TestTraverseObsConcurrent(t *testing.T) {
 	}
 }
 
-// TestEnableObsIdempotent: repeated enables return the same state, and
-// Obs reflects it.
+// TestEnableObsIdempotent: a fresh network has no hook, and repeated
+// enables return the same state, under the first name given.
 func TestEnableObsIdempotent(t *testing.T) {
 	a := Compile(counting4())
-	if a.Obs() != nil {
+	if a.watch != nil {
 		t.Fatal("fresh Async must have nil obs")
 	}
 	o1 := a.EnableObs("once")
 	o2 := a.EnableObs("twice")
-	if o1 != o2 || a.Obs() != o1 {
+	if o1 != o2 || o1.Name() != "once" {
 		t.Fatal("EnableObs must be idempotent")
 	}
 }

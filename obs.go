@@ -33,16 +33,19 @@ func buildOptions(opts []Option) options {
 // WithObservability enables instrumentation on the constructed
 // structure, registered under name in the package's default
 // observability registry (exposed by ObsHandler, ObsSnapshotJSON and
-// WriteObsPrometheus). Observed structures record per-balancer and
+// WriteObsPrometheus). Observed structures report per-balancer and
 // per-layer token counts, contention events, and latency histograms —
 // all allocation-free and safe to snapshot concurrently. Counts (ops,
-// per-balancer tokens, contention) are exact. A per-token counter
-// times one value in 64 (obs.SampleEvery), picked by a tick its handle
-// owns, so the other values read no clock: its next_ns and traverse_ns
-// histograms count samples, their snapshots carry the period, and the
-// Prometheus exposition scales them by it. Structures built without
-// this option pay a single nil pointer check per operation and record
-// nothing.
+// per-balancer tokens, contention, a pool's puts and gets) are exact
+// and read from state the structure keeps anyway. Only the engine that
+// owns a network times it: a per-token counter times one value in 64
+// (obs.SampleEvery), picked by a tick its handle owns, and records
+// that value's next_ns and traverse_ns from one start, so the other
+// values read no clock; the histograms count samples, their snapshots
+// carry the period, and the Prometheus exposition scales them by it.
+// A combining counter times every combine pass. Structures built
+// without this option pay a single nil pointer check per operation
+// and record nothing.
 //
 // Registering a second structure under an existing name replaces the
 // previous group in the registry (the old structure keeps recording
