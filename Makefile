@@ -204,6 +204,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzRunsVsBlock -fuzztime=30s ./internal/counter
 	$(GO) test -run '^$$' -fuzz=FuzzPoolSchedules -fuzztime=30s ./internal/pool
 	$(GO) test -run '^$$' -fuzz=FuzzCheckRunVsReference -fuzztime=30s ./internal/harness
+	$(GO) test -run '^$$' -fuzz=FuzzDrawReply -fuzztime=30s ./internal/harness/syncsrv
 
 # Nightly-scale schedule exploration (see docs/TESTING.md).
 soak:

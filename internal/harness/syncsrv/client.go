@@ -1,14 +1,15 @@
 package syncsrv
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"countnet/internal/counter"
 )
@@ -31,62 +32,75 @@ func NewClient(base string) *Client {
 // Register announces the worker id and returns the number of workers
 // registered so far.
 func (c *Client) Register(worker string) (int, error) {
-	var out struct {
-		Workers int `json:"workers"`
-	}
-	err := c.call("/register?worker="+url.QueryEscape(worker), &out)
-	return out.Workers, err
+	var n int64
+	err := c.call("/register?worker="+url.QueryEscape(worker), func(r *reply) (err error) {
+		n, err = scanField(r.body, workersKeys)
+		return err
+	})
+	return int(n), err
 }
 
 // Barrier arrives at the named state and blocks until all n parties
 // have arrived, returning the caller's generation.
 func (c *Client) Barrier(state string, n int) (int64, error) {
-	var out struct {
-		Generation int64 `json:"generation"`
-	}
-	err := c.call("/barrier?state="+url.QueryEscape(state)+"&n="+strconv.Itoa(n), &out)
-	return out.Generation, err
+	var gen int64
+	err := c.call("/barrier?state="+url.QueryEscape(state)+"&n="+strconv.Itoa(n), func(r *reply) (err error) {
+		gen, err = scanField(r.body, generationKeys)
+		return err
+	})
+	return gen, err
 }
 
 // Draw leases n fresh counter values for the worker. The server ships
-// the lease as strided runs; Draw checks them against the request
-// before expanding them, so a malformed reply is an error, not an
-// allocation of whatever size it names.
+// the lease as strided runs; Draw scans them into a pooled buffer and
+// checks them against the request before expanding them, so a
+// malformed reply is an error, not an allocation of whatever size it
+// names.
 func (c *Client) Draw(worker string, n int) ([]int64, error) {
-	var out drawReply
-	if err := c.call("/draw?worker="+url.QueryEscape(worker)+"&n="+strconv.Itoa(n), &out); err != nil {
-		return nil, err
-	}
-	if err := out.check(n); err != nil {
-		return nil, err
-	}
-	vals := make([]int64, 0, n)
-	for _, r := range out.Runs {
-		vals = counter.Run{Start: r[0], N: r[1]}.AppendValues(vals, out.Stride)
-	}
-	return vals, nil
+	var vals []int64
+	err := c.call("/draw?worker="+url.QueryEscape(worker)+"&n="+strconv.Itoa(n), func(r *reply) error {
+		l, err := scanDraw(r.body, r.runs)
+		r.runs = l.runs // keep a grown buffer for the pool
+		if err != nil {
+			return err
+		}
+		if err := l.check(n); err != nil {
+			return err
+		}
+		vals = make([]int64, 0, n)
+		for _, run := range l.runs {
+			vals = run.AppendValues(vals, l.stride)
+		}
+		return nil
+	})
+	return vals, err
+}
+
+// lease is a scanned /draw reply: runs of one stride.
+type lease struct {
+	stride int64
+	runs   []counter.Run
 }
 
 // check validates a /draw reply for a lease of n values: at most
 // MaxDraw runs of stride >= 1, each non-empty, starting at a value
 // >= 0 and not overflowing, whose lengths sum to exactly n.
-func (d *drawReply) check(n int) error {
-	if d.Stride < 1 {
-		return fmt.Errorf("syncsrv: draw reply with stride %d", d.Stride)
+func (l *lease) check(n int) error {
+	if l.stride < 1 {
+		return fmt.Errorf("syncsrv: draw reply with stride %d", l.stride)
 	}
-	if len(d.Runs) > MaxDraw {
-		return fmt.Errorf("syncsrv: draw reply with %d runs (max %d)", len(d.Runs), MaxDraw)
+	if len(l.runs) > MaxDraw {
+		return fmt.Errorf("syncsrv: draw reply with %d runs (max %d)", len(l.runs), MaxDraw)
 	}
 	left := int64(n)
-	for _, r := range d.Runs {
-		start, k := r[0], r[1]
-		if start < 0 || k < 1 || k > left {
-			return fmt.Errorf("syncsrv: draw reply run [%d,%d] with %d of %d values left", start, k, left, n)
+	for _, r := range l.runs {
+		if r.Start < 0 || r.N < 1 || r.N > left {
+			return fmt.Errorf("syncsrv: draw reply run [%d,%d] with %d of %d values left", r.Start, r.N, left, n)
 		}
-		if (math.MaxInt64-start)/d.Stride < k-1 {
-			return fmt.Errorf("syncsrv: draw reply run [%d,%d] overflows at stride %d", start, k, d.Stride)
+		if (math.MaxInt64-r.Start)/l.stride < r.N-1 {
+			return fmt.Errorf("syncsrv: draw reply run [%d,%d] overflows at stride %d", r.Start, r.N, l.stride)
 		}
-		left -= k
+		left -= r.N
 	}
 	if left != 0 {
 		return fmt.Errorf("syncsrv: draw reply holds %d values, want %d", int64(n)-left, n)
@@ -94,9 +108,11 @@ func (d *drawReply) check(n int) error {
 	return nil
 }
 
-// call performs one JSON round trip (every endpoint is a bodiless
-// POST); non-2xx responses become errors carrying the server's message.
-func (c *Client) call(path string, out any) error {
+// call performs one round trip (every endpoint is a bodiless POST) and
+// hands the reply, read into a pooled buffer of at most maxReply bytes,
+// to parse; non-2xx responses become errors carrying the server's
+// message.
+func (c *Client) call(path string, parse func(*reply) error) error {
 	req, err := http.NewRequest(http.MethodPost, c.base+path, nil)
 	if err != nil {
 		return err
@@ -106,12 +122,51 @@ func (c *Client) call(path string, out any) error {
 		return err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	r := replies.Get().(*reply)
+	defer releaseReply(r)
+	r.body, err = readReply(resp.Body, r.body[:0])
 	if err != nil {
-		return err
+		return fmt.Errorf("syncsrv: POST %s: %w", path, err)
 	}
 	if resp.StatusCode/100 != 2 {
-		return fmt.Errorf("syncsrv: POST %s: %s: %s", path, resp.Status, strings.TrimSpace(string(data)))
+		return fmt.Errorf("syncsrv: POST %s: %s: %s", path, resp.Status, strings.TrimSpace(string(r.body)))
 	}
-	return json.Unmarshal(data, out)
+	return parse(r)
+}
+
+// reply is the client's pooled read buffer: one raw body and the runs
+// scanned from it.
+type reply struct {
+	body []byte
+	runs []counter.Run
+}
+
+var replies = sync.Pool{New: func() any { return new(reply) }}
+
+// releaseReply returns r to the pool unless one odd reply grew it.
+func releaseReply(r *reply) {
+	if cap(r.body) <= 1<<16 && cap(r.runs) <= 1<<10 {
+		replies.Put(r)
+	}
+}
+
+// readReply appends what body yields to b, failing once it passes
+// maxReply bytes.
+func readReply(body io.Reader, b []byte) ([]byte, error) {
+	for {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, 512)
+		}
+		n, err := body.Read(b[len(b):min(cap(b), maxReply+1)])
+		b = b[:len(b)+n]
+		if len(b) > maxReply {
+			return b, fmt.Errorf("reply exceeds %d bytes", maxReply)
+		}
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
 }

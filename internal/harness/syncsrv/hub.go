@@ -19,11 +19,18 @@
 //
 //	{"stride":w,"runs":[[start,n],...]}
 //
-// and the client expands them only on arrival. The hub keeps a
-// per-worker issue log of the same runs, so its memory grows with
-// leases × w rather than with values; IssueLog expands it for the
-// post-run checker (harness.CheckRun), which cross-checks it against
-// what the worker processes report having received.
+// and the client expands them only on arrival. Neither end runs
+// encoding/json: the server appends each reply with strconv, and the
+// client reads at most a bounded number of bytes and scans them
+// straight into runs. It accepts JSON whitespace, either key order and
+// a missing key as zero, and rejects unknown or repeated keys,
+// non-integer or overflowing numbers, leading zeros, more than MaxDraw
+// runs and trailing bytes, all before it checks the lease against its
+// request. The hub keeps a per-worker issue log of the same runs, so
+// its memory grows with leases × w rather than with values; IssueLog
+// expands it for the post-run checker (harness.CheckRun), which
+// cross-checks it against what the worker processes report having
+// received.
 package syncsrv
 
 import (

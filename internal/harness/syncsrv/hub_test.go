@@ -356,7 +356,8 @@ func TestDrawReplyIsRuns(t *testing.T) {
 // TestClientRejectsBadRuns: Client.Draw checks a reply's runs before
 // it allocates, so a server naming a 2^40-value run, a bad stride or
 // start, an empty run, a short or long total or too many runs gets an
-// error back instead of an out-of-memory crash.
+// error back instead of an out-of-memory crash; so does a body longer
+// than any well-formed reply, which Draw stops reading at maxReply.
 func TestClientRejectsBadRuns(t *testing.T) {
 	tooMany := `{"stride":1,"runs":[` + strings.Repeat(`[0,1],`, MaxDraw) + `[0,1]]}`
 	for _, c := range []struct{ name, body, want string }{
@@ -372,6 +373,7 @@ func TestClientRejectsBadRuns(t *testing.T) {
 		{"no runs", `{"stride":2,"runs":[]}`, "holds 0 values"},
 		{"overflowing run", `{"stride":4611686018427387904,"runs":[[1,4]]}`, "overflows"},
 		{"too many runs", tooMany, "65537 runs"},
+		{"oversized body", `{"stride":1,"runs":[` + strings.Repeat(`[9223372036854775807,9223372036854775807],`, MaxDraw+1), "exceeds " + strconv.Itoa(maxReply) + " bytes"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

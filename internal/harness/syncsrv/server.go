@@ -2,15 +2,17 @@ package syncsrv
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
+	"sync"
 )
 
-// Server exposes a Hub over HTTP. Every endpoint speaks JSON; /barrier
+// Server exposes a Hub over HTTP. Every endpoint answers JSON; /barrier
 // holds the request open until the state releases, so workers
 // long-poll instead of spinning.
 //
@@ -24,6 +26,18 @@ import (
 // lease as at most S runs, S the network's width: run [start,n] stands
 // for the n values start, start+S, …, start+(n-1)·S, and the runs' n
 // sum to K.
+//
+// Each reply is one JSON object on one line, appended with strconv
+// into a pooled buffer and sent in one Write; handlers read the query
+// from the raw URL without building url.Values. Client reads at most
+// maxReply bytes of any reply, error bodies included, and scans it
+// without reflection: whitespace and key order are free and a missing
+// key reads as zero (a /draw reply without a stride fails as stride
+// 0), while unknown or repeated keys, numbers that are not canonical
+// int64 integers, more than MaxDraw runs and trailing bytes are
+// errors. A /draw reply must then pass the lease check: stride >= 1,
+// every run non-empty, starting at >= 0 and not overflowing, and the
+// lengths summing to K.
 type Server struct {
 	hub  *Hub
 	http *http.Server
@@ -67,18 +81,17 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	n, err := s.hub.Register(r.URL.Query().Get("worker"))
+	n, err := s.hub.Register(queryValue(r.URL.RawQuery, "worker"))
 	if err != nil {
 		httpError(w, err)
 		return
 	}
-	writeJSON(w, map[string]int{"workers": n})
+	writeReply(w, func(b []byte) []byte { return appendField(b, "workers", int64(n)) })
 }
 
 func (s *Server) handleBarrier(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	state := q.Get("state")
-	n, err := strconv.Atoi(q.Get("n"))
+	state := queryValue(r.URL.RawQuery, "state")
+	n, err := strconv.Atoi(queryValue(r.URL.RawQuery, "n"))
 	if state == "" || err != nil {
 		http.Error(w, "syncsrv: barrier needs state and integer n", http.StatusBadRequest)
 		return
@@ -88,32 +101,56 @@ func (s *Server) handleBarrier(w http.ResponseWriter, r *http.Request) {
 		httpError(w, err)
 		return
 	}
-	writeJSON(w, map[string]int64{"generation": gen})
+	writeReply(w, func(b []byte) []byte { return appendField(b, "generation", gen) })
 }
 
 func (s *Server) handleDraw(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	n, err := strconv.Atoi(q.Get("n"))
+	n, err := strconv.Atoi(queryValue(r.URL.RawQuery, "n"))
 	if err != nil {
 		http.Error(w, "syncsrv: draw needs integer n", http.StatusBadRequest)
 		return
 	}
-	runs, err := s.hub.Draw(q.Get("worker"), n)
+	runs, err := s.hub.Draw(queryValue(r.URL.RawQuery, "worker"), n)
 	if err != nil {
 		httpError(w, err)
 		return
 	}
-	reply := drawReply{Stride: int64(s.hub.net.Width()), Runs: make([][2]int64, len(runs))}
-	for i, r := range runs {
-		reply.Runs[i] = [2]int64{r.Start, r.N}
-	}
-	writeJSON(w, reply)
+	stride := int64(s.hub.net.Width())
+	writeReply(w, func(b []byte) []byte { return appendDraw(b, stride, runs) })
 }
 
-// drawReply is the /draw body: a lease as [start,n] runs of one stride.
-type drawReply struct {
-	Stride int64      `json:"stride"`
-	Runs   [][2]int64 `json:"runs"`
+// replyBufs recycles the server's reply buffers.
+var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeReply renders a reply body with appendBody into a pooled buffer
+// and writes it in one Write.
+func writeReply(w http.ResponseWriter, appendBody func([]byte) []byte) {
+	bp := replyBufs.Get().(*[]byte)
+	*bp = appendBody((*bp)[:0])
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(*bp) //nolint:errcheck // best effort to a dead client
+	replyBufs.Put(bp)
+}
+
+// queryValue returns the first value of key in the raw query, as
+// url.Values.Get does, without building the map: pairs holding a
+// semicolon or a bad escape are skipped, as url.ParseQuery skips them.
+func queryValue(raw, key string) string {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
 }
 
 // httpError answers err with the status its sentinel maps to.
@@ -126,9 +163,4 @@ func httpError(w http.ResponseWriter, err error) {
 		code = http.StatusServiceUnavailable
 	}
 	http.Error(w, err.Error(), code)
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v) //nolint:errcheck // best effort to a dead client
 }
