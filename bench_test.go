@@ -295,7 +295,7 @@ func BenchmarkBatchSort(b *testing.B) {
 			})
 		})
 		b.Run(spec.name+"/plan", func(b *testing.B) {
-			batchNs(b, func() { plan.ApplyBatches(work, 0) })
+			batchNs(b, func() { plan.ApplyBatches(work) })
 		})
 		b.Run(spec.name+"/planmt", func(b *testing.B) {
 			batchNs(b, func() { plan.SortBatches(work, runtime.NumCPU()) })

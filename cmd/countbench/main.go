@@ -285,7 +285,7 @@ func measureSort(net *network.Network, engine string, batches int) int64 {
 			runner.ApplyComparators(net, b)
 		}
 	case "plan":
-		runner.CompilePlan(net).ApplyBatches(work, 0)
+		runner.CompilePlan(net).ApplyBatches(work)
 	}
 	return time.Since(start).Nanoseconds() / int64(batches)
 }

@@ -59,6 +59,45 @@ func TestKernelExhaustive01(t *testing.T) {
 	}
 }
 
+// TestLaneKernelExhaustive01 runs all 2^w binary patterns of every
+// lane kernel width (3..16) through the lane kernel, `lanes` patterns
+// per call, one per lane, and checks each lane against
+// insertionSortDesc.
+func TestLaneKernelExhaustive01(t *testing.T) {
+	for w := 3; w <= maxKernelWidth; w++ {
+		lane := laneKernel[w]
+		if lane == nil {
+			t.Fatalf("no lane kernel for width %d", w)
+		}
+		wires := make([]int32, w)
+		for i := range wires {
+			wires[i] = int32(w - 1 - i) // rows in reverse, so wire order matters
+		}
+		rows := make([][lanes]int64, w)
+		want := make([]int64, w)
+		for base := 0; base < 1<<w; base += lanes {
+			n := min(lanes, 1<<w-base)
+			for i := 0; i < n; i++ {
+				for k, r := range wires {
+					rows[r][i] = int64((base+i)>>k) & 1
+				}
+			}
+			lane(rows, wires, n)
+			for i := 0; i < n; i++ {
+				for k := range want {
+					want[k] = int64((base+i)>>k) & 1
+				}
+				insertionSortDesc(want)
+				for k, r := range wires {
+					if got := rows[r][i]; got != want[k] {
+						t.Fatalf("width %d pattern %#x: wire %d holds %d, want %v", w, base+i, k, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestKernelWireIndirection checks the kernels honor arbitrary wire
 // mappings: the gate's values live scattered through a larger wire
 // array and only the mapped positions may change.
@@ -150,7 +189,7 @@ func TestPlanKernelVsInsertionSort(t *testing.T) {
 			batches[i] = randomBatch(rng, w)
 			want[i] = ApplyComparators(net, batches[i])
 		}
-		fast.ApplyBatches(batches, 4)
+		fast.ApplyBatches(batches)
 		for i := range batches {
 			if !reflect.DeepEqual(batches[i], want[i]) {
 				t.Fatalf("gate width %d batch %d: kernel batches %v, want %v", gw, i, batches[i], want[i])

@@ -78,47 +78,26 @@ func (p *Pipeline) Wait() { p.wg.Wait() }
 func (p *Pipeline) OutputOrder() []int32 { return p.plan.out }
 
 // SortBatches sorts every batch through the plan using `workers`
-// data-parallel goroutines, each with private scratch. Batches are
+// data-parallel goroutines, the caller's included. Batches are
 // replaced in place with their sorted contents in network output order
-// (descending). It complements Pipeline: data parallelism across
-// batches rather than pipeline parallelism across layers.
+// (descending). Workers claim blocks of `lanes` batches and run each
+// as ApplyBatches does. It complements Pipeline: data parallelism
+// across batches rather than pipeline parallelism across layers.
 func (plan *Plan) SortBatches(batches [][]int64, workers int) {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(batches) {
-		workers = len(batches)
-	}
-	if workers == 0 {
-		return
-	}
-	if workers == 1 {
-		plan.ApplyBatches(batches, 0)
-		return
-	}
-	// Hand out contiguous blocks so each worker streams its share
-	// through the cache-blocked path.
+	plan.checkBatches(batches)
+	workers = min(workers, (len(batches)+lanes-1)/lanes)
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
+	for g := 1; g < workers; g++ {
 		wg.Add(1)
 		// Production-only worker pool for the synchronous plan engine;
 		// not a replayed path.
 		//netvet:allow spawn
 		go func() {
 			defer wg.Done()
-			for {
-				k := int(next.Add(1)-1) * DefaultBatchBlock
-				if k >= len(batches) {
-					return
-				}
-				hi := k + DefaultBatchBlock
-				if hi > len(batches) {
-					hi = len(batches)
-				}
-				plan.ApplyBatches(batches[k:hi], 0)
-			}
+			plan.runBlocks(batches, &next)
 		}()
 	}
+	plan.runBlocks(batches, &next)
 	wg.Wait()
 }

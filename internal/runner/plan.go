@@ -17,14 +17,17 @@ import (
 // the hot loop dispatches without per-gate branching on gate width.
 //
 // A Plan is immutable after CompilePlan and safe for concurrent use;
-// all mutable state lives in per-caller Scratch. Every int64 sorting
-// path runs the compiled form, one layer at a time through runLayer:
+// all mutable state lives in per-caller Scratch or pooled blockScratch.
+// Every int64 sorting path runs the compiled form one layer at a time:
 //
-//   - Apply: one batch, allocation-free with caller-provided Scratch;
-//   - ApplyBatches: many batches streamed through the plan in blocks,
-//     so the plan's layer data stays cache-hot across a block;
-//   - SortBatches: ApplyBatches fanned across data-parallel workers;
-//   - Pipeline: one goroutine per layer over a stream of batches.
+//   - Apply: one batch through runLayer, allocation-free with
+//     caller-provided Scratch;
+//   - ApplyBatches: many batches lane-interleaved (lanes.go) — a block
+//     of `lanes` batches is transposed into wire-major rows and each
+//     gate sweeps its rows across the block;
+//   - SortBatches: those blocks handed out to data-parallel workers;
+//   - Pipeline: one goroutine per layer over a stream of batches,
+//     each stage running runLayer.
 //
 // All of them produce output identical to ApplyComparators: element k
 // of the result is the value leaving on wire OutputOrder[k], gates
@@ -227,52 +230,5 @@ func (p *Plan) runPairs(j0, j1 int, vals []int64) {
 		a, b := pairs[i], pairs[i+1]
 		va, vb := vals[a], vals[b]
 		vals[a], vals[b] = max(va, vb), min(va, vb)
-	}
-}
-
-// DefaultBatchBlock is the number of batches ApplyBatches streams
-// through each layer per pass. Chosen so a block of 64-wide int64
-// batches stays within L1 alongside the plan's own arrays.
-const DefaultBatchBlock = 16
-
-// ApplyBatches runs every batch through the plan in place: each batch
-// is replaced by its output sequence (descending for a sorting
-// network). Batches are processed in blocks of `block` (<= 0 selects
-// DefaultBatchBlock): within a block the plan advances layer by layer
-// across all block members, so each layer's wire indices are loaded
-// once per block rather than once per batch. Every batch must have
-// length Width.
-func (p *Plan) ApplyBatches(batches [][]int64, block int) {
-	for i, b := range batches {
-		if len(b) != p.width {
-			panic(fmt.Sprintf("runner: plan batch %d has %d values for width-%d network", i, len(b), p.width))
-		}
-	}
-	if block <= 0 {
-		block = DefaultBatchBlock
-	}
-	gate := make([]int64, p.maxWide)
-	var tmp []int64
-	if !p.outIdent {
-		tmp = make([]int64, p.width)
-	}
-	for lo := 0; lo < len(batches); lo += block {
-		hi := lo + block
-		if hi > len(batches) {
-			hi = len(batches)
-		}
-		for l := 0; l < p.numLayers; l++ {
-			for _, vals := range batches[lo:hi] {
-				p.runLayer(l, vals, gate)
-			}
-		}
-		if !p.outIdent {
-			for _, vals := range batches[lo:hi] {
-				copy(tmp, vals)
-				for k, wire := range p.out {
-					vals[k] = tmp[wire]
-				}
-			}
-		}
 	}
 }

@@ -112,26 +112,67 @@ func TestPlanApplyMatchesComparators(t *testing.T) {
 	}
 }
 
+// TestPlanApplyBatchesMatchesComparators runs the lane-interleaved
+// engine over batch counts around the block size — one lane, a partial
+// block, a full one, one batch past it and a partial third block — with
+// the generated kernels on and off, on every network plus K(4,4,8),
+// whose width-32 gates take the gather/insertion-sort fallback.
 func TestPlanApplyBatchesMatchesComparators(t *testing.T) {
-	for name, net := range allPlanNetworks(t) {
+	nets := allPlanNetworks(t)
+	k448, err := core.K(4, 4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets["K(4,4,8)"] = k448
+	for name, net := range nets {
 		t.Run(name, func(t *testing.T) {
-			plan := CompilePlan(net)
 			rng := rand.New(rand.NewSource(2))
-			for _, block := range []int{0, 1, 3, DefaultBatchBlock, 100} {
-				batches := make([][]int64, 37)
-				want := make([][]int64, len(batches))
-				for i := range batches {
-					batches[i] = randomBatch(rng, net.Width())
-					want[i] = ApplyComparators(net, batches[i])
-				}
-				plan.ApplyBatches(batches, block)
-				for i := range batches {
-					if !reflect.DeepEqual(batches[i], want[i]) {
-						t.Fatalf("block %d, batch %d: plan %v, want %v", block, i, batches[i], want[i])
+			for _, kernels := range []bool{true, false} {
+				plan := CompilePlan(net)
+				plan.SetWideKernels(kernels)
+				for _, count := range []int{1, lanes - 1, lanes, lanes + 1, 2*lanes + 3} {
+					batches := make([][]int64, count)
+					want := make([][]int64, len(batches))
+					for i := range batches {
+						batches[i] = randomBatch(rng, net.Width())
+						want[i] = ApplyComparators(net, batches[i])
+					}
+					plan.ApplyBatches(batches)
+					for i := range batches {
+						if !reflect.DeepEqual(batches[i], want[i]) {
+							t.Fatalf("kernels %v, %d batches, batch %d: plan %v, want %v", kernels, count, i, batches[i], want[i])
+						}
 					}
 				}
 			}
 		})
+	}
+}
+
+// TestPlanApplyBatchesAllocs pins the steady-state allocation count of
+// ApplyBatches and SortBatches to a constant per call: the block
+// scratch is pooled, never allocated per block.
+func TestPlanApplyBatchesAllocs(t *testing.T) {
+	net, err := core.L(3, 4, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := CompilePlan(net)
+	rng := rand.New(rand.NewSource(5))
+	for _, count := range []int{1, lanes, 7*lanes + 3} {
+		batches := make([][]int64, count)
+		for i := range batches {
+			batches[i] = randomBatch(rng, net.Width())
+		}
+		if n := testing.AllocsPerRun(50, func() { plan.ApplyBatches(batches) }); n > 1 {
+			t.Errorf("%d batches: ApplyBatches allocates %v times per call, want <= 1", count, n)
+		}
+		// Two workers share a block counter and a WaitGroup, and one of
+		// them is a spawned goroutine: 2–4 allocations, with headroom
+		// for a pool miss under -race.
+		if n := testing.AllocsPerRun(50, func() { plan.SortBatches(batches, 2) }); n > 6 {
+			t.Errorf("%d batches: SortBatches allocates %v times per call, want <= 6", count, n)
+		}
 	}
 }
 
@@ -143,7 +184,7 @@ func TestPlanParallelMatchesComparators(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			plan := CompilePlan(net)
 			rng := rand.New(rand.NewSource(3))
-			batches := make([][]int64, 2*DefaultBatchBlock+3)
+			batches := make([][]int64, 2*lanes+3)
 			want := make([][]int64, len(batches))
 			for i := range batches {
 				batches[i] = randomBatch(rng, net.Width())
@@ -176,7 +217,7 @@ func TestPlanWidthMismatchPanics(t *testing.T) {
 	}{
 		{"apply-src", func() { plan.Apply(make([]int64, 4), make([]int64, 3), nil) }},
 		{"apply-dst", func() { plan.Apply(make([]int64, 5), make([]int64, 4), nil) }},
-		{"batches", func() { plan.ApplyBatches([][]int64{make([]int64, 2)}, 0) }},
+		{"batches", func() { plan.ApplyBatches([][]int64{make([]int64, 2)}) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			defer func() {
@@ -236,13 +277,14 @@ func randomPlanNetwork(seed int64, width, gates int) (*network.Network, *rand.Ra
 
 // FuzzPlanVsComparators cross-checks every plan execution mode against
 // the reference gate-by-gate evaluator on arbitrary networks and
-// inputs.
+// inputs. ApplyBatches and SortBatches run a batch count drawn from the
+// fuzz data, so full and partial lane blocks both meet every topology.
 func FuzzPlanVsComparators(f *testing.F) {
-	f.Add(int64(1), uint8(4), uint8(6))
-	f.Add(int64(2), uint8(2), uint8(1))
-	f.Add(int64(3), uint8(13), uint8(40))
-	f.Add(int64(99), uint8(31), uint8(0))
-	f.Fuzz(func(t *testing.T, seed int64, width, gates uint8) {
+	f.Add(int64(1), uint8(4), uint8(6), uint8(3))
+	f.Add(int64(2), uint8(2), uint8(1), uint8(0))
+	f.Add(int64(3), uint8(13), uint8(40), uint8(lanes))
+	f.Add(int64(99), uint8(31), uint8(0), uint8(2*lanes+2))
+	f.Fuzz(func(t *testing.T, seed int64, width, gates, count uint8) {
 		w := 2 + int(width)%30
 		net, rng := randomPlanNetwork(seed, w, int(gates))
 		plan := CompilePlan(net)
@@ -255,15 +297,24 @@ func FuzzPlanVsComparators(f *testing.F) {
 			t.Fatalf("Apply %v, comparators %v (net %v)", got, want, net)
 		}
 
-		batch := [][]int64{append([]int64(nil), in...), randomBatch(rng, w), append([]int64(nil), in...)}
-		wantB := make([][]int64, len(batch))
-		for i := range batch {
-			wantB[i] = ApplyComparators(net, batch[i])
+		batches := make([][]int64, 1+int(count)%(3*lanes))
+		wantB := make([][]int64, len(batches))
+		for i := range batches {
+			batches[i] = randomBatch(rng, w)
+			wantB[i] = ApplyComparators(net, batches[i])
 		}
-		plan.ApplyBatches(batch, 2)
-		for i := range batch {
-			if !reflect.DeepEqual(batch[i], wantB[i]) {
-				t.Fatalf("ApplyBatches[%d] %v, want %v", i, batch[i], wantB[i])
+		copies := make([][]int64, len(batches))
+		for i, b := range batches {
+			copies[i] = append([]int64(nil), b...)
+		}
+		plan.ApplyBatches(batches)
+		plan.SortBatches(copies, 2)
+		for i := range batches {
+			if !reflect.DeepEqual(batches[i], wantB[i]) {
+				t.Fatalf("ApplyBatches[%d of %d] %v, want %v", i, len(batches), batches[i], wantB[i])
+			}
+			if !reflect.DeepEqual(copies[i], wantB[i]) {
+				t.Fatalf("SortBatches[%d of %d] %v, want %v", i, len(batches), copies[i], wantB[i])
 			}
 		}
 
