@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race short perfbench-test bench bench-plan bench-counter bench-obs bench-adaptive bench-scenarios bench-smoke obs-smoke fleet-smoke scenario-smoke fuzz soak vet fmt lint netvet vet-escape generate generate-check experiments examples clean
+.PHONY: all build test race short perfbench-test bench bench-plan bench-counter bench-obs bench-adaptive bench-scenarios bench-smoke obs-smoke fleet-smoke scenario-smoke fuzz soak vet fmt lint netvet vet-escape generate generate-check cross-build experiments examples clean
 
 all: build vet test
 
@@ -49,15 +49,22 @@ test:
 
 # Regenerate the branchless compare-exchange kernels from the
 # internal/optnet table (cmd/kernelgen verifies every embedded network
-# exhaustively before emitting code).
+# exhaustively before emitting code): zkernels.go, and the AVX-512
+# lane kernels zlanes_amd64.s with their declarations zlanes_amd64.go.
 generate:
-	$(GO) run ./cmd/kernelgen -out internal/runner/zkernels.go
+	$(GO) run ./cmd/kernelgen -dir internal/runner
 
-# Drift gate: fail if the committed kernels differ from what the
+# Drift gate: fail if any committed kernel file differs from what the
 # current table generates. CI runs this; `go test ./cmd/kernelgen`
 # enforces the same in-tree.
 generate-check:
-	$(GO) run ./cmd/kernelgen -check -out internal/runner/zkernels.go
+	$(GO) run ./cmd/kernelgen -check -dir internal/runner
+
+# The portable path must keep compiling where the assembly kernels do
+# not exist: vet for arm64, build for 386.
+cross-build:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) build ./...
 
 short:
 	$(GO) test -short ./...

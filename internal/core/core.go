@@ -119,7 +119,7 @@ func ValidateFactors(factors []int) error {
 		if p < 2 {
 			return fmt.Errorf("core: factor p%d = %d, want >= 2", i, p)
 		}
-		if w > (1<<31)/p {
+		if int64(w) > (1<<31)/int64(p) {
 			return fmt.Errorf("core: width overflow at factor p%d", i)
 		}
 		w *= p

@@ -59,43 +59,67 @@ func TestKernelExhaustive01(t *testing.T) {
 	}
 }
 
+// laneTables runs f once per lane kernel table, as subtests: the
+// portable Go kernels always, the AVX-512 kernels where the CPU runs
+// them. The AVX-512 subtest skips, saying why, where it cannot.
+func laneTables(t *testing.T, f func(t *testing.T, kern *laneTable)) {
+	t.Run("go", func(t *testing.T) { f(t, &goLanes) })
+	t.Run("avx512", func(t *testing.T) {
+		kern := asmLanes()
+		if kern == nil {
+			t.Skip("CPU or OS lacks AVX-512F with ZMM state: only the portable lane kernels run here")
+		}
+		f(t, kern)
+	})
+}
+
 // TestLaneKernelExhaustive01 runs all 2^w binary patterns of every
-// lane kernel width (3..16) through the lane kernel, `lanes` patterns
-// per call, one per lane, and checks each lane against
-// insertionSortDesc.
+// lane kernel width (2..16) through the lane kernel of each table:
+// `lanes` patterns per call, a different one in each lane, over a run
+// of two gates on disjoint rows, and checks each lane of each gate
+// against insertionSortDesc.
 func TestLaneKernelExhaustive01(t *testing.T) {
-	for w := 3; w <= maxKernelWidth; w++ {
-		lane := laneKernel[w]
-		if lane == nil {
-			t.Fatalf("no lane kernel for width %d", w)
-		}
-		wires := make([]int32, w)
-		for i := range wires {
-			wires[i] = int32(w - 1 - i) // rows in reverse, so wire order matters
-		}
-		rows := make([][lanes]int64, w)
-		want := make([]int64, w)
-		for base := 0; base < 1<<w; base += lanes {
-			n := min(lanes, 1<<w-base)
-			for i := 0; i < n; i++ {
-				for k, r := range wires {
-					rows[r][i] = int64((base+i)>>k) & 1
-				}
+	laneTables(t, func(t *testing.T, kern *laneTable) {
+		for w := 2; w <= maxKernelWidth; w++ {
+			lane := kern[w]
+			if lane == nil {
+				t.Fatalf("no lane kernel for width %d", w)
 			}
-			lane(rows, wires, n)
-			for i := 0; i < n; i++ {
-				for k := range want {
-					want[k] = int64((base+i)>>k) & 1
+			// Gate 0 takes rows 2w-1, 2w-3, ..., gate 1 the even rows
+			// upwards, so wire order and row order disagree.
+			wires := make([]int32, 2*w)
+			for k := 0; k < w; k++ {
+				wires[k] = int32(2*w - 1 - 2*k)
+				wires[w+k] = int32(2 * k)
+			}
+			rows := make([][lanes]int64, 2*w)
+			want := make([]int64, w)
+			for base := 0; base < 1<<w; base += 2 * lanes {
+				pattern := func(g, i int) int { return (base + g*lanes + i) % (1 << w) }
+				for g := range 2 {
+					for i := range lanes {
+						for k, r := range wires[g*w : (g+1)*w] {
+							rows[r][i] = int64(pattern(g, i)>>k) & 1
+						}
+					}
 				}
-				insertionSortDesc(want)
-				for k, r := range wires {
-					if got := rows[r][i]; got != want[k] {
-						t.Fatalf("width %d pattern %#x: wire %d holds %d, want %v", w, base+i, k, got, want)
+				lane(rows, wires, 2)
+				for g := range 2 {
+					for i := range lanes {
+						for k := range want {
+							want[k] = int64(pattern(g, i)>>k) & 1
+						}
+						insertionSortDesc(want)
+						for k, r := range wires[g*w : (g+1)*w] {
+							if got := rows[r][i]; got != want[k] {
+								t.Fatalf("width %d pattern %#x: wire %d holds %d, want %v", w, pattern(g, i), k, got, want)
+							}
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestKernelWireIndirection checks the kernels honor arbitrary wire

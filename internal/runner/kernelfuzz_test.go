@@ -9,10 +9,17 @@ import (
 // FuzzKernelVsSort drives every generated kernel with arbitrary int64
 // inputs decoded from the fuzz data and checks the output against the
 // stdlib sort, descending: the scalar kernel of width 5..16, then the
-// lane kernel of width 3..16 over 1..lanes lanes of a block whose
-// rows are scattered through the row buffer. Registered in the
-// Makefile fuzz targets and the CI fuzz-smoke job.
+// lane kernel of width 2..16 of every lane kernel table this CPU runs,
+// over a run of 1..3 gates whose rows are scattered through the row
+// buffer, every lane filled. Registered in the Makefile fuzz targets
+// and the CI fuzz-smoke job.
 func FuzzKernelVsSort(f *testing.F) {
+	tables := []*laneTable{&goLanes}
+	if asm := asmLanes(); asm != nil {
+		tables = append(tables, asm)
+	} else {
+		f.Log("CPU or OS lacks AVX-512F with ZMM state: fuzzing the portable lane kernels only")
+	}
 	f.Add(uint8(0), []byte{})
 	f.Add(uint8(3), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Add(uint8(11), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 1, 0, 0, 0, 0, 0, 0, 0x80})
@@ -35,46 +42,47 @@ func FuzzKernelVsSort(f *testing.F) {
 			}
 		}
 
-		lw := 3 + int(sel)%(maxKernelWidth-2)
-		lane := laneKernel[lw]
-		if lane == nil {
-			t.Fatalf("no lane kernel for width %d", lw)
-		}
-		n := lanes
+		lw := 2 + int(sel)%(maxKernelWidth-1)
+		count := 1
 		if len(data) > 0 {
-			n = 1 + int(data[0])%lanes
+			count = 1 + int(data[0])%3
 		}
-		// Gate wire k lives on row 2k+1 of 2·lw+1: rows between and
-		// around the gate's, and lanes past n, must stay untouched.
-		rows := make([][lanes]int64, 2*lw+1)
-		for r := range rows {
-			for i := range rows[r] {
-				rows[r][i] = int64(r*lanes + i)
-			}
+		// Wire k of gate g lives on row 2(g·lw+k)+1: the rows between
+		// and around the gates' must stay untouched.
+		rows := make([][lanes]int64, 2*lw*count+1)
+		lwires := make([]int32, lw*count)
+		for j := range lwires {
+			lwires[j] = int32(2*j + 1)
 		}
-		lwires := make([]int32, lw)
-		for k := range lwires {
-			lwires[k] = int32(2*k + 1)
-		}
-		vals = decodeValues(data, lw*n)
-		for i := 0; i < n; i++ {
-			for k, r := range lwires {
-				rows[r][i] = vals[i*lw+k]
-			}
-		}
-		lane(rows, lwires, n)
-		for i := 0; i < n; i++ {
-			want := sortedDesc(vals[i*lw : (i+1)*lw])
-			for k, r := range lwires {
-				if got := rows[r][i]; got != want[k] {
-					t.Fatalf("width %d, %d lanes, lane %d: row %d holds %d, stdlib sort %v", lw, n, i, r, got, want)
+		vals = decodeValues(data, lw*count*lanes)
+		for ti, table := range tables {
+			for r := range rows {
+				for i := range rows[r] {
+					rows[r][i] = int64(r*lanes + i)
 				}
 			}
-		}
-		for r := range rows {
-			for i, v := range rows[r] {
-				if (r%2 == 0 || i >= n) && v != int64(r*lanes+i) {
-					t.Fatalf("width %d, %d lanes: row %d lane %d changed to %d", lw, n, r, i, v)
+			for j, r := range lwires {
+				for i := range lanes {
+					rows[r][i] = vals[i*len(lwires)+j]
+				}
+			}
+			table[lw](rows, lwires, count)
+			for g := range count {
+				for i := range lanes {
+					in := vals[i*len(lwires)+g*lw : i*len(lwires)+(g+1)*lw]
+					want := sortedDesc(in)
+					for k, r := range lwires[g*lw : (g+1)*lw] {
+						if got := rows[r][i]; got != want[k] {
+							t.Fatalf("table %d, width %d, %d gates, gate %d lane %d: row %d holds %d, stdlib sort %v", ti, lw, count, g, i, r, got, want)
+						}
+					}
+				}
+			}
+			for r := 0; r < len(rows); r += 2 {
+				for i, v := range rows[r] {
+					if v != int64(r*lanes+i) {
+						t.Fatalf("table %d, width %d, %d gates: row %d lane %d changed to %d", ti, lw, count, r, i, v)
+					}
 				}
 			}
 		}

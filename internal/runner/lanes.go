@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -12,11 +13,14 @@ import (
 // the same order. ApplyBatches therefore transposes a block of up to
 // `lanes` batches into wire-major rows — row w holds wire w's value
 // from each batch of the block, contiguous — and runs each layer once
-// per block. A gate loads its wire indices once and then sweeps its
-// rows across the lanes: a min/max loop for 2-comparators, a generated
-// lane kernel (zkernels.go, from the same internal/optnet networks as
-// the scalar ceN kernels) for widths 3..16, and the gather/insertion
-// sort fallback, one lane at a time, for anything wider.
+// per block. A run of equal-width gates is one lane kernel call that
+// sorts every gate of the run across all the lanes: a generated
+// kernel of the plan's laneTable for widths 2..16 (AVX-512 assembly
+// or portable Go, both from the internal/optnet networks of the scalar
+// ceN kernels), the gather/insertion sort fallback, one lane at a
+// time, for anything wider. Lanes past the end of a partial block hold
+// stale values; the kernels sort them like any other and they are
+// never emitted.
 
 // lanes is the number of batches a block runs through the plan
 // together. A block's rows take width·lanes·8 bytes: 46 KB at width
@@ -24,6 +28,21 @@ import (
 // L2 — 16 lanes still measured faster than 8 there, because every
 // gate's index loads and dispatch are spread over twice the lanes.
 const lanes = 16
+
+// laneTable holds one lane kernel per gate width: kernel w sorts count
+// gates of width w, whose wire lists lie back to back in wires, across
+// all `lanes` lanes of rows. A nil entry sends the width to the
+// fallback.
+type laneTable [maxKernelWidth + 1]func(rows [][lanes]int64, wires []int32, count int)
+
+// nativeLanes is the lane kernel table CompilePlan gives every plan,
+// chosen once at init: the AVX-512 kernels where the CPU and OS
+// support them, the portable Go kernels elsewhere.
+var nativeLanes = cmp.Or(asmLanes(), &goLanes)
+
+// refLanes is the reference table of SetWideKernels(false): portable
+// kernels for widths 2..4 only, every wider gate to the fallback.
+var refLanes = laneTable{2: lane2, 3: lane3, 4: lane4}
 
 // blockScratch is the mutable state of running blocks: the block's
 // rows (rows[w][i] is wire w's value in the block's i-th batch) and
@@ -68,32 +87,34 @@ func (p *Plan) checkBatches(batches [][]int64) {
 // keep callers of the former ApplyBatches(batches, block) compiling.
 func (p *Plan) ApplyBatches(batches [][]int64, _ ...int) {
 	p.checkBatches(batches)
-	p.runBlocks(batches, new(atomic.Int64))
+	p.runBlocks(batches, new(atomic.Int64), p.out)
 }
 
 // runBlocks claims blocks of `lanes` batches through next (block k
-// starts at batch k·lanes) and runs each, until none is left. Every
-// SortBatches worker runs it over the same counter.
-func (p *Plan) runBlocks(batches [][]int64, next *atomic.Int64) {
+// starts at batch k·lanes) and runs each, emitting output position k
+// from wire out[k], until none is left. Every SortBatches worker runs
+// it over the same counter.
+func (p *Plan) runBlocks(batches [][]int64, next *atomic.Int64, out []int32) {
 	s := p.getBlockScratch()
 	for {
 		k := int(next.Add(1)-1) * lanes
 		if k >= len(batches) {
 			break
 		}
-		p.runBlock(batches[k:min(k+lanes, len(batches))], s.rows, s.gate)
+		p.runBlock(batches[k:min(k+lanes, len(batches))], s.rows, s.gate, out)
 	}
 	blockPool.Put(s)
 }
 
 // runBlock sorts one block of at most `lanes` batches: transpose into
-// rows, run every layer across the lanes, transpose back in output
-// order. Its lane loops range over `lanes` and break at the block's
-// end, here and in laneWide, so that the compiler proves every lane
-// index below `lanes` and drops the bounds check on rows[w][i].
+// rows, run every layer across the lanes with one call per run,
+// transpose back in the order out gives. Its transpose loops range
+// over `lanes` and break at the block's end, so that the compiler
+// proves every lane index below `lanes` and drops the bounds check on
+// rows[w][i].
 //
 //netvet:hotpath
-func (p *Plan) runBlock(block [][]int64, rows [][lanes]int64, gate []int64) {
+func (p *Plan) runBlock(block [][]int64, rows [][lanes]int64, gate []int64, out []int32) {
 	rows = rows[:p.width]
 	for b := range lanes {
 		if b == len(block) {
@@ -104,61 +125,41 @@ func (p *Plan) runBlock(block [][]int64, rows [][lanes]int64, gate []int64) {
 			rows[w][b] = v
 		}
 	}
-	n := len(block)
-	for l := 0; l < p.numLayers; l++ {
-		p.lanePairs(int(p.pairOff[l]), int(p.pairOff[l+1]), rows, n)
-		p.laneWide(int(p.layerWide[l]), int(p.layerWide[l+1]), rows, gate, n)
+	kern := p.kern
+	for _, layer := range p.layers {
+		for _, r := range layer {
+			if r.width <= maxKernelWidth && kern[r.width] != nil {
+				kern[r.width](rows, r.wires, r.count)
+			} else {
+				laneSort(rows, r.wires, r.width, gate)
+			}
+		}
 	}
 	for b := range lanes {
 		if b == len(block) {
 			break
 		}
-		vals := block[b][:len(p.out)]
-		for k, wire := range p.out {
+		vals := block[b][:len(out)]
+		for k, wire := range out {
 			vals[k] = rows[wire][b]
 		}
 	}
 }
 
-// lanePairs applies 2-comparator pairs [j0,j1) (pair indices) to the
-// first n lanes of rows, branchless as in runPairs.
+// laneSort sorts the gates of a run of width w, one lane at a time, by
+// insertion-sorting the lane's values into gate as they are gathered.
+// Inserting while gathering, rather than gathering and then calling
+// insertionSortDesc, saves a pass over the gate and keeps K(4,4,8),
+// whose width-32 gates take this path, level with runLayer.
 //
 //netvet:hotpath
-func (p *Plan) lanePairs(j0, j1 int, rows [][lanes]int64, n int) {
-	pairs := p.pairs[2*j0 : 2*j1]
-	for j := 0; j+1 < len(pairs); j += 2 {
-		ra := rows[pairs[j]][:n]
-		rb := rows[pairs[j+1]][:n]
-		for i := range ra {
-			va, vb := ra[i], rb[i]
-			ra[i], rb[i] = max(va, vb), min(va, vb)
-		}
-	}
-}
-
-// laneWide applies wide gates [g0,g1) to the first n lanes of rows:
-// widths 3..16 through the generated lane kernels (widths 3 and 4 even
-// with SetWideKernels(false), as in runWide), wider gates one lane at
-// a time by insertion-sorting the lane's values into gate as they are
-// gathered. Inserting while gathering, rather than gathering and then
-// calling insertionSortDesc, saves a pass over the gate and keeps
-// K(4,4,8), whose width-32 gates take this path, level with runWide.
-//
-//netvet:hotpath
-func (p *Plan) laneWide(g0, g1 int, rows [][lanes]int64, gate []int64, n int) {
-	for g := g0; g < g1; g++ {
-		wires := p.wideWires[p.wideOff[g]:p.wideOff[g+1]]
-		if len(wires) <= maxKernelWidth && (len(wires) <= 4 || !p.noKernels) {
-			laneKernel[len(wires)](rows, wires, n)
-			continue
-		}
-		t := gate[:len(wires)]
+func laneSort(rows [][lanes]int64, wires []int32, w int, gate []int64) {
+	t := gate[:w]
+	for g := 0; g+w <= len(wires); g += w {
+		gw := wires[g : g+w]
 		for i := range lanes {
-			if i == n {
-				break
-			}
-			for k, w := range wires {
-				v := rows[w][i]
+			for k, r := range gw {
+				v := rows[r][i]
 				j := k - 1
 				for j >= 0 && t[j] < v {
 					t[j+1] = t[j]
@@ -166,8 +167,8 @@ func (p *Plan) laneWide(g0, g1 int, rows [][lanes]int64, gate []int64, n int) {
 				}
 				t[j+1] = v
 			}
-			for k, w := range wires {
-				rows[w][i] = t[k]
+			for k, r := range gw {
+				rows[r][i] = t[k]
 			}
 		}
 	}

@@ -84,6 +84,17 @@ func (p *Pipeline) OutputOrder() []int32 { return p.plan.out }
 // as ApplyBatches does. It complements Pipeline: data parallelism
 // across batches rather than pipeline parallelism across layers.
 func (plan *Plan) SortBatches(batches [][]int64, workers int) {
+	plan.sortBatches(batches, workers, plan.out)
+}
+
+// SortBatchesAscending is SortBatches with every batch emitted in
+// reverse output order, ascending for a sorting network. The reversal
+// costs nothing: it is the order of the transpose back out of a block.
+func (plan *Plan) SortBatchesAscending(batches [][]int64, workers int) {
+	plan.sortBatches(batches, workers, plan.rev)
+}
+
+func (plan *Plan) sortBatches(batches [][]int64, workers int, out []int32) {
 	plan.checkBatches(batches)
 	workers = min(workers, (len(batches)+lanes-1)/lanes)
 	var next atomic.Int64
@@ -95,9 +106,9 @@ func (plan *Plan) SortBatches(batches [][]int64, workers int) {
 		//netvet:allow spawn
 		go func() {
 			defer wg.Done()
-			plan.runBlocks(batches, &next)
+			plan.runBlocks(batches, &next, out)
 		}()
 	}
-	plan.runBlocks(batches, &next)
+	plan.runBlocks(batches, &next, out)
 	wg.Wait()
 }

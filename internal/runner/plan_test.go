@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"countnet/internal/core"
@@ -112,11 +113,15 @@ func TestPlanApplyMatchesComparators(t *testing.T) {
 	}
 }
 
+// batchCounts are the batch counts the lane engine is tested at: one
+// lane, a partial block, a full one, one batch past it and a partial
+// third block.
+var batchCounts = []int{1, lanes - 1, lanes, lanes + 1, 2*lanes + 3}
+
 // TestPlanApplyBatchesMatchesComparators runs the lane-interleaved
-// engine over batch counts around the block size — one lane, a partial
-// block, a full one, one batch past it and a partial third block — with
-// the generated kernels on and off, on every network plus K(4,4,8),
-// whose width-32 gates take the gather/insertion-sort fallback.
+// engine over batchCounts with each lane kernel table, and with the
+// generated kernels off, on every network plus K(4,4,8), whose
+// width-32 gates take the gather/insertion-sort fallback.
 func TestPlanApplyBatchesMatchesComparators(t *testing.T) {
 	nets := allPlanNetworks(t)
 	k448, err := core.K(4, 4, 8)
@@ -124,27 +129,35 @@ func TestPlanApplyBatchesMatchesComparators(t *testing.T) {
 		t.Fatal(err)
 	}
 	nets["K(4,4,8)"] = k448
-	for name, net := range nets {
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(2))
-			for _, kernels := range []bool{true, false} {
-				plan := CompilePlan(net)
-				plan.SetWideKernels(kernels)
-				for _, count := range []int{1, lanes - 1, lanes, lanes + 1, 2*lanes + 3} {
-					batches := make([][]int64, count)
-					want := make([][]int64, len(batches))
-					for i := range batches {
-						batches[i] = randomBatch(rng, net.Width())
-						want[i] = ApplyComparators(net, batches[i])
-					}
-					plan.ApplyBatches(batches)
-					for i := range batches {
-						if !reflect.DeepEqual(batches[i], want[i]) {
-							t.Fatalf("kernels %v, %d batches, batch %d: plan %v, want %v", kernels, count, i, batches[i], want[i])
-						}
-					}
+	check := func(t *testing.T, net *network.Network, plan *Plan) {
+		rng := rand.New(rand.NewSource(2))
+		for _, count := range batchCounts {
+			batches := make([][]int64, count)
+			want := make([][]int64, len(batches))
+			for i := range batches {
+				batches[i] = randomBatch(rng, net.Width())
+				want[i] = ApplyComparators(net, batches[i])
+			}
+			plan.ApplyBatches(batches)
+			for i := range batches {
+				if !reflect.DeepEqual(batches[i], want[i]) {
+					t.Fatalf("%d batches, batch %d: plan %v, want %v", count, i, batches[i], want[i])
 				}
 			}
+		}
+	}
+	for name, net := range nets {
+		t.Run(name, func(t *testing.T) {
+			laneTables(t, func(t *testing.T, kern *laneTable) {
+				plan := CompilePlan(net)
+				plan.kern = kern
+				check(t, net, plan)
+			})
+			t.Run("reference", func(t *testing.T) {
+				plan := CompilePlan(net)
+				plan.SetWideKernels(false)
+				check(t, net, plan)
+			})
 		})
 	}
 }
@@ -277,13 +290,21 @@ func randomPlanNetwork(seed int64, width, gates int) (*network.Network, *rand.Ra
 
 // FuzzPlanVsComparators cross-checks every plan execution mode against
 // the reference gate-by-gate evaluator on arbitrary networks and
-// inputs. ApplyBatches and SortBatches run a batch count drawn from the
-// fuzz data, so full and partial lane blocks both meet every topology.
+// inputs. ApplyBatches, SortBatches and SortBatchesAscending run one of
+// batchCounts, drawn from the fuzz data, with every lane kernel table
+// this CPU runs and with the generated kernels off, so full and partial
+// lane blocks meet every topology on every table.
 func FuzzPlanVsComparators(f *testing.F) {
+	tables := []*laneTable{&goLanes}
+	if asm := asmLanes(); asm != nil {
+		tables = append(tables, asm)
+	} else {
+		f.Log("CPU or OS lacks AVX-512F with ZMM state: fuzzing the portable lane kernels only")
+	}
 	f.Add(int64(1), uint8(4), uint8(6), uint8(3))
 	f.Add(int64(2), uint8(2), uint8(1), uint8(0))
-	f.Add(int64(3), uint8(13), uint8(40), uint8(lanes))
-	f.Add(int64(99), uint8(31), uint8(0), uint8(2*lanes+2))
+	f.Add(int64(3), uint8(13), uint8(40), uint8(2))
+	f.Add(int64(99), uint8(31), uint8(0), uint8(4))
 	f.Fuzz(func(t *testing.T, seed int64, width, gates, count uint8) {
 		w := 2 + int(width)%30
 		net, rng := randomPlanNetwork(seed, w, int(gates))
@@ -297,24 +318,39 @@ func FuzzPlanVsComparators(f *testing.F) {
 			t.Fatalf("Apply %v, comparators %v (net %v)", got, want, net)
 		}
 
-		batches := make([][]int64, 1+int(count)%(3*lanes))
+		batches := make([][]int64, batchCounts[int(count)%len(batchCounts)])
 		wantB := make([][]int64, len(batches))
 		for i := range batches {
 			batches[i] = randomBatch(rng, w)
 			wantB[i] = ApplyComparators(net, batches[i])
 		}
-		copies := make([][]int64, len(batches))
-		for i, b := range batches {
-			copies[i] = append([]int64(nil), b...)
+		plans := make([]*Plan, 0, len(tables)+1)
+		for _, kern := range tables {
+			p := CompilePlan(net)
+			p.kern = kern
+			plans = append(plans, p)
 		}
-		plan.ApplyBatches(batches)
-		plan.SortBatches(copies, 2)
-		for i := range batches {
-			if !reflect.DeepEqual(batches[i], wantB[i]) {
-				t.Fatalf("ApplyBatches[%d of %d] %v, want %v", i, len(batches), batches[i], wantB[i])
-			}
-			if !reflect.DeepEqual(copies[i], wantB[i]) {
-				t.Fatalf("SortBatches[%d of %d] %v, want %v", i, len(batches), copies[i], wantB[i])
+		ref := CompilePlan(net)
+		ref.SetWideKernels(false)
+		plans = append(plans, ref)
+		for pi, p := range plans {
+			applied := copyBatches(batches)
+			sorted := copyBatches(batches)
+			ascending := copyBatches(batches)
+			p.ApplyBatches(applied)
+			p.SortBatches(sorted, 2)
+			p.SortBatchesAscending(ascending, 2)
+			for i := range batches {
+				if !reflect.DeepEqual(applied[i], wantB[i]) {
+					t.Fatalf("plan %d: ApplyBatches[%d of %d] %v, want %v", pi, i, len(batches), applied[i], wantB[i])
+				}
+				if !reflect.DeepEqual(sorted[i], wantB[i]) {
+					t.Fatalf("plan %d: SortBatches[%d of %d] %v, want %v", pi, i, len(batches), sorted[i], wantB[i])
+				}
+				slices.Reverse(ascending[i])
+				if !reflect.DeepEqual(ascending[i], wantB[i]) {
+					t.Fatalf("plan %d: SortBatchesAscending[%d of %d] reversed %v, want %v", pi, i, len(batches), ascending[i], wantB[i])
+				}
 			}
 		}
 
@@ -322,4 +358,12 @@ func FuzzPlanVsComparators(f *testing.F) {
 			t.Fatalf("Pipeline %v, want %v", got, want)
 		}
 	})
+}
+
+func copyBatches(batches [][]int64) [][]int64 {
+	out := make([][]int64, len(batches))
+	for i, b := range batches {
+		out[i] = slices.Clone(b)
+	}
+	return out
 }

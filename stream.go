@@ -42,12 +42,7 @@ func (n *Network) SortBatches(batches [][]int64, workers int) error {
 			return fmt.Errorf("countnet: batch %d has %d values for width-%d network", i, len(b), n.Width())
 		}
 	}
-	n.evalPlan().SortBatches(batches, workers)
-	for _, b := range batches {
-		for i, j := 0, len(b)-1; i < j; i, j = i+1, j-1 {
-			b[i], b[j] = b[j], b[i]
-		}
-	}
+	n.evalPlan().SortBatchesAscending(batches, workers)
 	return nil
 }
 
