@@ -16,8 +16,7 @@ fmt:
 	gofmt -l -w .
 
 # The repo's own vettool (see docs/TESTING.md, "Static analysis"):
-# padalign, schedhooks, ctorerr, fieldalign, hotpath, epochorder,
-# atomicmix.
+# padalign, schedhooks, ctorerr, fieldalign, hotpath, atomicmix.
 netvet:
 	$(GO) build -o bin/netvet ./cmd/netvet
 
@@ -61,10 +60,10 @@ generate-check:
 	$(GO) run ./cmd/kernelgen -check -dir internal/runner
 
 # The portable path must keep compiling where the assembly kernels do
-# not exist: vet for arm64, build for 386.
+# not exist: vet (which also compiles the tests) for arm64 and 386.
 cross-build:
 	GOARCH=arm64 $(GO) vet ./...
-	GOARCH=386 $(GO) build ./...
+	GOARCH=386 $(GO) vet ./...
 
 short:
 	$(GO) test -short ./...
@@ -116,16 +115,17 @@ bench-obs:
 # network and emits benchmark lines straight into benchjson. Two
 # passes share one result set: the per-value lanes (atomic / network /
 # adaptive, the request pattern of a live ID server) and the block-64
-# lanes (combining-block64 / adaptive-block64, the batched pattern the
-# crossover study used). Acceptance: adaptive within 15% of the best
-# static lane at every g, and >=1.5x the worst static at the
+# lanes (atomic-block64 / combining-block64 / adaptive-block64, the
+# batched pattern the crossover study used; atomic-block64 is the
+# static twin of adaptive-block64). Acceptance: adaptive within 15% of
+# the best static lane at every g, and >=1.5x the worst static at the
 # endpoints.
 bench-adaptive:
 	$(GO) build -o bin/countbench ./cmd/countbench
 	( ./bin/countbench -sweep -width 16 -duration 150ms -repeat 3 \
 		-counter atomic,mutex,network,adaptive ; \
 	  ./bin/countbench -sweep -width 16 -duration 150ms -repeat 3 \
-		-counter combining,adaptive -block 64 ) \
+		-counter atomic,combining,adaptive -block 64 ) \
 		| $(GO) run ./cmd/benchjson -out BENCH_adaptive.json -set current \
 			-note "countbench -sweep, width 16, g=1..32; per-value lanes at block 1, batched lanes at block 64; ns/op is per value"
 
@@ -207,7 +207,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzJSONUnmarshal -fuzztime=30s ./internal/network
 	$(GO) test -run '^$$' -fuzz=FuzzSnapshotMerge -fuzztime=30s ./internal/obs
 	$(GO) test -run '^$$' -fuzz=FuzzCounterSchedules -fuzztime=30s ./internal/counter
-	$(GO) test -run '^$$' -fuzz=FuzzAdaptiveSchedules -fuzztime=30s ./internal/counter
+	$(GO) test -run '^$$' -fuzz=FuzzCombiningSchedules -fuzztime=30s ./internal/counter
 	$(GO) test -run '^$$' -fuzz=FuzzRunsVsBlock -fuzztime=30s ./internal/counter
 	$(GO) test -run '^$$' -fuzz=FuzzPoolSchedules -fuzztime=30s ./internal/pool
 	$(GO) test -run '^$$' -fuzz=FuzzCheckRunVsReference -fuzztime=30s ./internal/harness

@@ -8,8 +8,7 @@ import (
 )
 
 // TestAdaptiveCounterPublic: the public surface issues distinct values
-// under concurrency and reports a valid strategy, with and without
-// observability (which also starts the governor).
+// under concurrency, with and without observability.
 func TestAdaptiveCounterPublic(t *testing.T) {
 	net, err := NewL(2, 2, 2)
 	if err != nil {
@@ -24,7 +23,6 @@ func TestAdaptiveCounterPublic(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			c := NewAdaptiveCounter(net, opts...)
-			defer c.Close()
 			const workers, perWorker = 4, 500
 			out := make([][]int64, workers)
 			var wg sync.WaitGroup
@@ -51,11 +49,6 @@ func TestAdaptiveCounterPublic(t *testing.T) {
 					t.Fatalf("duplicate value %d", all[i])
 				}
 			}
-			switch c.Strategy() {
-			case "atomic", "network", "combining":
-			default:
-				t.Fatalf("Strategy() = %q", c.Strategy())
-			}
 			if withObs {
 				data, err := ObsSnapshotJSON()
 				if err != nil {
@@ -68,7 +61,6 @@ func TestAdaptiveCounterPublic(t *testing.T) {
 					t.Fatal("adaptive kind missing from obs snapshot")
 				}
 			}
-			c.Close() // idempotent with the deferred Close
 		})
 	}
 }
@@ -81,7 +73,6 @@ func TestAdaptiveCounterBlockDraws(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewAdaptiveCounter(net)
-	defer c.Close()
 	var all []int64
 	dst := make([]int64, 16)
 	c.NextBlock(dst)
@@ -130,27 +121,5 @@ func TestAdviseFactorizationPublic(t *testing.T) {
 	}
 	if _, err := AdviseFactorization(1, 1, 1); err == nil {
 		t.Fatal("width 1 did not error")
-	}
-}
-
-// TestAdaptiveRecommend: the live counter's Recommend is wired to the
-// same advisor.
-func TestAdaptiveRecommend(t *testing.T) {
-	net, err := NewL(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewAdaptiveCounter(net)
-	defer c.Close()
-	adv, err := c.Recommend()
-	if err != nil {
-		t.Fatal(err)
-	}
-	prod := 1
-	for _, f := range adv.Factors {
-		prod *= f
-	}
-	if prod != 4 {
-		t.Fatalf("recommended factors %v do not multiply to 4", adv.Factors)
 	}
 }

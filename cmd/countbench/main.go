@@ -12,7 +12,7 @@
 //	countbench -width 32 -duration 200ms      # wider network, longer windows
 //	countbench -goroutines 1,4,16             # explicit thread counts
 //	countbench -counter network,combining     # choose counter engines
-//	countbench -counter adaptive              # obs-driven adaptive front-end
+//	countbench -counter adaptive              # atomic word with per-handle prefetch
 //	countbench -counter combining -block 16   # block requests (values/sec)
 //	countbench -sweep -goroutines 1,4,16      # benchmark lines for benchjson
 //	countbench -engine gates                  # sort via the gate-list walker
@@ -138,13 +138,6 @@ func runTables(ctx context.Context, cfg *config) {
 		steps = bench.DefaultGoroutineSteps()
 	}
 
-	// The adaptive governor reads the obs signals even when the user
-	// did not ask for the obs table; give it a private registry then.
-	adaptReg := obs.Default
-	if !cfg.Obs {
-		adaptReg = obs.NewRegistry()
-	}
-
 	tbl := &bench.Table{
 		ID:    "countbench",
 		Title: fmt.Sprintf("Fetch&Increment throughput, width %d, block %d (values/sec)", width, block),
@@ -171,14 +164,10 @@ func runTables(ctx context.Context, cfg *config) {
 				}
 				var rate float64
 				obs.Do(name, phase, func() {
-					c := mk()
-					rate = bench.MeasureCounter(c, bench.ThroughputOptions{
+					rate = bench.MeasureCounter(mk(), bench.ThroughputOptions{
 						Goroutines: g, Duration: duration, Block: block,
 						Interrupt: ctx.Done(),
 					})
-					if cl, ok := c.(interface{ Close() }); ok {
-						cl.Close() // stop the adaptive governor
-					}
 				})
 				return rate
 			})
@@ -236,10 +225,9 @@ func runTables(ctx context.Context, cfg *config) {
 		}
 		if want["adaptive"] {
 			measure(name+" (adaptive)", func() counter.Counter {
-				c := counter.NewAdaptiveCounter(net, counter.EngineAtomic)
-				c.EnableObs(base+".adaptive", adaptReg)
-				if err := c.StartGovernor(); err != nil {
-					panic(err) // unreachable: obs was just enabled
+				c := counter.NewAdaptiveCounter()
+				if cfg.Obs {
+					c.EnableObs(base+".adaptive", nil)
 				}
 				return c
 			})

@@ -28,8 +28,7 @@ import (
 )
 
 // sweepLane is one counter engine in the sweep. mk builds a fresh,
-// quiescent counter per measurement window; counters exposing Close
-// (the adaptive engine's governor) are closed when the window ends.
+// quiescent counter per measurement window.
 type sweepLane struct {
 	name string
 	mk   func() counter.Counter
@@ -44,12 +43,6 @@ func sweepLanes(cfg *config, net *network.Network) []sweepLane {
 	if cfg.Block > 1 {
 		suffix = fmt.Sprintf("-block%d", cfg.Block)
 	}
-	reg := obs.Default
-	if !cfg.Obs {
-		// The governor needs the obs signals even when the user did not
-		// ask for the obs table; feed it a private registry.
-		reg = obs.NewRegistry()
-	}
 	var lanes []sweepLane
 	add := func(name string, mk func() counter.Counter) {
 		if cfg.Counters[name] {
@@ -62,10 +55,9 @@ func sweepLanes(cfg *config, net *network.Network) []sweepLane {
 	add("network-mutex", func() counter.Counter { return counter.NewNetworkCounter(net, true) })
 	add("combining", func() counter.Counter { return counter.NewCombiningCounter(net) })
 	add("adaptive", func() counter.Counter {
-		c := counter.NewAdaptiveCounter(net, counter.EngineAtomic)
-		c.EnableObs("sweep.adaptive"+suffix, reg)
-		if err := c.StartGovernor(); err != nil {
-			panic(err) // unreachable: obs was just enabled
+		c := counter.NewAdaptiveCounter()
+		if cfg.Obs {
+			c.EnableObs("sweep.adaptive"+suffix, nil)
 		}
 		return c
 	})
@@ -92,14 +84,10 @@ func runSweep(ctx context.Context, cfg *config, w io.Writer) error {
 				}
 				var rate float64
 				obs.Do(lane.name, phase, func() {
-					c := lane.mk()
-					rate = bench.MeasureCounter(c, bench.ThroughputOptions{
+					rate = bench.MeasureCounter(lane.mk(), bench.ThroughputOptions{
 						Goroutines: g, Duration: cfg.Duration, Block: cfg.Block,
 						Interrupt: ctx.Done(),
 					})
-					if cl, ok := c.(interface{ Close() }); ok {
-						cl.Close()
-					}
 				})
 				return rate
 			})

@@ -3,11 +3,9 @@
 // process serving countnet.ObsHandler) and renders a live per-layer
 // contention and throughput table: tokens per balancer layer, rates
 // over the refresh interval, the share of the busiest balancer,
-// contention events, and the operation latency histograms. Adaptive
-// counter groups also show the strategy gauges — active engine,
-// switch count, last switch reason, load estimate, governed combining
-// block. See docs/OBSERVABILITY.md for how to read the table against
-// the paper's contention model.
+// contention events, and the operation latency histograms. See
+// docs/OBSERVABILITY.md for how to read the table against the paper's
+// contention model.
 //
 // Usage:
 //

@@ -367,33 +367,24 @@ func NewCombiningCounter(n *Network, opts ...Option) *Counter {
 	return &Counter{inner: c}
 }
 
-// AdaptiveCounter is a self-tuning Fetch&Increment counter: it serves
-// draws from a raw atomic word, a counting-network counter, or a
-// flat-combining counter over the given network, and — when
-// observability is on — switches between them live along the measured
-// lower envelope of the three (see docs/PERFORMANCE.md, "Adaptive
-// engine"). Across every engine switch, with or without the governor
-// running, the values handed out at quiescence — including small
-// per-handle prefetch blocks not yet returned by Next — are exactly
-// 0..N-1.
+// AdaptiveCounter is a Fetch&Increment counter over one atomic
+// fetch-and-add word whose handles prefetch 32 values at a time, so
+// the shared word sees one atomic add per block (see
+// docs/PERFORMANCE.md, "Adaptive engine"). At quiescence the values
+// handed out — including prefetched values not yet returned by a
+// handle's Next — are exactly 0..N-1.
 type AdaptiveCounter struct {
 	inner *counter.AdaptiveCounter
 }
 
-// NewAdaptiveCounter builds an adaptive counter over the given
-// counting network. With WithObservability the counter registers its
-// strategy gauges (active engine, switch count, last switch reason)
-// under the given group name and starts the governor, which retunes
-// the strategy from self-measured load; without it the counter stays
-// on its initial engine (the atomic word) unless the caller switches
-// manually via the internal API. Call Close when done to stop the
-// governor.
+// NewAdaptiveCounter builds an adaptive counter. The counter draws
+// from its own word, so n is not consulted. With WithObservability the
+// counter registers a group under the given name that reports ops,
+// the values drawn from the word.
 func NewAdaptiveCounter(n *Network, opts ...Option) *AdaptiveCounter {
-	c := counter.NewAdaptiveCounter(n.inner, counter.EngineAtomic)
+	c := counter.NewAdaptiveCounter()
 	if o := buildOptions(opts); o.obsName != "" {
 		c.EnableObs(o.obsName, nil)
-		// EnableObs preceded, so StartGovernor cannot fail.
-		_ = c.StartGovernor()
 	}
 	return &AdaptiveCounter{inner: c}
 }
@@ -405,34 +396,12 @@ func (c *AdaptiveCounter) Next() int64 { return c.inner.Next() }
 // NextBlock fills dst with len(dst) fresh values.
 func (c *AdaptiveCounter) NextBlock(dst []int64) { c.inner.NextBlock(dst) }
 
-// Handle returns a goroutine-local handle (see Counter.Handle).
+// Handle returns a goroutine-local handle (see Counter.Handle). A
+// handle registers nothing with the counter, so handles may be made
+// per operation.
 func (c *AdaptiveCounter) Handle(id int) *CounterHandle {
 	return &CounterHandle{inner: c.inner.Handle(id)}
 }
-
-// Strategy returns the name of the currently active engine: "atomic",
-// "network" or "combining".
-func (c *AdaptiveCounter) Strategy() string { return c.inner.Strategy().String() }
-
-// Switches returns the number of completed engine transitions.
-func (c *AdaptiveCounter) Switches() int64 { return c.inner.Switches() }
-
-// Recommend maps the governor's current load estimate to the
-// L-family factorization the measured cost model favours at this
-// load, for the counter's width (see AdviseFactorization). Useful for
-// re-provisioning: the adaptive counter switches engines live, but
-// the network it switches onto is fixed at construction.
-func (c *AdaptiveCounter) Recommend() (FactorizationAdvice, error) {
-	load := c.inner.LoadEstimate()
-	if load < 1 {
-		load = 1
-	}
-	return AdviseFactorization(c.inner.Width(), load, float64(c.inner.CombineBlock()))
-}
-
-// Close stops the governor, if running. The counter remains usable on
-// its current engine.
-func (c *AdaptiveCounter) Close() { c.inner.Close() }
 
 // Next issues the next value. Safe for concurrent use; in tight loops
 // prefer per-goroutine handles from Handle.
@@ -546,13 +515,13 @@ type FactorizationAdvice struct {
 
 // AdviseFactorization recommends the L-family factorization of width w
 // for the given load profile: concurrency is the expected mean number
-// of concurrent requesters (an adaptive counter's live estimate, or a
-// capacity target), block the mean values drawn per request (>= 1;
-// batched draws divide per-balancer pressure). It builds every
-// factorization of w, scores each with a contention-aware cost model
-// calibrated on the committed benchmark lanes, and returns the
-// cheapest — see internal/factor.Advise. Enumeration is exhaustive, so
-// keep w modest (hundreds, not millions).
+// of concurrent requesters (a measured load, or a capacity target),
+// block the mean values drawn per request (>= 1; batched draws divide
+// per-balancer pressure). It builds every factorization of w, scores
+// each with a contention-aware cost model calibrated on the committed
+// benchmark lanes, and returns the cheapest — see
+// internal/factor.Advise. Enumeration is exhaustive, so keep w modest
+// (hundreds, not millions).
 func AdviseFactorization(w int, concurrency, block float64) (FactorizationAdvice, error) {
 	cands, err := adviseCandidates(w)
 	if err != nil {

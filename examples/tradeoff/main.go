@@ -72,9 +72,8 @@ func main() {
 
 	// Which point should YOU pick? The advisor scores every member
 	// with a contention-aware cost model (calibrated on the repo's
-	// committed benchmark lanes) for a given load profile — the same
-	// machinery countnet.AdaptiveCounter.Recommend feeds its live
-	// Little's-law load estimate into.
+	// committed benchmark lanes) for a given load profile: the mean
+	// number of concurrent requesters and the values each one draws.
 	fmt.Println("\nmeasurement-driven pick (countnet.AdviseFactorization):")
 	fmt.Printf("%-12s %-8s %-28s %8s %12s\n", "concurrency", "block", "recommended", "depth", "balancer<=")
 	for _, block := range []float64{1, 64} {

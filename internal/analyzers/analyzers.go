@@ -7,7 +7,6 @@ import (
 	"countnet/internal/analysis"
 	"countnet/internal/analyzers/atomicmix"
 	"countnet/internal/analyzers/ctorerr"
-	"countnet/internal/analyzers/epochorder"
 	"countnet/internal/analyzers/fieldalign"
 	"countnet/internal/analyzers/hotpath"
 	"countnet/internal/analyzers/padalign"
@@ -19,7 +18,6 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		atomicmix.Analyzer,
 		ctorerr.Analyzer,
-		epochorder.Analyzer,
 		fieldalign.Analyzer,
 		hotpath.Analyzer,
 		padalign.Analyzer,

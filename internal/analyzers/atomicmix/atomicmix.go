@@ -9,11 +9,10 @@
 // function anywhere in the package makes every plain selection of
 // that field elsewhere a finding.
 //
-// Deliberate plain accesses exist — the epoch handoff reads a retired
-// engine's counters after seal+drain guarantee quiescence — and are
-// annotated where they stand:
+// A deliberate plain access — say, a read after every writer has
+// provably finished — is annotated where it stands:
 //
-//	//netvet:allow plainaccess -- sealed+drained: no concurrent writers
+//	//netvet:allow plainaccess -- quiescent: no concurrent writers
 //
 // Fields of the typed atomic kinds (atomic.Int64, atomic.Pointer[T],
 // ...) are exempt: they have no plain form to mix with (copying one

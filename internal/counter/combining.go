@@ -187,6 +187,15 @@ func (h *CombiningHandle) NextBlock(dst []int64) {
 	h.await(dst, nil, nil)
 }
 
+// DrawHooked is NextBlock for a non-empty dst with schedule
+// instrumentation: every shared step of the slot protocol and of the
+// combine pass yields first, and waits park in block instead of
+// spinning. For package sched; do not mix with unhooked calls in a
+// controlled run.
+func (h *CombiningHandle) DrawHooked(dst []int64, yield func(op string), block func(op string, ready func() bool)) {
+	h.await(dst, yield, block)
+}
+
 // await publishes a request for len(dst) values and returns once it is
 // served — by this goroutine becoming the combiner, or by another
 // combiner draining the slot. A non-nil yield runs before each shared
@@ -316,16 +325,6 @@ func (c *CombiningCounter) expand(dst []int64, runs []Run, r int, off int64) (in
 		}
 	}
 	return r, off
-}
-
-// issued returns the number of values handed out (see
-// NetworkCounter.issued), exact at quiescence.
-func (c *CombiningCounter) issued() int64 {
-	var n int64
-	for i := range c.locals {
-		n += c.locals[i].v.Load()
-	}
-	return n
 }
 
 // combineLocked drains every pending slot plus the combiner's own

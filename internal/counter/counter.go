@@ -294,19 +294,8 @@ func (h *handle) Next() int64 {
 // NextBlock fills dst with len(dst) values, one token each.
 //
 //netvet:hotpath
-func (h *handle) NextBlock(dst []int64) { h.nextBlock(dst, nil) }
-
-// nextBlock is the draw shared by NextBlock and the adaptive
-// counter's network engine. A non-nil yield runs each token through
-// the hooked step, which never reads the clock.
-//
-//netvet:hotpath
-func (h *handle) nextBlock(dst []int64, yield func(op string)) {
+func (h *handle) NextBlock(dst []int64) {
 	for i := range dst {
-		if yield != nil {
-			dst[i] = h.c.step(h.advance(), yield)
-			continue
-		}
 		dst[i] = h.Next()
 	}
 }
@@ -326,9 +315,7 @@ func (h *handle) advance() int {
 }
 
 // issued returns the number of values this counter has handed out,
-// exact once no Next/NextBlock is in flight. The adaptive front-end
-// reads it as the fence value when sealing an epoch: after draining,
-// issued() is the count the incoming engine must continue from.
+// exact once no Next/NextBlock is in flight; obs reads it as ops.
 func (c *NetworkCounter) issued() int64 {
 	var n int64
 	for i := range c.locals {
@@ -363,8 +350,7 @@ func (c *AtomicCounter) NextBlock(dst []int64) {
 }
 
 // issued returns the number of values handed out (see
-// NetworkCounter.issued); for the atomic baseline it is the word
-// itself.
+// NetworkCounter.issued): the word itself.
 func (c *AtomicCounter) issued() int64 { return c.v.Load() }
 
 // MutexCounter is the lock-based centralized baseline.

@@ -39,16 +39,16 @@ func FuzzCounterSchedules(f *testing.F) {
 	})
 }
 
-// FuzzAdaptiveSchedules drives the adaptive counter's transition
-// window — concurrent one-value draws, each crossing the epoch
-// protocol, racing a switcher that walks atomic → network → combining
-// → atomic and the governor's decision step over a scripted load —
-// through fuzz-chosen interleavings.
-// Unlike the plain counter workload the adaptive one blocks (epoch
-// turnover, drain), so the decoder only ever picks among runnable
-// tasks; any reported error is still a real bug, and the gap-free
-// check at quiescence is the oracle.
-func FuzzAdaptiveSchedules(f *testing.F) {
+// FuzzCombiningSchedules drives the combining slot protocol — the
+// system TestCombiningSlotProtocolExplored explores: handles drawing
+// blocks of 1, 2 and 3 values three times each, publishing requests
+// and racing for the combiner lock — through fuzz-chosen
+// interleavings. Unlike the plain counter workload this one blocks (a
+// handle waits for its slot to be served or the lock to free), so the
+// decoder only ever picks among runnable tasks; any reported error is
+// still a real bug, and the gap-free check at quiescence is the
+// oracle.
+func FuzzCombiningSchedules(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0})
 	f.Add([]byte{1, 0, 2, 0, 1, 2})
@@ -57,11 +57,7 @@ func FuzzAdaptiveSchedules(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	sys := sched.AdaptiveSystem(func() *counter.AdaptiveCounter {
-		return counter.NewAdaptiveCounter(net, counter.EngineAtomic)
-	}, []int{1, 1}, 2,
-		sched.SwitchPlan(counter.EngineNetwork, counter.EngineCombining, counter.EngineAtomic),
-		sched.GovernPlan(governScript...))
+	sys := sched.CombiningSystem(net, []int{1, 2, 3}, 3)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tasks, check := sys()
 		tr, err := sched.Run(&sched.ByteDecoder{Data: data}, 30_000, tasks)

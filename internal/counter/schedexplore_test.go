@@ -1,8 +1,9 @@
-// Schedule-exploration property suite for NetworkCounter: the real
-// fetch-and-add balancer and local-counter code paths run under
-// controlled interleavings (internal/sched), and at quiescence the
-// issued values must be exactly 0..N-1. Lives in package counter_test
-// because sched imports counter.
+// Schedule-exploration property suite for NetworkCounter and the
+// CombiningCounter slot protocol: the real fetch-and-add balancer,
+// local-counter and combiner code paths run under controlled
+// interleavings (internal/sched), and at quiescence the issued values
+// must be exactly 0..N-1. Lives in package counter_test because sched
+// imports counter.
 package counter_test
 
 import (
@@ -59,4 +60,30 @@ func TestCounterDetectsBrokenNetwork(t *testing.T) {
 		t.Fatalf("unexpected failure: %v", rep.Failure.Err)
 	}
 	t.Logf("detected in %d schedule(s): %v", rep.Schedules, rep.Failure.Err)
+}
+
+// TestCombiningSlotProtocolExplored explores the combining slot
+// protocol: three handles drawing blocks of 1, 2 and 3 values, three
+// draws each.
+// Handles publish, race for the combiner lock with TryLock, and the
+// winner drains every pending slot and flips each done; a combiner
+// that served a slot it never collected, or missed one it did,
+// surfaces as a gap or duplicate.
+func TestCombiningSlotProtocolExplored(t *testing.T) {
+	net, err := core.K(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := sched.CombiningSystem(net, []int{1, 2, 3}, 3)
+	if rep := sched.ExploreRandom(sys, 0xc0b1, 300, 30_000); rep.Failure != nil {
+		t.Errorf("random: %s", rep.Failure)
+	}
+	if rep := sched.ExplorePCT(sys, 0xc0b1, 300, 30_000, 3, 3); rep.Failure != nil {
+		t.Errorf("pct: %s", rep.Failure)
+	}
+	rep := sched.ExploreDFS(sys, 1, 20_000, 30_000)
+	if rep.Failure != nil {
+		t.Errorf("dfs: %s", rep.Failure)
+	}
+	t.Logf("dfs covered %d schedules", rep.Schedules)
 }

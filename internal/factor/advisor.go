@@ -4,8 +4,8 @@ package factor
 // concurrency profile, recommend the L-family factorization whose
 // width/depth point (the paper's Theorem 7 tradeoff) minimizes a
 // contention-aware traversal cost. This replaces eyeballing the static
-// tradeoff table: the adaptive counter feeds its live load estimate in
-// and gets the factorization the measured crossover structure favours.
+// tradeoff table: a measured load goes in and the factorization the
+// measured crossover structure favours comes out.
 //
 // The cost model is deliberately coarse — a per-layer base cost plus a
 // superlinear penalty once the expected tokens per balancer exceed the
@@ -24,8 +24,8 @@ import (
 // Profile is an observed (or target) load profile.
 type Profile struct {
 	// Concurrency is the mean number of concurrent requesters inside
-	// the counter — the adaptive governor's Little's-law estimate, or
-	// a capacity-planning target. Values < 1 are treated as 1.
+	// the counter — a measured load (e.g. by Little's law), or a
+	// capacity-planning target. Values < 1 are treated as 1.
 	Concurrency float64
 	// Block is the mean number of values drawn per request (>= 1);
 	// batched draws divide per-gate contention by the block size

@@ -34,7 +34,7 @@ func WriteWorkerFile(path string, wf *WorkerFile) error {
 
 // FlightFile is the per-worker post-mortem artifact: the worker's
 // flight-recorder dump (ordered fixed-size events — phase edges,
-// barrier arrivals, block leases, epoch transitions) plus the run
+// barrier arrivals, block leases, oracle violations) plus the run
 // coordinates needed to line it up against the other workers' dumps.
 // Written by RunResult.WriteFlightDumps when a kill scenario fires or
 // the post-run oracle fails.

@@ -229,15 +229,15 @@ func TestDepthEqualsLongestPath(t *testing.T) {
 	// Property: for a random layered construction, depth equals the
 	// max gate layer and Validate holds.
 	f := func(seedRaw uint16) bool {
-		seed := int(seedRaw)
 		b := NewBuilder(8)
-		// Deterministic pseudo-random gate pattern from the seed.
-		x := seed*2654435761 + 1
+		// Deterministic pseudo-random gate pattern from the seed, mixed
+		// in uint32 so the constants fit on 32-bit targets too.
+		x := uint32(seedRaw)*2654435761 + 1
 		for g := 0; g < 12; g++ {
 			x = x*1103515245 + 12345
-			a := (x >> 4) & 7
+			a := int(x>>4) & 7
 			x = x*1103515245 + 12345
-			c := (x >> 4) & 7
+			c := int(x>>4) & 7
 			if a == c {
 				c = (c + 1) & 7
 			}

@@ -1,7 +1,5 @@
 package obs
 
-import "sync/atomic"
-
 // Engine-specific observation state. Each engine (per-token counter,
 // flat-combining counter, pool) owns one of these structs, nil when
 // observation is off; the structs embed a NetObs for the underlying
@@ -83,74 +81,26 @@ func (o *CombineObs) GroupSnapshot() GroupSnapshot {
 	return g
 }
 
-// AdaptiveObs observes the adaptive counter front-end: which engine is
-// active, how often and why it switched, the governor's load estimate,
-// and the draw latencies the estimate rests on. The draw path writes
-// here for one draw in SampleEvery — each handle times that draw into
-// DrawNs — and issued-value totals come from the engines' own counts
-// via OpsFn, so observation stays allocation-free and adds no shared
-// write to an unsampled draw.
+// AdaptiveObs observes the adaptive counter: the values it has issued,
+// read from its atomic word. The draw path records nothing.
 type AdaptiveObs struct {
 	name string
-	// OpsFn reports total values issued (the sum of the engines'
-	// issued counts); set by the owning counter when obs is enabled.
-	OpsFn func() int64
-	// StrategyFn resolves the current engine id to its name; set by
-	// the owning counter (keeps obs free of an engine-name table).
-	StrategyFn func(int64) string
-
-	Strategy  atomic.Int64 // active engine id (gauge)
-	Switches  PaddedCount  // completed strategy transitions
-	LoadMilli atomic.Int64 // governor load estimate ×1000 (gauge)
-	Block     atomic.Int64 // current combining prefetch block (gauge)
-	DrawNs    *Hist        // handle draw latency, sampled 1 in SampleEvery
-
-	reason atomic.Pointer[string] // last switch reason
+	ops  func() int64
 }
 
-// NewAdaptiveObs builds adaptive obs.
-func NewAdaptiveObs(name string) *AdaptiveObs {
-	return &AdaptiveObs{name: name, DrawNs: NewSampledHist()}
-}
-
-// SetReason records why the last switch happened.
-func (o *AdaptiveObs) SetReason(r string) { o.reason.Store(&r) }
-
-// Reason returns the last switch reason, or "" before any switch.
-func (o *AdaptiveObs) Reason() string {
-	if p := o.reason.Load(); p != nil {
-		return *p
-	}
-	return ""
+// NewAdaptiveObs builds adaptive obs over the counter's issued-value
+// reader.
+func NewAdaptiveObs(name string, ops func() int64) *AdaptiveObs {
+	return &AdaptiveObs{name: name, ops: ops}
 }
 
 // GroupSnapshot implements Source.
 func (o *AdaptiveObs) GroupSnapshot() GroupSnapshot {
-	g := GroupSnapshot{
-		Name: o.name,
-		Kind: "adaptive",
-		Counters: []Metric{
-			{Name: "switches", Value: o.Switches.Load()},
-		},
-		Gauges: []Metric{
-			{Name: "strategy", Value: o.Strategy.Load()},
-			{Name: "est_load_milli", Value: o.LoadMilli.Load()},
-			{Name: "combine_block", Value: o.Block.Load()},
-		},
-		Hists: []HistMetric{{Name: "draw_ns", Hist: o.DrawNs.Snapshot()}},
+	return GroupSnapshot{
+		Name:     o.name,
+		Kind:     "adaptive",
+		Counters: []Metric{{Name: "ops", Value: o.ops()}},
 	}
-	if o.OpsFn != nil {
-		g.Counters = append([]Metric{{Name: "ops", Value: o.OpsFn()}}, g.Counters...)
-	}
-	strategy := ""
-	if o.StrategyFn != nil {
-		strategy = o.StrategyFn(o.Strategy.Load())
-	}
-	g.Status = []StatusMetric{
-		{Name: "strategy", Value: strategy},
-		{Name: "last_switch_reason", Value: o.Reason()},
-	}
-	return g
 }
 
 // PoolObs observes the producer/consumer pool: operation counts and

@@ -48,8 +48,6 @@ func (r *Registry) PublishExpvar(name string) bool {
 // Prometheus text exposition format (version 0.0.4):
 //
 //	countnet_counter_total{group,kind,name}        engine counters
-//	countnet_gauge{group,kind,name}                instantaneous levels
-//	countnet_status_info{group,name,value}         string-valued states
 //	countnet_gate_tokens_total{group,gate,layer}   per-gate traffic
 //	countnet_gate_contended_total{group,gate,layer}
 //	countnet_layer_tokens_total{group,layer}       per-layer traffic
@@ -82,23 +80,6 @@ func appendPrometheus(b []byte, s Snapshot) []byte {
 	b = append(b, "# TYPE countnet_counter_total counter\n"...)
 	for _, g := range s.Groups {
 		b = appendMetrics(b, "countnet_counter_total", &g, g.Counters)
-	}
-	b = append(b, "# TYPE countnet_gauge gauge\n"...)
-	for _, g := range s.Groups {
-		b = appendMetrics(b, "countnet_gauge", &g, g.Gauges)
-	}
-	b = append(b, "# TYPE countnet_status_info gauge\n"...)
-	for _, g := range s.Groups {
-		for _, st := range g.Status {
-			if st.Value == "" {
-				continue
-			}
-			b = append(b, "countnet_status_info"...)
-			b = appendLabel(b, '{', "group", g.Name)
-			b = appendLabel(b, ',', "name", st.Name)
-			b = appendLabel(b, ',', "value", st.Value)
-			b = appendValue(b, 1)
-		}
 	}
 	b = append(b, "# TYPE countnet_gate_tokens_total counter\n"...)
 	b = append(b, "# TYPE countnet_gate_contended_total counter\n"...)

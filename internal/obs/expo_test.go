@@ -59,20 +59,13 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 
 // goldenSnapshot is a fixed period-1 snapshot touching every series
 // the exposition renders: label values that need quoting (quote,
-// backslash, newline, non-ASCII), skipped empty statuses, gates with
-// and without contention, sparse and empty histograms, and the
-// unbounded last bucket.
+// backslash), gates with and without contention, sparse and empty
+// histograms, and the unbounded last bucket.
 func goldenSnapshot() Snapshot {
 	return Snapshot{TakenUnixNano: 1, Groups: []GroupSnapshot{
 		{
 			Name: `ctr"q\b`, Kind: "counter",
 			Counters: []Metric{{Name: "ops", Value: 12345}, {Name: "neg", Value: -7}},
-			Gauges:   []Metric{{Name: "block", Value: 64}},
-			Status: []StatusMetric{
-				{Name: "strategy", Value: "network"},
-				{Name: "empty", Value: ""},
-				{Name: "reason", Value: "line1\nline2 ünï"},
-			},
 			Hists: []HistMetric{
 				{Name: "next_ns", Hist: HistSnapshot{
 					Count: 6, Sum: 900, Min: 0, Max: 400,
@@ -125,7 +118,6 @@ func TestPrometheusGolden(t *testing.T) {
 // holds (quoted labels without newlines, sampled histograms).
 func TestPrometheusRenderAllocFree(t *testing.T) {
 	s := goldenSnapshot()
-	s.Groups[0].Status = s.Groups[0].Status[:2] // a newline costs one ReplaceAll
 	s.Groups[0].Hists[0].Hist.Every = SampleEvery
 	buf := appendPrometheus(nil, s)
 	if n := testing.AllocsPerRun(100, func() { buf = appendPrometheus(buf[:0], s) }); n != 0 {

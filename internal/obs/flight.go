@@ -5,7 +5,6 @@ package obs
 // The observability counters answer "how much"; the flight recorder
 // answers "what happened, in what order" when a run goes wrong. It is
 // a lock-free, sharded ring buffer of fixed-size binary events —
-// strategy switches, epoch seal/drain/fence/install transitions,
 // barrier arrivals, block leases, scenario phase edges, oracle
 // violations — kept small enough (a few thousand events) that the
 // tail is always the interesting part: when the cross-process oracle
@@ -41,20 +40,9 @@ import (
 type FlightKind uint8
 
 const (
-	// FlightStrategySwitch is an adaptive-counter engine transition:
-	// A = outgoing EngineKind, B = incoming EngineKind.
-	FlightStrategySwitch FlightKind = iota + 1
-	// FlightEpochSeal..FlightEpochInstall are the four steps of the
-	// adaptive counter's epoch handoff (seal → drain → fence →
-	// install); A/B carry the step's evidence (engine kind, offset,
-	// fence base).
-	FlightEpochSeal
-	FlightEpochDrain
-	FlightEpochFence
-	FlightEpochInstall
 	// FlightBarrierArrive is one barrier arrival: A = phase index (or
 	// -1 outside a phase), B = the generation/ticket observed.
-	FlightBarrierArrive
+	FlightBarrierArrive FlightKind = iota + 1
 	// FlightBlockLease is one leased value block: A = first value of
 	// the block, B = block length.
 	FlightBlockLease
@@ -72,11 +60,6 @@ const (
 // flightKindNames maps kinds to their wire names (MarshalText). Keep
 // in sync with the constants above.
 var flightKindNames = [flightKindCount]string{
-	FlightStrategySwitch:  "strategy-switch",
-	FlightEpochSeal:       "epoch-seal",
-	FlightEpochDrain:      "epoch-drain",
-	FlightEpochFence:      "epoch-fence",
-	FlightEpochInstall:    "epoch-install",
 	FlightBarrierArrive:   "barrier-arrive",
 	FlightBlockLease:      "block-lease",
 	FlightPhaseStart:      "phase-start",

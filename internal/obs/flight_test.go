@@ -165,26 +165,26 @@ func TestFlightConcurrentRecordAndDump(t *testing.T) {
 func TestFlightRecordAllocFree(t *testing.T) {
 	f := NewFlightRecorder(256)
 	if allocs := testing.AllocsPerRun(1000, func() {
-		f.Record(FlightEpochSeal, 1, 2)
+		f.Record(FlightBlockLease, 1, 2)
 	}); allocs != 0 {
 		t.Fatalf("Record (on) allocates %v per op, want 0", allocs)
 	}
 	var off *FlightRecorder
 	if allocs := testing.AllocsPerRun(1000, func() {
-		off.Record(FlightEpochSeal, 1, 2)
+		off.Record(FlightBlockLease, 1, 2)
 	}); allocs != 0 {
 		t.Fatalf("Record (nil) allocates %v per op, want 0", allocs)
 	}
 	DisableFlight()
 	if allocs := testing.AllocsPerRun(1000, func() {
-		RecordFlight(FlightEpochSeal, 1, 2)
+		RecordFlight(FlightBlockLease, 1, 2)
 	}); allocs != 0 {
 		t.Fatalf("RecordFlight (off) allocates %v per op, want 0", allocs)
 	}
 	EnableFlight(256)
 	t.Cleanup(DisableFlight)
 	if allocs := testing.AllocsPerRun(1000, func() {
-		RecordFlight(FlightEpochSeal, 1, 2)
+		RecordFlight(FlightBlockLease, 1, 2)
 	}); allocs != 0 {
 		t.Fatalf("RecordFlight (on) allocates %v per op, want 0", allocs)
 	}
@@ -192,10 +192,8 @@ func TestFlightRecordAllocFree(t *testing.T) {
 
 func TestFlightKindTextRoundTrip(t *testing.T) {
 	kinds := []FlightKind{
-		FlightStrategySwitch, FlightEpochSeal, FlightEpochDrain,
-		FlightEpochFence, FlightEpochInstall, FlightBarrierArrive,
-		FlightBlockLease, FlightPhaseStart, FlightPhaseEnd,
-		FlightOracleViolation, FlightKind(200),
+		FlightBarrierArrive, FlightBlockLease, FlightPhaseStart,
+		FlightPhaseEnd, FlightOracleViolation, FlightKind(200),
 	}
 	for _, k := range kinds {
 		text, err := k.MarshalText()
@@ -215,7 +213,7 @@ func TestFlightKindTextRoundTrip(t *testing.T) {
 		t.Fatal("UnmarshalText accepted junk")
 	}
 	// JSON round trip through FlightEvent, the wire shape flight dumps use.
-	e := FlightEvent{Seq: 9, TS: 123, Kind: FlightEpochFence, A: -1, B: 5}
+	e := FlightEvent{Seq: 9, TS: 123, Kind: FlightOracleViolation, A: -1, B: 5}
 	data, err := json.Marshal(e)
 	if err != nil {
 		t.Fatal(err)

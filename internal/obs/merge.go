@@ -5,9 +5,9 @@ package obs
 // One process's Snapshot describes one registry; a fleet run (N
 // harness workers today, N countd nodes tomorrow) produces N of them.
 // Merge folds any two into the snapshot a single process would have
-// produced had it done all the work: counters, gauges, gate/layer
-// token counts, and histogram buckets sum; watermarks take min/max;
-// string-valued fields (Kind, Origin, Status values) take set unions.
+// produced had it done all the work: counters, gate/layer token
+// counts, and histogram buckets sum; watermarks take min/max;
+// string-valued fields (Kind, Origin) take set unions.
 //
 // Merge is a commutative, associative monoid operation with the empty
 // snapshot as identity — proven by property tests and FuzzSnapshotMerge
@@ -26,7 +26,7 @@ import (
 // Merge combines two snapshots into one fleet snapshot. Either input
 // may be nil or empty (the identity); inputs are not modified.
 //
-// Per same-named group: Counters, Gauges, gate/layer Tokens and
+// Per same-named group: Counters, gate/layer Tokens and
 // Contended sum; histograms of equal period sum Count/Sum/CASRetries
 // and buckets and keep that period, while Min/Max merge as watermarks
 // over the inputs that actually saw samples. Histograms of different
@@ -38,7 +38,7 @@ import (
 // the recorder's own retries, is not scaled; LayerSnapshot.MaxGateTokens is recomputed from the merged
 // per-gate sums whenever the merged group retains gates for that
 // layer (the exact busiest-gate figure), falling back to max of the
-// inputs' values otherwise; Kind, Origin and Status values union.
+// inputs' values otherwise; Kind and Origin values union.
 // TakenUnixNano is the latest of the two.
 func Merge(a, b *Snapshot) *Snapshot {
 	acc := newSnapAcc()
@@ -83,8 +83,6 @@ type groupAcc struct {
 	kinds    map[string]bool
 	origins  map[string]bool
 	counters map[string]int64
-	gauges   map[string]int64
-	status   map[string]map[string]bool
 	hists    map[string]*histAcc
 	gates    map[int]*gateAcc
 	layers   map[int]*layerAcc
@@ -132,8 +130,6 @@ func (sa *snapAcc) addGroup(g *GroupSnapshot) {
 			kinds:    map[string]bool{},
 			origins:  map[string]bool{},
 			counters: map[string]int64{},
-			gauges:   map[string]int64{},
-			status:   map[string]map[string]bool{},
 			hists:    map[string]*histAcc{},
 			gates:    map[int]*gateAcc{},
 			layers:   map[int]*layerAcc{},
@@ -144,17 +140,6 @@ func (sa *snapAcc) addGroup(g *GroupSnapshot) {
 	unionInto(acc.origins, g.Origin)
 	for _, c := range g.Counters {
 		acc.counters[c.Name] += c.Value
-	}
-	for _, c := range g.Gauges {
-		acc.gauges[c.Name] += c.Value
-	}
-	for _, st := range g.Status {
-		set := acc.status[st.Name]
-		if set == nil {
-			set = map[string]bool{}
-			acc.status[st.Name] = set
-		}
-		unionInto(set, st.Value)
 	}
 	for _, h := range g.Hists {
 		ha := acc.hists[h.Name]
@@ -279,15 +264,6 @@ func (acc *groupAcc) render(name string) GroupSnapshot {
 		Kind:     joinSet(acc.kinds),
 		Origin:   joinSet(acc.origins),
 		Counters: renderMetrics(acc.counters),
-		Gauges:   renderMetrics(acc.gauges),
-	}
-	statusNames := sortedKeys(acc.status)
-	for _, n := range statusNames {
-		v := joinSet(acc.status[n])
-		if v == "" {
-			continue
-		}
-		g.Status = append(g.Status, StatusMetric{Name: n, Value: v})
 	}
 	histNames := sortedKeys(acc.hists)
 	for _, n := range histNames {

@@ -30,12 +30,6 @@ func genSnapshot(r *rand.Rand) *Snapshot {
 			g.Counters = append(g.Counters, Metric{Name: []string{"ops", "draws", "switches"}[r.Intn(3)], Value: r.Int63n(1e6)})
 		}
 		for j := 0; j < r.Intn(3); j++ {
-			g.Gauges = append(g.Gauges, Metric{Name: []string{"load", "block"}[r.Intn(2)], Value: r.Int63n(1e3)})
-		}
-		if r.Intn(2) == 0 {
-			g.Status = append(g.Status, StatusMetric{Name: "strategy", Value: []string{"atomic", "network", "combining"}[r.Intn(3)]})
-		}
-		for j := 0; j < r.Intn(3); j++ {
 			g.Hists = append(g.Hists, HistMetric{Name: []string{"draw_ns", "probe_ns"}[r.Intn(2)], Hist: genHist(r)})
 		}
 		if r.Intn(2) == 0 {
@@ -135,8 +129,6 @@ func TestMergeSumsAndWatermarks(t *testing.T) {
 	a := &Snapshot{TakenUnixNano: 100, Groups: []GroupSnapshot{{
 		Name: "adaptive", Kind: "adaptive", Origin: "w1",
 		Counters: []Metric{{Name: "ops", Value: 10}},
-		Gauges:   []Metric{{Name: "load", Value: 3}},
-		Status:   []StatusMetric{{Name: "strategy", Value: "atomic"}},
 		Hists: []HistMetric{{Name: "draw_ns", Hist: HistSnapshot{
 			Count: 2, Sum: 30, Min: 10, Max: 20, Buckets: []int64{0, 0, 0, 0, 2},
 		}}},
@@ -146,8 +138,6 @@ func TestMergeSumsAndWatermarks(t *testing.T) {
 	b := &Snapshot{TakenUnixNano: 200, Groups: []GroupSnapshot{{
 		Name: "adaptive", Kind: "adaptive", Origin: "w2",
 		Counters: []Metric{{Name: "ops", Value: 7}, {Name: "draws", Value: 1}},
-		Gauges:   []Metric{{Name: "load", Value: 4}},
-		Status:   []StatusMetric{{Name: "strategy", Value: "combining"}},
 		Hists: []HistMetric{{Name: "draw_ns", Hist: HistSnapshot{
 			Count: 1, Sum: 5, Min: 5, Max: 5, Buckets: []int64{0, 0, 1},
 		}}},
@@ -171,12 +161,6 @@ func TestMergeSumsAndWatermarks(t *testing.T) {
 	wantCounters := []Metric{{Name: "draws", Value: 1}, {Name: "ops", Value: 17}}
 	if !reflect.DeepEqual(g.Counters, wantCounters) {
 		t.Fatalf("Counters = %+v, want %+v", g.Counters, wantCounters)
-	}
-	if len(g.Gauges) != 1 || g.Gauges[0].Value != 7 {
-		t.Fatalf("Gauges = %+v, want load=7", g.Gauges)
-	}
-	if len(g.Status) != 1 || g.Status[0].Value != "atomic,combining" {
-		t.Fatalf("Status = %+v, want strategy=atomic,combining", g.Status)
 	}
 	h := g.Hists[0].Hist
 	if h.Count != 3 || h.Sum != 35 || h.Min != 5 || h.Max != 20 {

@@ -65,16 +65,6 @@ type Metric struct {
 	Value int64  `json:"value"`
 }
 
-// StatusMetric is one named string-valued state in a snapshot — the
-// textual side of a gauge (e.g. the adaptive engine's active strategy
-// name or its last switch reason). Strings are snapshot-only: hot
-// paths record integer gauge values, and exposition resolves them to
-// labels here.
-type StatusMetric struct {
-	Name  string `json:"name"`
-	Value string `json:"value"`
-}
-
 // HistMetric is one named histogram in a snapshot.
 type HistMetric struct {
 	Name string       `json:"name"`
@@ -102,16 +92,12 @@ type LayerSnapshot struct {
 }
 
 // GroupSnapshot is the full state of one observed engine instance.
-// Counters are monotone event counts (rendered with deltas); Gauges
-// are instantaneous levels (current strategy id, block size) and
-// Status their string-valued companions.
+// Counters are monotone event counts (rendered with deltas).
 type GroupSnapshot struct {
 	Name     string          `json:"name"`
 	Kind     string          `json:"kind"`             // network, counter, combining, pool, adaptive
 	Origin   string          `json:"origin,omitempty"` // worker/process the group came from; set by TagOrigin, unioned by Merge
 	Counters []Metric        `json:"counters,omitempty"`
-	Gauges   []Metric        `json:"gauges,omitempty"`
-	Status   []StatusMetric  `json:"status,omitempty"`
 	Hists    []HistMetric    `json:"hists,omitempty"`
 	Gates    []GateSnapshot  `json:"gates,omitempty"`
 	Layers   []LayerSnapshot `json:"layers,omitempty"`

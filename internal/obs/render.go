@@ -23,9 +23,7 @@ func RenderTable(prev *Snapshot, cur Snapshot, elapsed time.Duration) string {
 			pg = prev.Group(g.Name)
 		}
 		fmt.Fprintf(&b, "== %s (%s) ==\n", g.Name, g.Kind)
-		renderStatus(&b, g)
 		renderCounters(&b, g, pg, elapsed)
-		renderGauges(&b, g)
 		renderHists(&b, g)
 		renderLayers(&b, g, pg, elapsed)
 		b.WriteByte('\n')
@@ -45,24 +43,6 @@ func renderCounters(b *strings.Builder, g GroupSnapshot, pg *GroupSnapshot, elap
 			}
 		}
 		b.WriteString(line + "\n")
-	}
-}
-
-// renderStatus renders the string-valued gauges (active strategy,
-// last switch reason) ahead of the numeric columns so netmon's table
-// leads with what the engine is currently doing.
-func renderStatus(b *strings.Builder, g GroupSnapshot) {
-	for _, s := range g.Status {
-		if s.Value == "" {
-			continue
-		}
-		fmt.Fprintf(b, "  %-14s %s\n", s.Name, s.Value)
-	}
-}
-
-func renderGauges(b *strings.Builder, g GroupSnapshot) {
-	for _, c := range g.Gauges {
-		fmt.Fprintf(b, "  %-14s %12d  (gauge)\n", c.Name, c.Value)
 	}
 }
 

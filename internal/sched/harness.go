@@ -274,83 +274,43 @@ func LinearizabilityWitness(net *network.Network) (desc string, vA, vB int64, fo
 	return "", 0, 0, false
 }
 
-// AdaptiveSystem runs one drawing task per entry of blocks, each
-// making opsPer draws through its own handle of one
-// counter.AdaptiveCounter (built fresh per schedule by build, so tests
-// control the initial engine): a zero block draws
-// single values with NextHooked, through the handle's prefetch buffer;
-// a block k > 0 draws k values at a time with DrawHooked. Each
-// switcher runs as one more task (see SwitchPlan and GovernPlan).
-// Every shared step of the shipped draw, prefetch, switch, governor
-// and combine paths — epoch load, slot publish, seal check, the seal,
-// the per-slot drain, the fence/install, the governor's engine read
-// and block retune, each balancer and exit claim, the combiner lock
-// attempt and done flips — is a scheduling point, so exploration
-// covers draws racing arbitrarily with each other and with
-// transitions. At quiescence the values consumed plus those still
-// buffered in handles (Unserved) must be exactly 0..N-1: a draw minted
-// against a stale epoch offset, a fence read before a straggler
-// retired, or a combiner serving a slot it never collected surfaces as
-// a duplicate or a gap.
-func AdaptiveSystem(build func() *counter.AdaptiveCounter, blocks []int, opsPer int, switchers ...func(c *counter.AdaptiveCounter, y *Yield)) System {
+// CombiningSystem runs one drawing task per entry of blocks, each
+// making opsPer draws of that many values (every block > 0) through
+// its own handle of one fresh counter.CombiningCounter over net, via
+// CombiningHandle.DrawHooked. Every shared step of the slot protocol
+// and of the combine pass — slot publish, combiner lock attempt, each
+// gate reservation and exit claim, each done flip and done check — is
+// a scheduling point, so exploration covers requests racing the
+// combiner that collects them. At quiescence the values drawn must be
+// exactly 0..N-1: a combiner serving a slot it never collected, or
+// missing one it did, surfaces as a duplicate or a gap.
+func CombiningSystem(net *network.Network, blocks []int, opsPer int) System {
 	return func() ([]TaskFunc, func(tr *Trace) error) {
-		c := build()
+		c := counter.NewCombiningCounter(net)
 		var values []int64
-		handles := make([]*counter.AdaptiveHandle, len(blocks))
-		tasks := make([]TaskFunc, 0, len(blocks)+len(switchers))
+		tasks := make([]TaskFunc, len(blocks))
 		for g, b := range blocks {
-			h := c.Handle(g).(*counter.AdaptiveHandle)
-			handles[g] = h
-			tasks = append(tasks, func(y *Yield) {
+			h := c.Handle(g).(*counter.CombiningHandle)
+			tasks[g] = func(y *Yield) {
 				dst := make([]int64, b)
 				for k := 0; k < opsPer; k++ {
-					if b == 0 {
-						values = append(values, h.NextHooked(y.Step, y.Block))
-						continue
-					}
 					h.DrawHooked(dst, y.Step, y.Block)
 					values = append(values, dst...)
 				}
-			})
-		}
-		for _, sw := range switchers {
-			tasks = append(tasks, func(y *Yield) { sw(c, y) })
+			}
 		}
 		check := func(tr *Trace) error {
 			got := append([]int64(nil), values...)
-			for _, h := range handles {
-				got = append(got, h.Unserved()...)
-			}
 			sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 			for i, v := range got {
 				if v != int64(i) {
-					return fmt.Errorf("sched: adaptive counter values not gap-free at quiescence: sorted[%d] = %d (consumed and unserved %v)\nschedule:\n%s",
+					return fmt.Errorf("sched: combining counter values not gap-free at quiescence: sorted[%d] = %d (values %v)\nschedule:\n%s",
 						i, v, got, tr)
 				}
 			}
 			return nil
 		}
 		return tasks, check
-	}
-}
-
-// SwitchPlan is an AdaptiveSystem switcher that walks the engines in
-// order through the shipped switch (SwitchToHooked).
-func SwitchPlan(plan ...counter.EngineKind) func(c *counter.AdaptiveCounter, y *Yield) {
-	return func(c *counter.AdaptiveCounter, y *Yield) {
-		for _, kind := range plan {
-			c.SwitchToHooked(kind, y.Step, y.Block)
-		}
-	}
-}
-
-// GovernPlan is an AdaptiveSystem switcher that runs the shipped
-// governor decision step (GovernHooked) over the scripted ticks, so
-// its engine switches and combining block retunes interleave with the
-// drawers.
-func GovernPlan(script ...counter.GovernorTick) func(c *counter.AdaptiveCounter, y *Yield) {
-	return func(c *counter.AdaptiveCounter, y *Yield) {
-		c.GovernHooked(script, y.Step, y.Block)
 	}
 }
 

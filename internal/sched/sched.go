@@ -1,10 +1,10 @@
 // Package sched is a controlled-scheduler harness for the repository's
 // real concurrent substrates (runner.Async, counter.NetworkCounter,
-// counter.AdaptiveCounter with its combining slot protocol,
-// counter.Barrier, pool.Pool, the stream pipeline). It runs each
-// logical process as a goroutine that yields to a central scheduler at
-// every synchronization point (balancer access, local-counter fetch,
-// epoch publish, lock attempt, buffer slot take), so exactly one
+// counter.CombiningCounter's slot protocol, counter.Barrier, pool.Pool,
+// the stream pipeline). It runs each logical process as a goroutine
+// that yields to a central scheduler at every synchronization point
+// (balancer access, local-counter fetch, slot publish, lock attempt,
+// buffer slot take), so exactly one
 // process executes between yield points and the whole execution is a
 // deterministic function of the scheduler's choice sequence.
 // Concurrency bugs stop being flaky CI noise: every failing
@@ -43,7 +43,7 @@ const OpStart = "start"
 // synchronization must go through the Yield hooks: call y.Step before
 // each atomic shared access and y.Block instead of blocking on another
 // task's progress. Instrumented substrate methods (Async.TraverseHooked,
-// NetworkCounter.NextHooked, AdaptiveHandle.NextHooked,
+// NetworkCounter.NextHooked, CombiningHandle.DrawHooked,
 // Pool.PutHooked/GetHooked, ...) do this for you.
 type TaskFunc func(y *Yield)
 
