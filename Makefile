@@ -83,7 +83,7 @@ bench:
 # Benchmarks that gate the compiled-plan/memoization fast paths,
 # recorded to BENCH_plan.json (the committed "baseline" set is
 # preserved; only "current" is rewritten).
-BENCH_KEY = 'BenchmarkBuildK|BenchmarkBuildL|BenchmarkSortNetworks|BenchmarkBatchSort|BenchmarkTraverseParallel|BenchmarkWideGateKernel'
+BENCH_KEY = 'BenchmarkBuildK|BenchmarkBuildL|BenchmarkSortNetworks|BenchmarkBatchSort|BenchmarkTraverseParallel'
 
 bench-plan:
 	$(GO) test -run '^$$' -bench $(BENCH_KEY) -benchmem -benchtime 300ms . \

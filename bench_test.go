@@ -11,7 +11,6 @@ import (
 	"countnet/internal/baseline"
 	"countnet/internal/core"
 	"countnet/internal/counter"
-	"countnet/internal/network"
 	"countnet/internal/obs"
 	"countnet/internal/pool"
 	"countnet/internal/runner"
@@ -562,45 +561,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 				}
 			})
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*64), "ns/value")
-		})
-	}
-}
-
-// BenchmarkWideGateKernel measures the generated compare-exchange
-// kernels against the insertion-sort fallback they replaced, one lane
-// per kernel width: for each w in 5..16 a plan of stacked w-wide
-// gates runs once with kernels enabled (the default) and once with
-// SetWideKernels(false). The per-width kernel/insertion ratio is the
-// recorded speedup in BENCH_plan.json and docs/PERFORMANCE.md.
-func BenchmarkWideGateKernel(b *testing.B) {
-	rng := rand.New(rand.NewSource(41))
-	for w := 5; w <= 16; w++ {
-		bld := network.NewBuilder(w + 4)
-		for g := 0; g < 8; g++ {
-			bld.Add(rng.Perm(w + 4)[:w], "wide")
-		}
-		net := bld.Build(fmt.Sprintf("widegate%d", w), nil)
-
-		in := make([]int64, net.Width())
-		for i := range in {
-			in[i] = int64(rng.Intn(1 << 20))
-		}
-		out := make([]int64, len(in))
-
-		kernel := runner.CompilePlan(net)
-		insertion := runner.CompilePlan(net)
-		insertion.SetWideKernels(false)
-		ks, is := kernel.NewScratch(), insertion.NewScratch()
-
-		b.Run(fmt.Sprintf("w%d/kernel", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				kernel.Apply(out, in, ks)
-			}
-		})
-		b.Run(fmt.Sprintf("w%d/insertion", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				insertion.Apply(out, in, is)
-			}
 		})
 	}
 }

@@ -100,11 +100,7 @@ func TestKernelsFollowOptnet(t *testing.T) {
 	asm := asmChains(t, string(generated(t, "zlanes_amd64.s")))
 	for w := optnet.MinWidth; w <= optnet.MaxWidth; w++ {
 		want := optnetChain(w)
-		names := []string{fmt.Sprintf("lane%d", w)}
-		if w >= minKernelWidth {
-			names = append(names, fmt.Sprintf("ce%d", w))
-		}
-		for _, name := range names {
+		for _, name := range []string{fmt.Sprintf("ce%d", w), fmt.Sprintf("lane%d", w)} {
 			got, ok := chains[name]
 			if !ok {
 				t.Errorf("%s is not generated", name)

@@ -237,12 +237,8 @@ func (n *Network) Sort(values []int64) ([]int64, error) {
 		s = c.plan.NewScratch()
 	}
 	out := make([]int64, len(values))
-	c.plan.Apply(out, values, s)
+	c.plan.ApplyAscending(out, values, s)
 	c.scratch.Put(s)
-	// The step convention emits largest-first; callers get ascending.
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
 	return out, nil
 }
 

@@ -1,11 +1,12 @@
-// Pipelined stream sorting: the deployment mode sorting networks are
-// built for. A fixed-width network has one goroutine per layer; batch
-// k+1 enters layer 1 while batch k occupies layer 2, so steady-state
-// throughput is one batch per layer-latency rather than one batch per
-// whole-network latency.
+// Stream sorting. A sorting network is oblivious: every batch meets the
+// same comparators in the same order, so SortStream gathers the batches
+// already waiting on its input channel into one lane block (up to 16)
+// and runs them through the network together, one kernel call per run
+// of equal-width gates for the whole block.
 //
-// The example streams many batches through L(4,4) both sequentially and
-// pipelined, verifies every batch, and reports throughput.
+// The example sorts many batches through L(4,4) twice — with a
+// BatchSorter loop, one batch per call, and through SortStream —
+// verifies every batch, and reports both throughputs.
 //
 //	go run ./examples/pipeline
 package main
@@ -39,7 +40,7 @@ func main() {
 		}
 	}
 
-	// Sequential: one reusable sorter.
+	// One reusable sorter, one batch per call.
 	seq := countnet.NewBatchSorter(net)
 	start := time.Now()
 	var checksum int64
@@ -48,10 +49,10 @@ func main() {
 		checksum += out[0] + out[w-1]
 	}
 	seqElapsed := time.Since(start)
-	fmt.Printf("sequential: %v  (%.0f batches/sec)\n",
+	fmt.Printf("BatchSorter: %v  (%.0f batches/sec)\n",
 		seqElapsed.Round(time.Millisecond), float64(batches)/seqElapsed.Seconds())
 
-	// Pipelined: one goroutine per layer.
+	// SortStream: batches waiting on the channel sort as one block.
 	in := make(chan []int64, 8)
 	start = time.Now()
 	go func() {
@@ -60,7 +61,7 @@ func main() {
 			in <- append([]int64(nil), batch...)
 		}
 	}()
-	var pipeChecksum int64
+	var streamChecksum int64
 	count := 0
 	for out := range net.SortStream(in) {
 		for i := 1; i < len(out); i++ {
@@ -68,18 +69,16 @@ func main() {
 				log.Fatalf("batch %d not sorted: %v", count, out)
 			}
 		}
-		pipeChecksum += out[0] + out[w-1]
+		streamChecksum += out[0] + out[w-1]
 		count++
 	}
-	pipeElapsed := time.Since(start)
-	fmt.Printf("pipelined:  %v  (%.0f batches/sec)\n",
-		pipeElapsed.Round(time.Millisecond), float64(batches)/pipeElapsed.Seconds())
+	streamElapsed := time.Since(start)
+	fmt.Printf("SortStream:  %v  (%.0f batches/sec)\n",
+		streamElapsed.Round(time.Millisecond), float64(batches)/streamElapsed.Seconds())
 
-	if count != batches || pipeChecksum != checksum {
-		log.Fatalf("pipeline lost or corrupted batches: %d/%d, checksum %d vs %d",
-			count, batches, pipeChecksum, checksum)
+	if count != batches || streamChecksum != checksum {
+		log.Fatalf("stream lost or corrupted batches: %d/%d, checksum %d vs %d",
+			count, batches, streamChecksum, checksum)
 	}
 	fmt.Println("\nall batches verified sorted; checksums agree.")
-	fmt.Println("(pipelining pays on multicore machines — one goroutine per layer;")
-	fmt.Println(" on a single core the channel overhead dominates.)")
 }

@@ -1,14 +1,16 @@
 // Tests for the generated straight-line compare-exchange kernels
-// (zkernels.go): exhaustive 0-1 verification of every embedded width
-// through the kernel AND the raw comparator table, differential runs
-// of the kernel engine against the gather/insertion-sort/scatter
-// reference across all three plan execution modes, and wire-mapping
+// (zkernels.go, zlanes_amd64.s): exhaustive 0-1 verification of every
+// embedded width through the scalar and lane kernels AND the raw
+// comparator table, differential runs of the kernel engines against
+// the gather/insertion-sort/scatter fallback and the gate-by-gate
+// evaluator across the plan execution modes, and wire-mapping
 // (scatter/gather indirection) coverage.
 package runner
 
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"countnet/internal/network"
@@ -16,12 +18,12 @@ import (
 )
 
 // TestKernelExhaustive01 runs all 2^w binary patterns of every
-// embedded width through the generated kernel and through the raw
-// comparator list, asserting both agree with insertionSortDesc — the
-// 0-1 principle then guarantees the kernels sort every input.
+// embedded width through the generated scalar kernel and through the
+// raw comparator list, asserting both agree with insertionSortDesc —
+// the 0-1 principle then guarantees the kernels sort every input.
 func TestKernelExhaustive01(t *testing.T) {
-	for w := 5; w <= maxKernelWidth; w++ {
-		kern := wideKernel[w]
+	for w := 2; w <= maxKernelWidth; w++ {
+		kern := scalarKernels[w]
 		if kern == nil {
 			t.Fatalf("no kernel for width %d", w)
 		}
@@ -42,7 +44,7 @@ func TestKernelExhaustive01(t *testing.T) {
 				kvals[i], rvals[i], want[i] = bit, bit, bit
 			}
 			insertionSortDesc(want)
-			kern(kvals, wires)
+			kern(kvals, wires, 1)
 			if !reflect.DeepEqual(kvals, want) {
 				t.Fatalf("width %d pattern %#x: kernel %v, insertionSortDesc %v", w, pat, kvals, want)
 			}
@@ -58,6 +60,10 @@ func TestKernelExhaustive01(t *testing.T) {
 		}
 	}
 }
+
+// fallbackLanes is a lane kernel table with no kernels: a plan running
+// it sorts every gate by laneSort, the gather/insertion-sort fallback.
+var fallbackLanes laneTable
 
 // laneTables runs f once per lane kernel table, as subtests: the
 // portable Go kernels always, the AVX-512 kernels where the CPU runs
@@ -75,7 +81,7 @@ func laneTables(t *testing.T, f func(t *testing.T, kern *laneTable)) {
 
 // TestLaneKernelExhaustive01 runs all 2^w binary patterns of every
 // lane kernel width (2..16) through the lane kernel of each table:
-// `lanes` patterns per call, a different one in each lane, over a run
+// `Lanes` patterns per call, a different one in each lane, over a run
 // of two gates on disjoint rows, and checks each lane of each gate
 // against insertionSortDesc.
 func TestLaneKernelExhaustive01(t *testing.T) {
@@ -92,12 +98,12 @@ func TestLaneKernelExhaustive01(t *testing.T) {
 				wires[k] = int32(2*w - 1 - 2*k)
 				wires[w+k] = int32(2 * k)
 			}
-			rows := make([][lanes]int64, 2*w)
+			rows := make([][Lanes]int64, 2*w)
 			want := make([]int64, w)
-			for base := 0; base < 1<<w; base += 2 * lanes {
-				pattern := func(g, i int) int { return (base + g*lanes + i) % (1 << w) }
+			for base := 0; base < 1<<w; base += 2 * Lanes {
+				pattern := func(g, i int) int { return (base + g*Lanes + i) % (1 << w) }
 				for g := range 2 {
-					for i := range lanes {
+					for i := range Lanes {
 						for k, r := range wires[g*w : (g+1)*w] {
 							rows[r][i] = int64(pattern(g, i)>>k) & 1
 						}
@@ -105,7 +111,7 @@ func TestLaneKernelExhaustive01(t *testing.T) {
 				}
 				lane(rows, wires, 2)
 				for g := range 2 {
-					for i := range lanes {
+					for i := range Lanes {
 						for k := range want {
 							want[k] = int64(pattern(g, i)>>k) & 1
 						}
@@ -122,17 +128,18 @@ func TestLaneKernelExhaustive01(t *testing.T) {
 	})
 }
 
-// TestKernelWireIndirection checks the kernels honor arbitrary wire
-// mappings: the gate's values live scattered through a larger wire
-// array and only the mapped positions may change.
+// TestKernelWireIndirection checks the scalar kernels honor arbitrary
+// wire mappings: a run of two gates whose values live scattered
+// through a larger wire array, where only the mapped positions may
+// change.
 func TestKernelWireIndirection(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const total = 40
-	for w := 5; w <= maxKernelWidth; w++ {
-		kern := wideKernel[w]
+	for w := 2; w <= maxKernelWidth; w++ {
+		kern := scalarKernels[w]
 		for trial := 0; trial < 100; trial++ {
-			perm := rng.Perm(total)[:w]
-			wires := make([]int32, w)
+			perm := rng.Perm(total)[:2*w]
+			wires := make([]int32, 2*w)
 			for i, p := range perm {
 				wires[i] = int32(p)
 			}
@@ -141,13 +148,14 @@ func TestKernelWireIndirection(t *testing.T) {
 				vals[i] = rng.Int63n(32) - 16
 			}
 			before := append([]int64(nil), vals...)
-			want := make([]int64, w)
+			want := make([]int64, 2*w)
 			for i, p := range perm {
 				want[i] = before[p]
 			}
-			insertionSortDesc(want)
-			kern(vals, wires)
-			onGate := make(map[int]bool, w)
+			insertionSortDesc(want[:w])
+			insertionSortDesc(want[w:])
+			kern(vals, wires, 2)
+			onGate := make(map[int]bool, 2*w)
 			for i, p := range perm {
 				onGate[p] = true
 				if vals[p] != want[i] {
@@ -164,8 +172,8 @@ func TestKernelWireIndirection(t *testing.T) {
 }
 
 // wideGateNet builds a width-w network holding a few overlapping
-// w'-wide gates plus some pairs, exercising the kernel dispatch next
-// to the pair fast path within single layers.
+// w'-wide gates plus some pairs, so that runs of different widths
+// meet within single layers.
 func wideGateNet(t testing.TB, width int, gateWidths ...int) *network.Network {
 	t.Helper()
 	b := network.NewBuilder(width)
@@ -180,30 +188,30 @@ func wideGateNet(t testing.TB, width int, gateWidths ...int) *network.Network {
 }
 
 // TestPlanKernelVsInsertionSort differentially runs the generated
-// kernels against the insertion-sort reference engine
-// (SetWideKernels(false)) and the gate-by-gate evaluator, across
-// Apply, ApplyBatches and Pipeline and every kernel width.
+// kernels against the insertion-sort fallback (a plan on
+// fallbackLanes) and the gate-by-gate evaluator, across Apply,
+// ApplyAscending and ApplyBatches and every kernel width.
 func TestPlanKernelVsInsertionSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for gw := 5; gw <= maxKernelWidth; gw++ {
+	for gw := 2; gw <= maxKernelWidth; gw++ {
 		net := wideGateNet(t, gw+4, gw, gw, gw)
 		w := net.Width()
 		fast := CompilePlan(net)
 		slow := CompilePlan(net)
-		slow.SetWideKernels(false)
-		s1, s2 := fast.NewScratch(), slow.NewScratch()
+		slow.kern = &fallbackLanes
+		s := fast.NewScratch()
 		for trial := 0; trial < 200; trial++ {
 			in := randomBatch(rng, w)
 			want := ApplyComparators(net, in)
 			got := make([]int64, w)
-			fast.Apply(got, in, s1)
+			fast.Apply(got, in, s)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("gate width %d trial %d: kernel Apply %v, comparators %v", gw, trial, got, want)
 			}
-			ref := make([]int64, w)
-			slow.Apply(ref, in, s2)
-			if !reflect.DeepEqual(got, ref) {
-				t.Fatalf("gate width %d trial %d: kernel %v, insertion-sort engine %v", gw, trial, got, ref)
+			fast.ApplyAscending(got, in, s)
+			slices.Reverse(got)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("gate width %d trial %d: kernel ApplyAscending reversed %v, comparators %v", gw, trial, got, want)
 			}
 		}
 
@@ -213,17 +221,15 @@ func TestPlanKernelVsInsertionSort(t *testing.T) {
 			batches[i] = randomBatch(rng, w)
 			want[i] = ApplyComparators(net, batches[i])
 		}
+		ref := copyBatches(batches)
 		fast.ApplyBatches(batches)
+		slow.ApplyBatches(ref)
 		for i := range batches {
 			if !reflect.DeepEqual(batches[i], want[i]) {
 				t.Fatalf("gate width %d batch %d: kernel batches %v, want %v", gw, i, batches[i], want[i])
 			}
-		}
-
-		inputs := [][]int64{randomBatch(rng, w), randomBatch(rng, w), randomBatch(rng, w)}
-		for i, got := range pipelineSort(fast, inputs) {
-			if wantP := ApplyComparators(net, inputs[i]); !reflect.DeepEqual(got, wantP) {
-				t.Fatalf("gate width %d batch %d: kernel pipeline %v, want %v", gw, i, got, wantP)
+			if !reflect.DeepEqual(ref[i], want[i]) {
+				t.Fatalf("gate width %d batch %d: insertion-sort batches %v, want %v", gw, i, ref[i], want[i])
 			}
 		}
 	}
@@ -231,7 +237,7 @@ func TestPlanKernelVsInsertionSort(t *testing.T) {
 
 // TestPlanKernelAboveCutoff pins the fallback: a gate wider than
 // maxKernelWidth takes the insertion-sort path and still matches the
-// reference evaluator, through Apply and the Pipeline.
+// reference evaluator, through Apply, ApplyAscending and ApplyBatches.
 func TestPlanKernelAboveCutoff(t *testing.T) {
 	net := wideGateNet(t, maxKernelWidth+3, maxKernelWidth+1, maxKernelWidth+2)
 	plan := CompilePlan(net)
@@ -247,10 +253,17 @@ func TestPlanKernelAboveCutoff(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: %v, want %v", trial, got, want)
 		}
+		plan.ApplyAscending(got, in, s)
+		slices.Reverse(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: ApplyAscending reversed %v, want %v", trial, got, want)
+		}
 	}
-	for trial, got := range pipelineSort(plan, inputs) {
+	batches := copyBatches(inputs)
+	plan.ApplyBatches(batches)
+	for trial, got := range batches {
 		if want := ApplyComparators(net, inputs[trial]); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: pipeline %v, want %v", trial, got, want)
+			t.Fatalf("trial %d: ApplyBatches %v, want %v", trial, got, want)
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 //
 // A sorting network is oblivious: every batch meets the same gates in
 // the same order. ApplyBatches therefore transposes a block of up to
-// `lanes` batches into wire-major rows — row w holds wire w's value
+// `Lanes` batches into wire-major rows — row w holds wire w's value
 // from each batch of the block, contiguous — and runs each layer once
 // per block. A run of equal-width gates is one lane kernel call that
 // sorts every gate of the run across all the lanes: a generated
@@ -22,33 +22,31 @@ import (
 // stale values; the kernels sort them like any other and they are
 // never emitted.
 
-// lanes is the number of batches a block runs through the plan
-// together. A block's rows take width·lanes·8 bytes: 46 KB at width
-// 360 (L(3,4,5,6)), 8 KB at width 64, so wide networks spill L1 into
-// L2 — 16 lanes still measured faster than 8 there, because every
-// gate's index loads and dispatch are spread over twice the lanes.
-const lanes = 16
+// Lanes is the number of batches a block runs through the plan
+// together, the one block size of every batch path: ApplyBatches,
+// SortBatches and the root package's SortStream. A block's rows take
+// width·Lanes·8 bytes: 46 KB at width 360 (L(3,4,5,6)), 8 KB at width
+// 64, so wide networks spill L1 into L2 — 16 lanes still measured
+// faster than 8 there, because every gate's index loads and dispatch
+// are spread over twice the lanes.
+const Lanes = 16
 
 // laneTable holds one lane kernel per gate width: kernel w sorts count
 // gates of width w, whose wire lists lie back to back in wires, across
-// all `lanes` lanes of rows. A nil entry sends the width to the
+// all `Lanes` lanes of rows. A nil entry sends the width to the
 // fallback.
-type laneTable [maxKernelWidth + 1]func(rows [][lanes]int64, wires []int32, count int)
+type laneTable [maxKernelWidth + 1]func(rows [][Lanes]int64, wires []int32, count int)
 
 // nativeLanes is the lane kernel table CompilePlan gives every plan,
 // chosen once at init: the AVX-512 kernels where the CPU and OS
 // support them, the portable Go kernels elsewhere.
 var nativeLanes = cmp.Or(asmLanes(), &goLanes)
 
-// refLanes is the reference table of SetWideKernels(false): portable
-// kernels for widths 2..4 only, every wider gate to the fallback.
-var refLanes = laneTable{2: lane2, 3: lane3, 4: lane4}
-
 // blockScratch is the mutable state of running blocks: the block's
 // rows (rows[w][i] is wire w's value in the block's i-th batch) and
 // the fallback path's gate buffer.
 type blockScratch struct {
-	rows [][lanes]int64
+	rows [][Lanes]int64
 	gate []int64
 }
 
@@ -63,7 +61,7 @@ func (p *Plan) getBlockScratch() *blockScratch {
 		s = new(blockScratch)
 	}
 	if len(s.rows) < p.width {
-		s.rows = make([][lanes]int64, p.width)
+		s.rows = make([][Lanes]int64, p.width)
 	}
 	if len(s.gate) < p.maxWide {
 		s.gate = make([]int64, p.maxWide)
@@ -82,7 +80,7 @@ func (p *Plan) checkBatches(batches [][]int64) {
 
 // ApplyBatches runs every batch through the plan in place: each batch
 // is replaced by its output sequence (descending for a sorting
-// network). Batches run lane-interleaved, `lanes` at a time. Every
+// network). Batches run lane-interleaved, `Lanes` at a time. Every
 // batch must have length Width. Extra arguments are ignored: they
 // keep callers of the former ApplyBatches(batches, block) compiling.
 func (p *Plan) ApplyBatches(batches [][]int64, _ ...int) {
@@ -90,33 +88,68 @@ func (p *Plan) ApplyBatches(batches [][]int64, _ ...int) {
 	p.runBlocks(batches, new(atomic.Int64), p.out)
 }
 
-// runBlocks claims blocks of `lanes` batches through next (block k
-// starts at batch k·lanes) and runs each, emitting output position k
+// SortBatches sorts every batch through the plan using `workers`
+// data-parallel goroutines, the caller's included. Batches are
+// replaced in place with their sorted contents in network output order
+// (descending). Workers claim blocks of `Lanes` batches and run each
+// as ApplyBatches does.
+func (p *Plan) SortBatches(batches [][]int64, workers int) {
+	p.sortBatches(batches, workers, p.out)
+}
+
+// SortBatchesAscending is SortBatches with every batch emitted in
+// reverse output order, ascending for a sorting network. The reversal
+// costs nothing: it is the order of the transpose back out of a block.
+func (p *Plan) SortBatchesAscending(batches [][]int64, workers int) {
+	p.sortBatches(batches, workers, p.rev)
+}
+
+func (p *Plan) sortBatches(batches [][]int64, workers int, out []int32) {
+	p.checkBatches(batches)
+	workers = min(workers, (len(batches)+Lanes-1)/Lanes)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for g := 1; g < workers; g++ {
+		wg.Add(1)
+		// Production-only worker pool for the synchronous plan engine;
+		// not a replayed path.
+		//netvet:allow spawn
+		go func() {
+			defer wg.Done()
+			p.runBlocks(batches, &next, out)
+		}()
+	}
+	p.runBlocks(batches, &next, out)
+	wg.Wait()
+}
+
+// runBlocks claims blocks of `Lanes` batches through next (block k
+// starts at batch k·Lanes) and runs each, emitting output position k
 // from wire out[k], until none is left. Every SortBatches worker runs
 // it over the same counter.
 func (p *Plan) runBlocks(batches [][]int64, next *atomic.Int64, out []int32) {
 	s := p.getBlockScratch()
 	for {
-		k := int(next.Add(1)-1) * lanes
+		k := int(next.Add(1)-1) * Lanes
 		if k >= len(batches) {
 			break
 		}
-		p.runBlock(batches[k:min(k+lanes, len(batches))], s.rows, s.gate, out)
+		p.runBlock(batches[k:min(k+Lanes, len(batches))], s.rows, s.gate, out)
 	}
 	blockPool.Put(s)
 }
 
-// runBlock sorts one block of at most `lanes` batches: transpose into
+// runBlock sorts one block of at most `Lanes` batches: transpose into
 // rows, run every layer across the lanes with one call per run,
 // transpose back in the order out gives. Its transpose loops range
-// over `lanes` and break at the block's end, so that the compiler
-// proves every lane index below `lanes` and drops the bounds check on
+// over `Lanes` and break at the block's end, so that the compiler
+// proves every lane index below `Lanes` and drops the bounds check on
 // rows[w][i].
 //
 //netvet:hotpath
-func (p *Plan) runBlock(block [][]int64, rows [][lanes]int64, gate []int64, out []int32) {
+func (p *Plan) runBlock(block [][]int64, rows [][Lanes]int64, gate []int64, out []int32) {
 	rows = rows[:p.width]
-	for b := range lanes {
+	for b := range Lanes {
 		if b == len(block) {
 			break
 		}
@@ -135,7 +168,7 @@ func (p *Plan) runBlock(block [][]int64, rows [][lanes]int64, gate []int64, out 
 			}
 		}
 	}
-	for b := range lanes {
+	for b := range Lanes {
 		if b == len(block) {
 			break
 		}
@@ -150,14 +183,15 @@ func (p *Plan) runBlock(block [][]int64, rows [][lanes]int64, gate []int64, out 
 // insertion-sorting the lane's values into gate as they are gathered.
 // Inserting while gathering, rather than gathering and then calling
 // insertionSortDesc, saves a pass over the gate and keeps K(4,4,8),
-// whose width-32 gates take this path, level with runLayer.
+// whose width-32 gates take this path, level with running its batches
+// one at a time through Apply.
 //
 //netvet:hotpath
-func laneSort(rows [][lanes]int64, wires []int32, w int, gate []int64) {
+func laneSort(rows [][Lanes]int64, wires []int32, w int, gate []int64) {
 	t := gate[:w]
 	for g := 0; g+w <= len(wires); g += w {
 		gw := wires[g : g+w]
-		for i := range lanes {
+		for i := range Lanes {
 			for k, r := range gw {
 				v := rows[r][i]
 				j := k - 1

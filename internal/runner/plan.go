@@ -20,21 +20,23 @@ import (
 //
 // A Plan is immutable after CompilePlan and safe for concurrent use;
 // all mutable state lives in per-caller Scratch or pooled blockScratch.
-// Every int64 sorting path runs the compiled form one layer at a time:
+// Both int64 sorting engines run the compiled form one layer at a
+// time, and a run of equal-width gates is one call of a kernel
+// generated from internal/optnet (or the gather/insertion-sort
+// fallback above maxKernelWidth):
 //
-//   - Apply: one batch through runLayer, allocation-free with
-//     caller-provided Scratch;
-//   - ApplyBatches: many batches lane-interleaved (lanes.go) — a block
-//     of `lanes` batches is transposed into wire-major rows and each
-//     run is one lane kernel call over the whole block: AVX-512
-//     assembly on amd64 CPUs with AVX-512F, portable Go elsewhere;
-//   - SortBatches: those blocks handed out to data-parallel workers;
-//   - Pipeline: one goroutine per layer over a stream of batches,
-//     each stage running runLayer.
+//   - Apply: one batch, a scalar run kernel per run, allocation-free
+//     with caller-provided Scratch;
+//   - ApplyBatches and SortBatches: blocks of `Lanes` batches
+//     lane-interleaved (lanes.go), a lane kernel per run over the
+//     whole block: AVX-512 assembly on amd64 CPUs with AVX-512F,
+//     portable Go elsewhere. SortBatches hands the blocks out to
+//     data-parallel workers.
 //
 // All of them produce output identical to ApplyComparators: element k
 // of the result is the value leaving on wire OutputOrder[k], gates
-// route their largest input to their first wire.
+// route their largest input to their first wire. The Ascending
+// variants emit the same values in reverse.
 type Plan struct {
 	width   int
 	maxWide int // width of the widest gate, 0 if none
@@ -47,16 +49,8 @@ type Plan struct {
 	rev      []int32 // out reversed: ascending output for a sorting network
 	outIdent bool
 
-	// noKernels forces the gather/insertion-sort/scatter path for
-	// every gate wider than 4, disabling the generated straight-line
-	// kernels. Off in production; the differential tests and the
-	// kernel-vs-fallback benchmarks flip it via SetWideKernels to pin
-	// both engines against each other.
-	noKernels bool
-
-	// kern is the lane kernel table of ApplyBatches: nativeLanes, or
-	// refLanes under SetWideKernels(false). Tests set it to run one
-	// table against another.
+	// kern is the lane kernel table of ApplyBatches: nativeLanes.
+	// Tests set it to run one table against another.
 	kern *laneTable
 }
 
@@ -151,21 +145,6 @@ func CompilePlan(net *network.Network) *Plan {
 // Width returns the batch size the plan executes.
 func (p *Plan) Width() int { return p.width }
 
-// SetWideKernels toggles the generated straight-line kernels for wide
-// gates of width 5..16 (on by default). With on=false every gate
-// wider than 4 takes the gather/insertion-sort/scatter path and
-// ApplyBatches runs only portable Go (refLanes) — the reference engine
-// the kernels are differential-tested and benchmarked against. Call
-// before the plan is shared: the fields are read by concurrent runs
-// without synchronization.
-func (p *Plan) SetWideKernels(on bool) {
-	p.noKernels = !on
-	p.kern = nativeLanes
-	if !on {
-		p.kern = &refLanes
-	}
-}
-
 // NumLayers returns the number of compiled layers (the network depth).
 func (p *Plan) NumLayers() int { return len(p.layers) }
 
@@ -190,6 +169,35 @@ func (p *Plan) NewScratch() *Scratch {
 //
 //netvet:hotpath
 func (p *Plan) Apply(dst, src []int64, s *Scratch) {
+	vals := p.run(dst, src, s)
+	if p.outIdent {
+		copy(dst, vals)
+		return
+	}
+	for k, wire := range p.out {
+		dst[k] = vals[wire]
+	}
+}
+
+// ApplyAscending is Apply with the output sequence reversed: ascending
+// for a sorting network.
+//
+//netvet:hotpath
+func (p *Plan) ApplyAscending(dst, src []int64, s *Scratch) {
+	vals := p.run(dst, src, s)
+	for k, wire := range p.rev {
+		dst[k] = vals[wire]
+	}
+}
+
+// run copies src into the scratch wire values and runs every layer
+// over them, one kernel call per run: the generated scalar kernel of
+// the run's width, or for gates wider than maxKernelWidth a gather
+// into the scratch gate buffer, an insertion sort and a scatter. It
+// returns the wire values.
+//
+//netvet:hotpath
+func (p *Plan) run(dst, src []int64, s *Scratch) []int64 {
 	if len(src) != p.width || len(dst) != p.width {
 		panic(fmt.Sprintf("runner: plan batch %d/%d for width-%d network", len(src), len(dst), p.width))
 	}
@@ -197,80 +205,17 @@ func (p *Plan) Apply(dst, src []int64, s *Scratch) {
 		//netvet:allow escape -- cold nil-scratch fallback; steady-state callers pass s (pinned by the zero-alloc tests)
 		s = p.NewScratch()
 	}
-	copy(s.vals, src)
-	for l := range p.layers {
-		p.runLayer(l, s.vals, s.gate)
-	}
-	//netvet:allow escape -- inlined emit re-attributes its panic string's boxing here; a constant string boxes to static data, no runtime allocation
-	p.emit(dst, s.vals)
-}
-
-// emit writes the wire values to dst in output order.
-//
-//netvet:hotpath
-func (p *Plan) emit(dst, vals []int64) {
-	if p.outIdent {
-		copy(dst, vals)
-		return
-	}
-	if &dst[0] == &vals[0] {
-		panic("runner: plan emit cannot permute in place")
-	}
-	for k, wire := range p.out {
-		dst[k] = vals[wire]
-	}
-}
-
-// runLayer applies one layer to vals in wire order, one run at a
-// time. 2-comparators and widths 3 and 4 — the bulk of every
-// small-factor construction — run as fixed compare-exchange networks
-// on registers, branchless: min/max compiles to conditional moves,
-// immune to the ~50% mispredict rate a data-dependent swap suffers on
-// random input. Widths 5..16 dispatch to the generated straight-line
-// kernels (zkernels.go, built from the verified internal/optnet
-// table); only gates wider than maxKernelWidth gather into the
-// scratch buffer and insertion-sort.
-//
-//netvet:hotpath
-func (p *Plan) runLayer(l int, vals, gate []int64) {
-	for _, r := range p.layers[l] {
-		wires := r.wires
-		switch {
-		case r.width == 2:
-			for i := 0; i+1 < len(wires); i += 2 {
-				a, b := wires[i], wires[i+1]
-				va, vb := vals[a], vals[b]
-				vals[a], vals[b] = max(va, vb), min(va, vb)
+	vals := s.vals
+	copy(vals, src)
+	for _, layer := range p.layers {
+		for _, r := range layer {
+			if r.width <= maxKernelWidth {
+				scalarKernels[r.width](vals, r.wires, r.count)
+				continue
 			}
-		case r.width == 3:
-			for i := 0; i+2 < len(wires); i += 3 {
-				a, b, c := wires[i], wires[i+1], wires[i+2]
-				va, vb, vc := vals[a], vals[b], vals[c]
-				va, vb = max(va, vb), min(va, vb)
-				vb, vc = max(vb, vc), min(vb, vc)
-				va, vb = max(va, vb), min(va, vb)
-				vals[a], vals[b], vals[c] = va, vb, vc
-			}
-		case r.width == 4:
-			for i := 0; i+3 < len(wires); i += 4 {
-				a, b, c, d := wires[i], wires[i+1], wires[i+2], wires[i+3]
-				va, vb, vc, vd := vals[a], vals[b], vals[c], vals[d]
-				va, vc = max(va, vc), min(va, vc)
-				vb, vd = max(vb, vd), min(vb, vd)
-				va, vb = max(va, vb), min(va, vb)
-				vc, vd = max(vc, vd), min(vc, vd)
-				vb, vc = max(vb, vc), min(vb, vc)
-				vals[a], vals[b], vals[c], vals[d] = va, vb, vc, vd
-			}
-		case r.width <= maxKernelWidth && !p.noKernels:
-			kernel := wideKernel[r.width]
-			for i := 0; i < len(wires); i += r.width {
-				kernel(vals, wires[i:i+r.width])
-			}
-		default:
-			t := gate[:r.width]
-			for i := 0; i < len(wires); i += r.width {
-				gw := wires[i : i+r.width]
+			t := s.gate[:r.width]
+			for i := 0; i < len(r.wires); i += r.width {
+				gw := r.wires[i : i+r.width]
 				for k, w := range gw {
 					t[k] = vals[w]
 				}
@@ -281,4 +226,5 @@ func (p *Plan) runLayer(l int, vals, gate []int64) {
 			}
 		}
 	}
+	return vals
 }

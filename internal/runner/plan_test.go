@@ -108,6 +108,13 @@ func TestPlanApplyMatchesComparators(t *testing.T) {
 				if !reflect.DeepEqual(inPlace, want) {
 					t.Fatalf("trial %d (in place): plan %v, want %v", trial, inPlace, want)
 				}
+				// Ascending, in place too: the same values reversed.
+				asc := append([]int64(nil), in...)
+				plan.ApplyAscending(asc, asc, s)
+				slices.Reverse(asc)
+				if !reflect.DeepEqual(asc, want) {
+					t.Fatalf("trial %d: ApplyAscending reversed %v, want %v", trial, asc, want)
+				}
 			}
 		})
 	}
@@ -116,7 +123,7 @@ func TestPlanApplyMatchesComparators(t *testing.T) {
 // batchCounts are the batch counts the lane engine is tested at: one
 // lane, a partial block, a full one, one batch past it and a partial
 // third block.
-var batchCounts = []int{1, lanes - 1, lanes, lanes + 1, 2*lanes + 3}
+var batchCounts = []int{1, Lanes - 1, Lanes, Lanes + 1, 2*Lanes + 3}
 
 // TestPlanApplyBatchesMatchesComparators runs the lane-interleaved
 // engine over batchCounts with each lane kernel table, and with the
@@ -155,7 +162,7 @@ func TestPlanApplyBatchesMatchesComparators(t *testing.T) {
 			})
 			t.Run("reference", func(t *testing.T) {
 				plan := CompilePlan(net)
-				plan.SetWideKernels(false)
+				plan.kern = &fallbackLanes
 				check(t, net, plan)
 			})
 		})
@@ -172,7 +179,7 @@ func TestPlanApplyBatchesAllocs(t *testing.T) {
 	}
 	plan := CompilePlan(net)
 	rng := rand.New(rand.NewSource(5))
-	for _, count := range []int{1, lanes, 7*lanes + 3} {
+	for _, count := range []int{1, Lanes, 7*Lanes + 3} {
 		batches := make([][]int64, count)
 		for i := range batches {
 			batches[i] = randomBatch(rng, net.Width())
@@ -189,27 +196,26 @@ func TestPlanApplyBatchesAllocs(t *testing.T) {
 	}
 }
 
-// TestPlanParallelMatchesComparators runs both parallel engines over
-// the plan — SortBatches' data-parallel workers and the layer-pipelined
-// Pipeline — against the gate-by-gate reference on every network.
+// TestPlanParallelMatchesComparators runs SortBatches' data-parallel
+// workers over the plan, in both output orders, against the
+// gate-by-gate reference on every network.
 func TestPlanParallelMatchesComparators(t *testing.T) {
 	for name, net := range allPlanNetworks(t) {
 		t.Run(name, func(t *testing.T) {
 			plan := CompilePlan(net)
 			rng := rand.New(rand.NewSource(3))
-			batches := make([][]int64, 2*lanes+3)
+			batches := make([][]int64, 2*Lanes+3)
 			want := make([][]int64, len(batches))
 			for i := range batches {
 				batches[i] = randomBatch(rng, net.Width())
 				want[i] = ApplyComparators(net, batches[i])
 			}
-			got := pipelineSort(plan, batches)
-			if len(got) != len(batches) {
-				t.Fatalf("pipeline returned %d batches, want %d", len(got), len(batches))
-			}
-			for i := range batches {
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Fatalf("batch %d: pipeline %v, want %v", i, got[i], want[i])
+			ascending := copyBatches(batches)
+			plan.SortBatchesAscending(ascending, 3)
+			for i := range ascending {
+				slices.Reverse(ascending[i])
+				if !reflect.DeepEqual(ascending[i], want[i]) {
+					t.Fatalf("batch %d: SortBatchesAscending reversed %v, want %v", i, ascending[i], want[i])
 				}
 			}
 			plan.SortBatches(batches, 3)
@@ -222,6 +228,31 @@ func TestPlanParallelMatchesComparators(t *testing.T) {
 	}
 }
 
+func TestSortBatches(t *testing.T) {
+	net := twoSorter()
+	rng := rand.New(rand.NewSource(7))
+	for _, workers := range []int{1, 2, 5, 100} {
+		batches := make([][]int64, 37)
+		wants := make([][]int64, len(batches))
+		for i := range batches {
+			batches[i] = make([]int64, 4)
+			for j := range batches[i] {
+				batches[i][j] = int64(rng.Intn(100))
+			}
+			wants[i] = ApplyComparators(net, batches[i])
+		}
+		CompilePlan(net).SortBatches(batches, workers)
+		for i := range batches {
+			if !reflect.DeepEqual(batches[i], wants[i]) {
+				t.Fatalf("workers=%d batch %d: %v, want %v", workers, i, batches[i], wants[i])
+			}
+		}
+	}
+	// Degenerate inputs.
+	CompilePlan(net).SortBatches(nil, 4)
+	CompilePlan(net).SortBatches([][]int64{}, 0)
+}
+
 func TestPlanWidthMismatchPanics(t *testing.T) {
 	plan := CompilePlan(fuzzNet())
 	for _, c := range []struct {
@@ -230,7 +261,9 @@ func TestPlanWidthMismatchPanics(t *testing.T) {
 	}{
 		{"apply-src", func() { plan.Apply(make([]int64, 4), make([]int64, 3), nil) }},
 		{"apply-dst", func() { plan.Apply(make([]int64, 5), make([]int64, 4), nil) }},
+		{"apply-ascending", func() { plan.ApplyAscending(make([]int64, 4), make([]int64, 3), nil) }},
 		{"batches", func() { plan.ApplyBatches([][]int64{make([]int64, 2)}) }},
+		{"sort-ascending", func() { plan.SortBatchesAscending([][]int64{make([]int64, 4), make([]int64, 2)}, 1) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			defer func() {
@@ -290,10 +323,11 @@ func randomPlanNetwork(seed int64, width, gates int) (*network.Network, *rand.Ra
 
 // FuzzPlanVsComparators cross-checks every plan execution mode against
 // the reference gate-by-gate evaluator on arbitrary networks and
-// inputs. ApplyBatches, SortBatches and SortBatchesAscending run one of
-// batchCounts, drawn from the fuzz data, with every lane kernel table
-// this CPU runs and with the generated kernels off, so full and partial
-// lane blocks meet every topology on every table.
+// inputs: Apply and ApplyAscending on one batch, then ApplyBatches,
+// SortBatches and SortBatchesAscending on one of batchCounts, drawn
+// from the fuzz data, with every lane kernel table this CPU runs and
+// with the fallback-only table, so full and partial lane blocks meet
+// every topology on every table.
 func FuzzPlanVsComparators(f *testing.F) {
 	tables := []*laneTable{&goLanes}
 	if asm := asmLanes(); asm != nil {
@@ -317,6 +351,11 @@ func FuzzPlanVsComparators(f *testing.F) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("Apply %v, comparators %v (net %v)", got, want, net)
 		}
+		plan.ApplyAscending(got, in, nil)
+		slices.Reverse(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("ApplyAscending reversed %v, comparators %v (net %v)", got, want, net)
+		}
 
 		batches := make([][]int64, batchCounts[int(count)%len(batchCounts)])
 		wantB := make([][]int64, len(batches))
@@ -331,7 +370,7 @@ func FuzzPlanVsComparators(f *testing.F) {
 			plans = append(plans, p)
 		}
 		ref := CompilePlan(net)
-		ref.SetWideKernels(false)
+		ref.kern = &fallbackLanes
 		plans = append(plans, ref)
 		for pi, p := range plans {
 			applied := copyBatches(batches)
@@ -352,10 +391,6 @@ func FuzzPlanVsComparators(f *testing.F) {
 					t.Fatalf("plan %d: SortBatchesAscending[%d of %d] reversed %v, want %v", pi, i, len(batches), ascending[i], wantB[i])
 				}
 			}
-		}
-
-		if got := pipelineSort(plan, [][]int64{in})[0]; !reflect.DeepEqual(got, want) {
-			t.Fatalf("Pipeline %v, want %v", got, want)
 		}
 	})
 }

@@ -24,13 +24,8 @@ func NewBatchSorter(n *Network) *BatchSorter {
 // Sort sorts one batch of exactly Width values ascending. The returned
 // slice is reused by the next call; copy it to keep it.
 func (s *BatchSorter) Sort(in []int64) []int64 {
-	out := s.out
-	s.plan.Apply(out, in, s.s)
-	// The step convention emits largest-first; callers get ascending.
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
-	return out
+	s.plan.ApplyAscending(s.out, in, s.s)
+	return s.out
 }
 
 // SortBatches sorts every batch in place, ascending, using `workers`
@@ -46,32 +41,42 @@ func (n *Network) SortBatches(batches [][]int64, workers int) error {
 	return nil
 }
 
-// SortStream pushes every batch from in through the network using one
-// goroutine per network layer, each running that layer of the
-// network's compiled plan (pipelined: batch k+1 enters layer 1 while
-// batch k is in layer 2), emitting ascending-sorted batches in
-// input order on the returned channel. Each input batch must have
-// exactly Width values; input slices are reused as scratch. The output
-// channel closes after the last batch.
+// SortStream sorts every batch from in ascending and emits it on the
+// returned channel, in input order: the input slice itself, sorted in
+// place. One goroutine receives a batch, takes up to runner.Lanes-1
+// more that are already waiting and sorts them together as one lane
+// block of the network's compiled plan. It never waits to fill a
+// block, so a lone batch comes straight back. Each input batch must
+// have exactly Width values. The output channel holds a full block
+// and closes after the last batch.
 func (n *Network) SortStream(in <-chan []int64) <-chan []int64 {
-	p := runner.NewPipeline(n.evalPlan(), 2)
-	out := make(chan []int64, 2)
-	go func() {
-		for batch := range in {
-			p.Submit(batch)
-		}
-		p.Close()
-	}()
+	plan := n.evalPlan()
+	// A full block fits in out, so a sorted block is emitted without
+	// waiting for the reader, and a caller may send up to a block's
+	// worth of batches before it reads any.
+	out := make(chan []int64, runner.Lanes)
 	go func() {
 		defer close(out)
-		for batch := range p.Results() {
-			asc := make([]int64, len(batch))
-			for k, wire := range p.OutputOrder() {
-				asc[len(batch)-1-k] = batch[wire]
+		block := make([][]int64, 0, runner.Lanes)
+		for batch := range in {
+			block = append(block[:0], batch)
+		fill:
+			for len(block) < runner.Lanes {
+				select {
+				case b, ok := <-in:
+					if !ok {
+						break fill
+					}
+					block = append(block, b)
+				default:
+					break fill
+				}
 			}
-			out <- asc
+			plan.SortBatchesAscending(block, 1)
+			for _, b := range block {
+				out <- b
+			}
 		}
-		p.Wait()
 	}()
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"countnet/internal/sched"
 )
@@ -79,6 +80,33 @@ func TestSortStream(t *testing.T) {
 	if k != batches {
 		t.Fatalf("received %d batches, want %d", k, batches)
 	}
+
+	// Lockstep: one batch at a time on an unbuffered channel, each
+	// result received before the next batch is sent. The stream must
+	// sort a lone batch at once, never wait to fill a block.
+	in = make(chan []int64)
+	out := n.SortStream(in)
+	for k := range batches {
+		batch := make([]int64, 8)
+		for i := range batch {
+			batch[i] = int64(rng.Intn(1000))
+		}
+		want := append([]int64(nil), batch...)
+		sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })
+		in <- batch
+		select {
+		case got := <-out:
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("lockstep batch %d: %v, want %v", k, got, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("lockstep batch %d: no result after 10s, the stream waits for a fuller block", k)
+		}
+	}
+	close(in)
+	if got, ok := <-out; ok {
+		t.Fatalf("stream emitted %v after the last lockstep batch", got)
+	}
 }
 
 func TestSortBatchesFacade(t *testing.T) {
@@ -108,13 +136,15 @@ func TestSortBatchesFacade(t *testing.T) {
 }
 
 // TestSortStreamScheduleExploration drives concurrent producers into
-// one SortStream pipeline under the controlled scheduler
+// one SortStream under the controlled scheduler
 // (internal/sched): the scheduler decides the exact order in which
 // producers hand batches to the stream, and for every explored
 // interleaving each emitted batch must be the sorted image of the
 // batch submitted at that position. This pins down the pipeline's
 // order-preservation contract under producer races, with any failing
-// interleaving replayable from its printed seed.
+// interleaving replayable from its printed seed. All six batches are
+// sent before any result is read: the stream's output channel holds a
+// full lane block, so they fit.
 func TestSortStreamScheduleExploration(t *testing.T) {
 	n, err := NewK(2, 2)
 	if err != nil {
@@ -144,7 +174,7 @@ func TestSortStreamScheduleExploration(t *testing.T) {
 				for k := 0; k < perProducer; k++ {
 					y.Step(fmt.Sprintf("submit %d/%d", p, k))
 					submitted = append(submitted, batches[p][k])
-					in <- append([]int64(nil), batches[p][k]...) // pipeline reuses input slices
+					in <- append([]int64(nil), batches[p][k]...) // the stream sorts input slices in place
 				}
 			}
 		}
