@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race short perfbench-test bench bench-plan bench-counter bench-obs bench-adaptive bench-scenarios bench-smoke obs-smoke fleet-smoke scenario-smoke fuzz soak vet fmt lint netvet vet-escape generate generate-check cross-build experiments examples clean
+.PHONY: all build test race short perfbench-test bench bench-plan bench-counter bench-obs bench-adaptive bench-scenarios bench-smoke obs-smoke fleet-smoke scenario-smoke fuzz fuzz-smoke soak vet fmt lint netvet vet-escape generate generate-check cross-build experiments examples clean
 
 all: build vet test
 
@@ -212,6 +212,13 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzPoolSchedules -fuzztime=30s ./internal/pool
 	$(GO) test -run '^$$' -fuzz=FuzzCheckRunVsReference -fuzztime=30s ./internal/harness
 	$(GO) test -run '^$$' -fuzz=FuzzDrawReply -fuzztime=30s ./internal/harness/syncsrv
+
+# The compiled-plan and kernel fuzzers, 10 s each: CI runs this on
+# every push, so plans of widths 2..40 (gates wider than 16 expanded
+# at compile time) are fuzzed without the full `make fuzz`.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz='^FuzzPlanVsComparators$$' -fuzztime=10s ./internal/runner
+	$(GO) test -run '^$$' -fuzz='^FuzzKernelVsSort$$' -fuzztime=10s ./internal/runner
 
 # Nightly-scale schedule exploration (see docs/TESTING.md).
 soak:

@@ -1,6 +1,7 @@
-package baseline
+package baseline_test
 
 import (
+	"countnet/internal/baseline"
 	"math/rand"
 	"testing"
 
@@ -9,16 +10,16 @@ import (
 
 func TestPowerOfTwoHelpers(t *testing.T) {
 	for _, w := range []int{1, 2, 4, 1024} {
-		if !IsPowerOfTwo(w) {
+		if !baseline.IsPowerOfTwo(w) {
 			t.Errorf("IsPowerOfTwo(%d) = false", w)
 		}
 	}
 	for _, w := range []int{0, -2, 3, 6, 12, 1000} {
-		if IsPowerOfTwo(w) {
+		if baseline.IsPowerOfTwo(w) {
 			t.Errorf("IsPowerOfTwo(%d) = true", w)
 		}
 	}
-	if Log2(1) != 0 || Log2(2) != 1 || Log2(64) != 6 {
+	if baseline.Log2(1) != 0 || baseline.Log2(2) != 1 || baseline.Log2(64) != 6 {
 		t.Error("Log2 wrong")
 	}
 	func() {
@@ -27,22 +28,22 @@ func TestPowerOfTwoHelpers(t *testing.T) {
 				t.Error("Log2(3) should panic")
 			}
 		}()
-		Log2(3)
+		baseline.Log2(3)
 	}()
 }
 
 func TestBitonicIsCountingAndSorting(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, w := range []int{2, 4, 8, 16, 32, 64} {
-		n, err := Bitonic(w)
+		n, err := baseline.Bitonic(w)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := n.Validate(); err != nil {
 			t.Fatalf("Bitonic(%d): %v", w, err)
 		}
-		if n.Depth() != BitonicDepth(w) {
-			t.Errorf("Bitonic(%d) depth %d, want %d", w, n.Depth(), BitonicDepth(w))
+		if n.Depth() != baseline.BitonicDepth(w) {
+			t.Errorf("Bitonic(%d) depth %d, want %d", w, n.Depth(), baseline.BitonicDepth(w))
 		}
 		if n.MaxGateWidth() != 2 {
 			t.Errorf("Bitonic(%d) has a gate of width %d", w, n.MaxGateWidth())
@@ -59,8 +60,8 @@ func TestBitonicIsCountingAndSorting(t *testing.T) {
 func TestBitonicGateCount(t *testing.T) {
 	// Bitonic[2^k] has (k(k+1)/2) * w/2 gates.
 	for _, w := range []int{4, 8, 16} {
-		n, _ := Bitonic(w)
-		k := Log2(w)
+		n, _ := baseline.Bitonic(w)
+		k := baseline.Log2(w)
 		want := k * (k + 1) / 2 * w / 2
 		if n.Size() != want {
 			t.Errorf("Bitonic(%d) has %d gates, want %d", w, n.Size(), want)
@@ -71,12 +72,12 @@ func TestBitonicGateCount(t *testing.T) {
 func TestPeriodicIsCountingAndSorting(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, w := range []int{2, 4, 8, 16, 32} {
-		n, err := Periodic(w)
+		n, err := baseline.Periodic(w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n.Depth() != PeriodicDepth(w) {
-			t.Errorf("Periodic(%d) depth %d, want %d", w, n.Depth(), PeriodicDepth(w))
+		if n.Depth() != baseline.PeriodicDepth(w) {
+			t.Errorf("Periodic(%d) depth %d, want %d", w, n.Depth(), baseline.PeriodicDepth(w))
 		}
 		if err := verify.IsCountingNetwork(n, rng); err != nil {
 			t.Errorf("Periodic(%d): %v", w, err)
@@ -91,14 +92,14 @@ func TestPeriodicBlocksNegativeControl(t *testing.T) {
 	// A truncated periodic network is not a counting network: this is
 	// the sanity check that our counting verifier can fail.
 	rng := rand.New(rand.NewSource(3))
-	n, err := PeriodicBlocks(8, 1)
+	n, err := baseline.PeriodicBlocks(8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := verify.IsCountingNetwork(n, rng); err == nil {
 		t.Error("one block of Periodic(8) verified as a counting network")
 	}
-	full, _ := PeriodicBlocks(8, 3)
+	full, _ := baseline.PeriodicBlocks(8, 3)
 	if err := verify.IsCountingNetwork(full, rng); err != nil {
 		t.Errorf("three blocks of Periodic(8): %v", err)
 	}
@@ -107,12 +108,12 @@ func TestPeriodicBlocksNegativeControl(t *testing.T) {
 func TestOddEvenSortsButDoesNotCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, w := range []int{4, 8, 16} {
-		n, err := OddEvenMergeSort(w)
+		n, err := baseline.OddEvenMergeSort(w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n.Depth() != BitonicDepth(w) {
-			t.Errorf("OddEven(%d) depth %d, want %d", w, n.Depth(), BitonicDepth(w))
+		if n.Depth() != baseline.BitonicDepth(w) {
+			t.Errorf("OddEven(%d) depth %d, want %d", w, n.Depth(), baseline.BitonicDepth(w))
 		}
 		if err := verify.IsSortingNetwork(n, rng); err != nil {
 			t.Errorf("OddEven(%d) does not sort: %v", w, err)
@@ -127,7 +128,7 @@ func TestBubbleFigure3(t *testing.T) {
 	// The paper's Figure 3 counterexample: sorts, does not count.
 	rng := rand.New(rand.NewSource(5))
 	for _, w := range []int{3, 4, 5, 6} {
-		n, err := Bubble(w)
+		n, err := baseline.Bubble(w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,11 +145,11 @@ func TestBubbleFigure3(t *testing.T) {
 }
 
 func TestBubbleTrivialWidths(t *testing.T) {
-	n, err := Bubble(1)
+	n, err := baseline.Bubble(1)
 	if err != nil || n.Size() != 0 {
 		t.Errorf("Bubble(1): %v %v", n, err)
 	}
-	if _, err := Bubble(0); err == nil {
+	if _, err := baseline.Bubble(0); err == nil {
 		t.Error("Bubble(0) accepted")
 	}
 }
@@ -156,7 +157,7 @@ func TestBubbleTrivialWidths(t *testing.T) {
 func TestOddEvenTransposition(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, w := range []int{2, 3, 5, 8} {
-		n, err := OddEvenTransposition(w)
+		n, err := baseline.OddEvenTransposition(w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,16 +175,16 @@ func TestOddEvenTransposition(t *testing.T) {
 }
 
 func TestNonPowerOfTwoRejected(t *testing.T) {
-	if _, err := Bitonic(12); err == nil {
+	if _, err := baseline.Bitonic(12); err == nil {
 		t.Error("Bitonic(12) accepted")
 	}
-	if _, err := Periodic(3); err == nil {
+	if _, err := baseline.Periodic(3); err == nil {
 		t.Error("Periodic(3) accepted")
 	}
-	if _, err := OddEvenMergeSort(6); err == nil {
+	if _, err := baseline.OddEvenMergeSort(6); err == nil {
 		t.Error("OddEven(6) accepted")
 	}
-	if _, err := PeriodicBlocks(6, 1); err == nil {
+	if _, err := baseline.PeriodicBlocks(6, 1); err == nil {
 		t.Error("PeriodicBlocks(6,1) accepted")
 	}
 }

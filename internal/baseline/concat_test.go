@@ -1,6 +1,7 @@
-package baseline
+package baseline_test
 
 import (
+	"countnet/internal/baseline"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -15,8 +16,8 @@ import (
 // it exactly (same behaviour on all inputs, same structure counts).
 func TestPeriodicIsConcatOfBlocks(t *testing.T) {
 	w := 16
-	k := Log2(w)
-	block, err := PeriodicBlocks(w, 1)
+	k := baseline.Log2(w)
+	block, err := baseline.PeriodicBlocks(w, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func TestPeriodicIsConcatOfBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, _ := Periodic(w)
+	direct, _ := baseline.Periodic(w)
 	if cat.Size() != direct.Size() || cat.Depth() != direct.Depth() {
 		t.Errorf("concat: %d gates depth %d; direct: %d gates depth %d",
 			cat.Size(), cat.Depth(), direct.Size(), direct.Depth())
@@ -53,8 +54,8 @@ func TestPeriodicIsConcatOfBlocks(t *testing.T) {
 // bubble followed by bitonic passes.
 func TestConcatWithCountingSuffixCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	bubble, _ := Bubble(8)
-	bitonic, _ := Bitonic(8)
+	bubble, _ := baseline.Bubble(8)
+	bitonic, _ := baseline.Bitonic(8)
 	cat, err := network.Concat("bubble+bitonic", bubble, bitonic)
 	if err != nil {
 		t.Fatal(err)

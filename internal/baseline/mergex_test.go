@@ -1,6 +1,7 @@
-package baseline
+package baseline_test
 
 import (
+	"countnet/internal/baseline"
 	"math/rand"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 func TestMergeExchangeSortsAllWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for w := 1; w <= 16; w++ {
-		n, err := MergeExchange(w)
+		n, err := baseline.MergeExchange(w)
 		if err != nil {
 			t.Fatalf("MergeExchange(%d): %v", w, err)
 		}
@@ -31,7 +32,7 @@ func TestMergeExchangeSortsAllWidths(t *testing.T) {
 		}
 	}
 	for _, w := range []int{17, 23, 30, 45, 64, 100} {
-		n, err := MergeExchange(w)
+		n, err := baseline.MergeExchange(w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,18 +46,18 @@ func TestMergeExchangeSortsAllWidths(t *testing.T) {
 // power-of-two odd-even depth when w is a power of two.
 func TestMergeExchangeDepth(t *testing.T) {
 	for w := 2; w <= 64; w++ {
-		n, err := MergeExchange(w)
+		n, err := baseline.MergeExchange(w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n.Depth() > MergeExchangeDepthBound(w) {
-			t.Errorf("MergeExchange(%d) depth %d > bound %d", w, n.Depth(), MergeExchangeDepthBound(w))
+		if n.Depth() > baseline.MergeExchangeDepthBound(w) {
+			t.Errorf("MergeExchange(%d) depth %d > bound %d", w, n.Depth(), baseline.MergeExchangeDepthBound(w))
 		}
 	}
 	for _, w := range []int{4, 8, 16, 32} {
-		n, _ := MergeExchange(w)
-		if n.Depth() != BitonicDepth(w) {
-			t.Errorf("MergeExchange(%d) depth %d, want %d at power of two", w, n.Depth(), BitonicDepth(w))
+		n, _ := baseline.MergeExchange(w)
+		if n.Depth() != baseline.BitonicDepth(w) {
+			t.Errorf("MergeExchange(%d) depth %d, want %d at power of two", w, n.Depth(), baseline.BitonicDepth(w))
 		}
 	}
 }
@@ -65,7 +66,7 @@ func TestMergeExchangeDepth(t *testing.T) {
 // is not a counting network (checked at a width where that matters).
 func TestMergeExchangeNotCounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
-	n, err := MergeExchange(6)
+	n, err := baseline.MergeExchange(6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +80,8 @@ func TestMergeExchangeNotCounting(t *testing.T) {
 // recursive construction: both sort, same depth, same gate count.
 func TestMergeExchangeMatchesOddEvenAtPowersOfTwo(t *testing.T) {
 	for _, w := range []int{2, 4, 8, 16} {
-		me, _ := MergeExchange(w)
-		oe, _ := OddEvenMergeSort(w)
+		me, _ := baseline.MergeExchange(w)
+		oe, _ := baseline.OddEvenMergeSort(w)
 		if me.Size() != oe.Size() || me.Depth() != oe.Depth() {
 			t.Errorf("w=%d: merge-exchange %d gates depth %d, odd-even %d gates depth %d",
 				w, me.Size(), me.Depth(), oe.Size(), oe.Depth())
@@ -89,11 +90,11 @@ func TestMergeExchangeMatchesOddEvenAtPowersOfTwo(t *testing.T) {
 }
 
 func TestMergeExchangeDegenerate(t *testing.T) {
-	n, err := MergeExchange(1)
+	n, err := baseline.MergeExchange(1)
 	if err != nil || n.Size() != 0 {
 		t.Errorf("MergeExchange(1): %v, %v", n, err)
 	}
-	if _, err := MergeExchange(0); err == nil {
+	if _, err := baseline.MergeExchange(0); err == nil {
 		t.Error("width 0 accepted")
 	}
 }

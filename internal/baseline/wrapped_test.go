@@ -1,6 +1,7 @@
-package baseline
+package baseline_test
 
 import (
+	"countnet/internal/baseline"
 	"math/rand"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 func TestWrappedCountsArbitraryWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, w := range []int{1, 2, 3, 5, 6, 7, 9, 12, 13} {
-		c, err := NewWrapped(w)
+		c, err := baseline.NewWrapped(w)
 		if err != nil {
 			t.Fatalf("NewWrapped(%d): %v", w, err)
 		}
@@ -34,7 +35,7 @@ func TestWrappedCountsArbitraryWidths(t *testing.T) {
 func TestWrappedStatePersistsAcrossSteps(t *testing.T) {
 	// Two Step calls without Reset behave like one combined run: the
 	// aggregated counts must still be step.
-	c, err := NewWrapped(5)
+	c, err := baseline.NewWrapped(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestWrappedStatePersistsAcrossSteps(t *testing.T) {
 
 func TestWrappedPowerOfTwoNeverWraps(t *testing.T) {
 	// When w is already a power of two there are no wrapped wires.
-	c, err := NewWrapped(8)
+	c, err := baseline.NewWrapped(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestWrappedPowerOfTwoNeverWraps(t *testing.T) {
 
 func TestWrappedTokensDoWrap(t *testing.T) {
 	// At w=5 over an 8-wide inner network, enough tokens force wrapping.
-	c, err := NewWrapped(5)
+	c, err := baseline.NewWrapped(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestWrappedTokensDoWrap(t *testing.T) {
 func TestWrappedInjectSequentialValues(t *testing.T) {
 	// Serial injection on one wire yields exit positions cycling
 	// 0,1,...,w-1,0,... — the counter behaviour.
-	c, err := NewWrapped(3)
+	c, err := baseline.NewWrapped(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,10 +93,10 @@ func TestWrappedInjectSequentialValues(t *testing.T) {
 }
 
 func TestWrappedRejectsBadParams(t *testing.T) {
-	if _, err := NewWrapped(0); err == nil {
+	if _, err := baseline.NewWrapped(0); err == nil {
 		t.Error("width 0 accepted")
 	}
-	c, _ := NewWrapped(4)
+	c, _ := baseline.NewWrapped(4)
 	func() {
 		defer func() {
 			if recover() == nil {

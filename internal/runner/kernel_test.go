@@ -2,9 +2,9 @@
 // (zkernels.go, zlanes_amd64.s): exhaustive 0-1 verification of every
 // embedded width through the scalar and lane kernels AND the raw
 // comparator table, differential runs of the kernel engines against
-// the gather/insertion-sort/scatter fallback and the gate-by-gate
-// evaluator across the plan execution modes, and wire-mapping
-// (scatter/gather indirection) coverage.
+// the gate-by-gate evaluator across the plan execution modes, gates
+// wider than maxKernelWidth through their merge-exchange expansion,
+// and wire-mapping (scatter/gather indirection) coverage.
 package runner
 
 import (
@@ -60,10 +60,6 @@ func TestKernelExhaustive01(t *testing.T) {
 		}
 	}
 }
-
-// fallbackLanes is a lane kernel table with no kernels: a plan running
-// it sorts every gate by laneSort, the gather/insertion-sort fallback.
-var fallbackLanes laneTable
 
 // laneTables runs f once per lane kernel table, as subtests: the
 // portable Go kernels always, the AVX-512 kernels where the CPU runs
@@ -188,17 +184,15 @@ func wideGateNet(t testing.TB, width int, gateWidths ...int) *network.Network {
 }
 
 // TestPlanKernelVsInsertionSort differentially runs the generated
-// kernels against the insertion-sort fallback (a plan on
-// fallbackLanes) and the gate-by-gate evaluator, across Apply,
-// ApplyAscending and ApplyBatches and every kernel width.
+// kernels against the gate-by-gate evaluator, whose gates are
+// insertion sorts, across Apply, ApplyAscending and ApplyBatches and
+// every kernel width.
 func TestPlanKernelVsInsertionSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for gw := 2; gw <= maxKernelWidth; gw++ {
 		net := wideGateNet(t, gw+4, gw, gw, gw)
 		w := net.Width()
 		fast := CompilePlan(net)
-		slow := CompilePlan(net)
-		slow.kern = &fallbackLanes
 		s := fast.NewScratch()
 		for trial := 0; trial < 200; trial++ {
 			in := randomBatch(rng, w)
@@ -221,49 +215,92 @@ func TestPlanKernelVsInsertionSort(t *testing.T) {
 			batches[i] = randomBatch(rng, w)
 			want[i] = ApplyComparators(net, batches[i])
 		}
-		ref := copyBatches(batches)
 		fast.ApplyBatches(batches)
-		slow.ApplyBatches(ref)
 		for i := range batches {
 			if !reflect.DeepEqual(batches[i], want[i]) {
 				t.Fatalf("gate width %d batch %d: kernel batches %v, want %v", gw, i, batches[i], want[i])
-			}
-			if !reflect.DeepEqual(ref[i], want[i]) {
-				t.Fatalf("gate width %d batch %d: insertion-sort batches %v, want %v", gw, i, ref[i], want[i])
 			}
 		}
 	}
 }
 
-// TestPlanKernelAboveCutoff pins the fallback: a gate wider than
-// maxKernelWidth takes the insertion-sort path and still matches the
-// reference evaluator, through Apply, ApplyAscending and ApplyBatches.
+// maxExpandTestWidth is the widest gate the expansion tests build:
+// every width from maxKernelWidth+1 to it, the primes 17, 19, 23, 31
+// and 37 among them.
+const maxExpandTestWidth = 40
+
+// TestPlanKernelAboveCutoff sweeps gates wider than maxKernelWidth,
+// widths 17..40: each is expanded into merge-exchange 2-gates at
+// compile time and must still match the gate-by-gate evaluator, whose
+// gate is one insertion sort, through Apply, ApplyAscending and
+// ApplyBatches.
 func TestPlanKernelAboveCutoff(t *testing.T) {
-	net := wideGateNet(t, maxKernelWidth+3, maxKernelWidth+1, maxKernelWidth+2)
-	plan := CompilePlan(net)
 	rng := rand.New(rand.NewSource(31))
-	s := plan.NewScratch()
-	inputs := make([][]int64, 100)
-	for trial := range inputs {
-		in := randomBatch(rng, net.Width())
-		inputs[trial] = in
-		want := ApplyComparators(net, in)
-		got := make([]int64, net.Width())
-		plan.Apply(got, in, s)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: %v, want %v", trial, got, want)
+	for gw := maxKernelWidth + 1; gw <= maxExpandTestWidth; gw++ {
+		net := wideGateNet(t, gw+3, gw, gw-1)
+		plan := CompilePlan(net)
+		s := plan.NewScratch()
+		inputs := make([][]int64, 2*Lanes+3)
+		for trial := range inputs {
+			in := randomBatch(rng, net.Width())
+			inputs[trial] = in
+			want := ApplyComparators(net, in)
+			got := make([]int64, net.Width())
+			plan.Apply(got, in, s)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("gate width %d trial %d: %v, want %v", gw, trial, got, want)
+			}
+			plan.ApplyAscending(got, in, s)
+			slices.Reverse(got)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("gate width %d trial %d: ApplyAscending reversed %v, want %v", gw, trial, got, want)
+			}
 		}
-		plan.ApplyAscending(got, in, s)
-		slices.Reverse(got)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: ApplyAscending reversed %v, want %v", trial, got, want)
+		batches := copyBatches(inputs)
+		plan.ApplyBatches(batches)
+		for trial, got := range batches {
+			if want := ApplyComparators(net, inputs[trial]); !reflect.DeepEqual(got, want) {
+				t.Fatalf("gate width %d trial %d: ApplyBatches %v, want %v", gw, trial, got, want)
+			}
 		}
 	}
-	batches := copyBatches(inputs)
-	plan.ApplyBatches(batches)
-	for trial, got := range batches {
-		if want := ApplyComparators(net, inputs[trial]); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: ApplyBatches %v, want %v", trial, got, want)
+}
+
+// TestPlanWideGateExhaustive01 runs all 2^w binary patterns through a
+// plan of one width-w gate, w = 17..20, on shuffled wires, through
+// Apply and ApplyBatches, against ApplyComparators: by the 0-1
+// principle the gate's merge-exchange expansion then sorts every input
+// exactly as the gate does.
+func TestPlanWideGateExhaustive01(t *testing.T) {
+	for w := maxKernelWidth + 1; w <= 20; w++ {
+		b := network.NewBuilder(w)
+		b.Add(rand.New(rand.NewSource(int64(w))).Perm(w), "wide")
+		net := b.Build("onegate", nil)
+		plan := CompilePlan(net)
+		s := plan.NewScratch()
+		got := make([]int64, w)
+		batches := make([][]int64, 4*Lanes)
+		wants := make([][]int64, len(batches))
+		for i := range batches {
+			batches[i] = make([]int64, w)
+		}
+		for base := 0; base < 1<<w; base += len(batches) {
+			for i, in := range batches {
+				for k := range in {
+					in[k] = int64((base+i)>>k) & 1
+				}
+				wants[i] = ApplyComparators(net, in)
+				plan.Apply(got, in, s)
+				if !slices.Equal(got, wants[i]) {
+					t.Fatalf("width %d pattern %#x: Apply %v, comparators %v", w, base+i, got, wants[i])
+				}
+			}
+			plan.ApplyBatches(batches)
+			for i, got := range batches {
+				if !slices.Equal(got, wants[i]) {
+					t.Fatalf("width %d pattern %#x: ApplyBatches %v, comparators %v", w, base+i, got, wants[i])
+				}
+			}
 		}
 	}
 }

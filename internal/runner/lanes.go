@@ -14,13 +14,13 @@ import (
 // `Lanes` batches into wire-major rows — row w holds wire w's value
 // from each batch of the block, contiguous — and runs each layer once
 // per block. A run of equal-width gates is one lane kernel call that
-// sorts every gate of the run across all the lanes: a generated
-// kernel of the plan's laneTable for widths 2..16 (AVX-512 assembly
+// sorts every gate of the run across all the lanes: the generated
+// kernel of the plan's laneTable for the run's width (AVX-512 assembly
 // or portable Go, both from the internal/optnet networks of the scalar
-// ceN kernels), the gather/insertion sort fallback, one lane at a
-// time, for anything wider. Lanes past the end of a partial block hold
-// stale values; the kernels sort them like any other and they are
-// never emitted.
+// ceN kernels). Every run has one, because CompilePlan expands gates
+// wider than maxKernelWidth into 2-gates. Lanes past the end of a
+// partial block hold stale values; the kernels sort them like any
+// other and they are never emitted.
 
 // Lanes is the number of batches a block runs through the plan
 // together, the one block size of every batch path: ApplyBatches,
@@ -33,8 +33,8 @@ const Lanes = 16
 
 // laneTable holds one lane kernel per gate width: kernel w sorts count
 // gates of width w, whose wire lists lie back to back in wires, across
-// all `Lanes` lanes of rows. A nil entry sends the width to the
-// fallback.
+// all `Lanes` lanes of rows. Widths 0 and 1 have none: no gate is that
+// narrow.
 type laneTable [maxKernelWidth + 1]func(rows [][Lanes]int64, wires []int32, count int)
 
 // nativeLanes is the lane kernel table CompilePlan gives every plan,
@@ -43,16 +43,14 @@ type laneTable [maxKernelWidth + 1]func(rows [][Lanes]int64, wires []int32, coun
 var nativeLanes = cmp.Or(asmLanes(), &goLanes)
 
 // blockScratch is the mutable state of running blocks: the block's
-// rows (rows[w][i] is wire w's value in the block's i-th batch) and
-// the fallback path's gate buffer.
+// rows (rows[w][i] is wire w's value in the block's i-th batch).
 type blockScratch struct {
 	rows [][Lanes]int64
-	gate []int64
 }
 
 // blockPool recycles blockScratch across ApplyBatches and SortBatches
-// calls, whatever the plan: getBlockScratch regrows a buffer too short
-// for the plan at hand.
+// calls, whatever the plan: getBlockScratch regrows rows too short for
+// the plan at hand.
 var blockPool sync.Pool
 
 func (p *Plan) getBlockScratch() *blockScratch {
@@ -62,9 +60,6 @@ func (p *Plan) getBlockScratch() *blockScratch {
 	}
 	if len(s.rows) < p.width {
 		s.rows = make([][Lanes]int64, p.width)
-	}
-	if len(s.gate) < p.maxWide {
-		s.gate = make([]int64, p.maxWide)
 	}
 	return s
 }
@@ -134,7 +129,7 @@ func (p *Plan) runBlocks(batches [][]int64, next *atomic.Int64, out []int32) {
 		if k >= len(batches) {
 			break
 		}
-		p.runBlock(batches[k:min(k+Lanes, len(batches))], s.rows, s.gate, out)
+		p.runBlock(batches[k:min(k+Lanes, len(batches))], s.rows, out)
 	}
 	blockPool.Put(s)
 }
@@ -147,7 +142,7 @@ func (p *Plan) runBlocks(batches [][]int64, next *atomic.Int64, out []int32) {
 // rows[w][i].
 //
 //netvet:hotpath
-func (p *Plan) runBlock(block [][]int64, rows [][Lanes]int64, gate []int64, out []int32) {
+func (p *Plan) runBlock(block [][]int64, rows [][Lanes]int64, out []int32) {
 	rows = rows[:p.width]
 	for b := range Lanes {
 		if b == len(block) {
@@ -161,11 +156,7 @@ func (p *Plan) runBlock(block [][]int64, rows [][Lanes]int64, gate []int64, out 
 	kern := p.kern
 	for _, layer := range p.layers {
 		for _, r := range layer {
-			if r.width <= maxKernelWidth && kern[r.width] != nil {
-				kern[r.width](rows, r.wires, r.count)
-			} else {
-				laneSort(rows, r.wires, r.width, gate)
-			}
+			kern[r.width](rows, r.wires, r.count)
 		}
 	}
 	for b := range Lanes {
@@ -175,35 +166,6 @@ func (p *Plan) runBlock(block [][]int64, rows [][Lanes]int64, gate []int64, out 
 		vals := block[b][:len(out)]
 		for k, wire := range out {
 			vals[k] = rows[wire][b]
-		}
-	}
-}
-
-// laneSort sorts the gates of a run of width w, one lane at a time, by
-// insertion-sorting the lane's values into gate as they are gathered.
-// Inserting while gathering, rather than gathering and then calling
-// insertionSortDesc, saves a pass over the gate and keeps K(4,4,8),
-// whose width-32 gates take this path, level with running its batches
-// one at a time through Apply.
-//
-//netvet:hotpath
-func laneSort(rows [][Lanes]int64, wires []int32, w int, gate []int64) {
-	t := gate[:w]
-	for g := 0; g+w <= len(wires); g += w {
-		gw := wires[g : g+w]
-		for i := range Lanes {
-			for k, r := range gw {
-				v := rows[r][i]
-				j := k - 1
-				for j >= 0 && t[j] < v {
-					t[j+1] = t[j]
-					j--
-				}
-				t[j+1] = v
-			}
-			for k, r := range gw {
-				rows[r][i] = t[k]
-			}
 		}
 	}
 }

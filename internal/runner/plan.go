@@ -3,6 +3,7 @@ package runner
 import (
 	"fmt"
 
+	"countnet/internal/baseline"
 	"countnet/internal/network"
 )
 
@@ -22,8 +23,9 @@ import (
 // all mutable state lives in per-caller Scratch or pooled blockScratch.
 // Both int64 sorting engines run the compiled form one layer at a
 // time, and a run of equal-width gates is one call of a kernel
-// generated from internal/optnet (or the gather/insertion-sort
-// fallback above maxKernelWidth):
+// generated from internal/optnet. CompilePlan first expands every gate
+// wider than maxKernelWidth into a merge-exchange network of 2-gates
+// (expandWide), so every run has a kernel:
 //
 //   - Apply: one batch, a scalar run kernel per run, allocation-free
 //     with caller-provided Scratch;
@@ -38,8 +40,7 @@ import (
 // route their largest input to their first wire. The Ascending
 // variants emit the same values in reverse.
 type Plan struct {
-	width   int
-	maxWide int // width of the widest gate, 0 if none
+	width int
 
 	// layers[l] is layer l as runs of equal-width gates; every run's
 	// wires are a window of one shared []int32.
@@ -64,6 +65,7 @@ type gateRun struct {
 // CompilePlan compiles the network once; the result may be reused for
 // any number of batches from any number of goroutines.
 func CompilePlan(net *network.Network) *Plan {
+	net = expandWide(net)
 	p := &Plan{
 		width:    net.Width(),
 		out:      make([]int32, net.Width()),
@@ -83,7 +85,6 @@ func CompilePlan(net *network.Network) *Plan {
 		g := &net.Gates[i]
 		start[g.Layer]++ // Layer is 1-based: this counts layer g.Layer-1 into its end
 		size += g.Width()
-		p.maxWide = max(p.maxWide, g.Width())
 	}
 	for l := 1; l <= depth; l++ {
 		start[l] += start[l-1]
@@ -98,8 +99,7 @@ func CompilePlan(net *network.Network) *Plan {
 	}
 
 	wires := make([]int32, 0, size)
-	count := make([]int, p.maxWide+1)
-	fill := make([]int, p.maxWide+1)
+	var count, fill [maxKernelWidth + 1]int
 	var widths []int
 	var runs []gateRun
 	bounds := make([]int, depth+1) // layer l owns runs[bounds[l]:bounds[l+1]]
@@ -145,20 +145,56 @@ func CompilePlan(net *network.Network) *Plan {
 // Width returns the batch size the plan executes.
 func (p *Plan) Width() int { return p.width }
 
-// NumLayers returns the number of compiled layers (the network depth).
+// NumLayers returns the number of compiled layers: the network depth,
+// plus the extra layers of the merge-exchange expansion where a gate is
+// wider than maxKernelWidth.
 func (p *Plan) NumLayers() int { return len(p.layers) }
 
+// expandWide returns net with every gate wider than maxKernelWidth
+// replaced by the comparators of baseline.MergeExchange of its width,
+// comparator (a, b) on the gate's wires (Wires[a], Wires[b]). A sorting
+// network whose output k lands on the gate's wire k sorts exactly as
+// the gate does, so no output changes. Gates are re-added in order,
+// which is topological, and OutputOrder is kept. A network with no
+// wider gate is returned as is.
+func expandWide(net *network.Network) *network.Network {
+	if net.MaxGateWidth() <= maxKernelWidth {
+		return net
+	}
+	b := network.NewBuilder(net.Width())
+	sorters := make(map[int]*network.Network) // one per gate width
+	pair := make([]int, 2)
+	for _, g := range net.Gates {
+		if g.Width() <= maxKernelWidth {
+			b.AddValidated(g.Wires, g.Label)
+			continue
+		}
+		mx := sorters[g.Width()]
+		if mx == nil {
+			var err error
+			if mx, err = baseline.MergeExchange(g.Width()); err != nil {
+				panic(err) // unreachable: MergeExchange fails only below width 1
+			}
+			sorters[g.Width()] = mx
+		}
+		for _, c := range mx.Gates {
+			pair[0], pair[1] = g.Wires[c.Wires[0]], g.Wires[c.Wires[1]]
+			b.AddValidated(pair, g.Label)
+		}
+	}
+	return b.Build(net.Name, net.OutputOrder)
+}
+
 // Scratch is the per-caller mutable state of plan execution: the wire
-// values and the wide-gate sorting buffer. A Scratch may be reused
-// across calls but not shared between concurrent ones.
+// values. A Scratch may be reused across calls but not shared between
+// concurrent ones.
 type Scratch struct {
 	vals []int64
-	gate []int64
 }
 
 // NewScratch returns scratch sized for the plan.
 func (p *Plan) NewScratch() *Scratch {
-	return &Scratch{vals: make([]int64, p.width), gate: make([]int64, p.maxWide)}
+	return &Scratch{vals: make([]int64, p.width)}
 }
 
 // Apply runs one batch through the plan: src enters on wires 0..w-1 and
@@ -191,10 +227,8 @@ func (p *Plan) ApplyAscending(dst, src []int64, s *Scratch) {
 }
 
 // run copies src into the scratch wire values and runs every layer
-// over them, one kernel call per run: the generated scalar kernel of
-// the run's width, or for gates wider than maxKernelWidth a gather
-// into the scratch gate buffer, an insertion sort and a scatter. It
-// returns the wire values.
+// over them, one call of the generated scalar kernel of the run's
+// width per run. It returns the wire values.
 //
 //netvet:hotpath
 func (p *Plan) run(dst, src []int64, s *Scratch) []int64 {
@@ -209,21 +243,7 @@ func (p *Plan) run(dst, src []int64, s *Scratch) []int64 {
 	copy(vals, src)
 	for _, layer := range p.layers {
 		for _, r := range layer {
-			if r.width <= maxKernelWidth {
-				scalarKernels[r.width](vals, r.wires, r.count)
-				continue
-			}
-			t := s.gate[:r.width]
-			for i := 0; i < len(r.wires); i += r.width {
-				gw := r.wires[i : i+r.width]
-				for k, w := range gw {
-					t[k] = vals[w]
-				}
-				insertionSortDesc(t)
-				for k, w := range gw {
-					vals[w] = t[k]
-				}
-			}
+			scalarKernels[r.width](vals, r.wires, r.count)
 		}
 	}
 	return vals

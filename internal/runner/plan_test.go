@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"countnet/internal/baseline"
 	"countnet/internal/core"
 	"countnet/internal/network"
 )
@@ -120,15 +121,73 @@ func TestPlanApplyMatchesComparators(t *testing.T) {
 	}
 }
 
+// TestExpandWideKeepsNarrowNetworks pins that a network with no gate
+// wider than maxKernelWidth compiles as built: expandWide returns the
+// network itself, so its plan is the one it compiled to before wide
+// gates were expanded.
+func TestExpandWideKeepsNarrowNetworks(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		build func() (*network.Network, error)
+	}{
+		{"L(3,4,5,6)", func() (*network.Network, error) { return core.L(3, 4, 5, 6) }},
+		{"L(4,4,4)", func() (*network.Network, error) { return core.L(4, 4, 4) }},
+		{"K(4,4,4)", func() (*network.Network, error) { return core.K(4, 4, 4) }},
+		{"Bitonic(64)", func() (*network.Network, error) { return baseline.Bitonic(64) }},
+	} {
+		net, err := c.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := expandWide(net); got != net {
+			t.Errorf("%s: expandWide rebuilt a network whose widest gate is %d", c.name, net.MaxGateWidth())
+		}
+		if plan := CompilePlan(net); plan.NumLayers() != net.Depth() {
+			t.Errorf("%s: %d plan layers, network depth %d", c.name, plan.NumLayers(), net.Depth())
+		}
+	}
+}
+
+// TestCompilePlanLeavesNetworkAsBuilt compiles K(4,4,8), whose width-32
+// gates the plan expands, and checks that the network itself, its
+// gates, DOT and JSON, is unchanged: only the comparator plan sees the
+// expansion.
+func TestCompilePlanLeavesNetworkAsBuilt(t *testing.T) {
+	net, err := core.K(4, 4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func() (string, []byte) {
+		js, err := json.Marshal(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net.DOT(), js
+	}
+	dot, js := render()
+	gates := net.Size()
+	plan := CompilePlan(net)
+	if plan.NumLayers() <= net.Depth() {
+		t.Fatalf("plan has %d layers for depth %d: the width-32 gates were not expanded", plan.NumLayers(), net.Depth())
+	}
+	dot2, js2 := render()
+	if net.Size() != gates || net.MaxGateWidth() != 32 || dot2 != dot || !reflect.DeepEqual(js2, js) {
+		t.Fatal("CompilePlan changed the network it compiled")
+	}
+}
+
 // batchCounts are the batch counts the lane engine is tested at: one
 // lane, a partial block, a full one, one batch past it and a partial
 // third block.
 var batchCounts = []int{1, Lanes - 1, Lanes, Lanes + 1, 2*Lanes + 3}
 
 // TestPlanApplyBatchesMatchesComparators runs the lane-interleaved
-// engine over batchCounts with each lane kernel table, and with the
-// generated kernels off, on every network plus K(4,4,8), whose
-// width-32 gates take the gather/insertion-sort fallback.
+// engine over batchCounts with each lane kernel table on every network
+// plus K(4,4,8), whose width-32 gates the plan expands into
+// merge-exchange 2-gates. The reference subtest checks that expansion
+// under the gate-by-gate evaluator: a network with no gate wider than
+// maxKernelWidth compiles as built, and a wider one expands into a
+// network of the same comparator outputs.
 func TestPlanApplyBatchesMatchesComparators(t *testing.T) {
 	nets := allPlanNetworks(t)
 	k448, err := core.K(4, 4, 8)
@@ -161,9 +220,23 @@ func TestPlanApplyBatchesMatchesComparators(t *testing.T) {
 				check(t, net, plan)
 			})
 			t.Run("reference", func(t *testing.T) {
-				plan := CompilePlan(net)
-				plan.kern = &fallbackLanes
-				check(t, net, plan)
+				expanded := expandWide(net)
+				if net.MaxGateWidth() <= maxKernelWidth {
+					if expanded != net {
+						t.Fatal("a network with no gate wider than maxKernelWidth was rebuilt")
+					}
+					return
+				}
+				if got := expanded.MaxGateWidth(); got > maxKernelWidth {
+					t.Fatalf("expanded network keeps a width-%d gate", got)
+				}
+				rng := rand.New(rand.NewSource(6))
+				for trial := 0; trial < 200; trial++ {
+					in := randomBatch(rng, net.Width())
+					if got, want := ApplyComparators(expanded, in), ApplyComparators(net, in); !reflect.DeepEqual(got, want) {
+						t.Fatalf("trial %d: expanded network %v, network %v", trial, got, want)
+					}
+				}
 			})
 		})
 	}
@@ -325,9 +398,10 @@ func randomPlanNetwork(seed int64, width, gates int) (*network.Network, *rand.Ra
 // the reference gate-by-gate evaluator on arbitrary networks and
 // inputs: Apply and ApplyAscending on one batch, then ApplyBatches,
 // SortBatches and SortBatchesAscending on one of batchCounts, drawn
-// from the fuzz data, with every lane kernel table this CPU runs and
-// with the fallback-only table, so full and partial lane blocks meet
-// every topology on every table.
+// from the fuzz data, with every lane kernel table this CPU runs, so
+// full and partial lane blocks meet every topology on every table.
+// Widths run 2..40, so gates wider than maxKernelWidth meet their
+// merge-exchange expansion.
 func FuzzPlanVsComparators(f *testing.F) {
 	tables := []*laneTable{&goLanes}
 	if asm := asmLanes(); asm != nil {
@@ -339,8 +413,11 @@ func FuzzPlanVsComparators(f *testing.F) {
 	f.Add(int64(2), uint8(2), uint8(1), uint8(0))
 	f.Add(int64(3), uint8(13), uint8(40), uint8(2))
 	f.Add(int64(99), uint8(31), uint8(0), uint8(4))
+	for _, w := range []uint8{17, 19, 23, 31, 37} {
+		f.Add(int64(w), w-2, uint8(3), uint8(w))
+	}
 	f.Fuzz(func(t *testing.T, seed int64, width, gates, count uint8) {
-		w := 2 + int(width)%30
+		w := 2 + int(width)%(maxExpandTestWidth-1)
 		net, rng := randomPlanNetwork(seed, w, int(gates))
 		plan := CompilePlan(net)
 		in := randomBatch(rng, w)
@@ -363,16 +440,9 @@ func FuzzPlanVsComparators(f *testing.F) {
 			batches[i] = randomBatch(rng, w)
 			wantB[i] = ApplyComparators(net, batches[i])
 		}
-		plans := make([]*Plan, 0, len(tables)+1)
-		for _, kern := range tables {
+		for pi, kern := range tables {
 			p := CompilePlan(net)
 			p.kern = kern
-			plans = append(plans, p)
-		}
-		ref := CompilePlan(net)
-		ref.kern = &fallbackLanes
-		plans = append(plans, ref)
-		for pi, p := range plans {
 			applied := copyBatches(batches)
 			sorted := copyBatches(batches)
 			ascending := copyBatches(batches)
@@ -381,14 +451,14 @@ func FuzzPlanVsComparators(f *testing.F) {
 			p.SortBatchesAscending(ascending, 2)
 			for i := range batches {
 				if !reflect.DeepEqual(applied[i], wantB[i]) {
-					t.Fatalf("plan %d: ApplyBatches[%d of %d] %v, want %v", pi, i, len(batches), applied[i], wantB[i])
+					t.Fatalf("table %d: ApplyBatches[%d of %d] %v, want %v", pi, i, len(batches), applied[i], wantB[i])
 				}
 				if !reflect.DeepEqual(sorted[i], wantB[i]) {
-					t.Fatalf("plan %d: SortBatches[%d of %d] %v, want %v", pi, i, len(batches), sorted[i], wantB[i])
+					t.Fatalf("table %d: SortBatches[%d of %d] %v, want %v", pi, i, len(batches), sorted[i], wantB[i])
 				}
 				slices.Reverse(ascending[i])
 				if !reflect.DeepEqual(ascending[i], wantB[i]) {
-					t.Fatalf("plan %d: SortBatchesAscending[%d of %d] reversed %v, want %v", pi, i, len(batches), ascending[i], wantB[i])
+					t.Fatalf("table %d: SortBatchesAscending[%d of %d] reversed %v, want %v", pi, i, len(batches), ascending[i], wantB[i])
 				}
 			}
 		}

@@ -1,7 +1,7 @@
 // Package sched is a controlled-scheduler harness for the repository's
 // real concurrent substrates (runner.Async, counter.NetworkCounter,
-// counter.CombiningCounter's slot protocol, counter.Barrier, pool.Pool,
-// the stream pipeline). It runs each logical process as a goroutine
+// counter.CombiningCounter's slot protocol, counter.Barrier and
+// pool.Pool). It runs each logical process as a goroutine
 // that yields to a central scheduler at every synchronization point
 // (balancer access, local-counter fetch, slot publish, lock attempt,
 // buffer slot take), so exactly one

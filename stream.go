@@ -46,9 +46,10 @@ func (n *Network) SortBatches(batches [][]int64, workers int) error {
 // place. One goroutine receives a batch, takes up to runner.Lanes-1
 // more that are already waiting and sorts them together as one lane
 // block of the network's compiled plan. It never waits to fill a
-// block, so a lone batch comes straight back. Each input batch must
-// have exactly Width values. The output channel holds a full block
-// and closes after the last batch.
+// block, so a lone batch comes straight back. A batch whose length is
+// not Width is emitted unchanged, in its place; its length tells the
+// reader it was not sorted. The output channel holds a full block and
+// closes after the last batch.
 func (n *Network) SortStream(in <-chan []int64) <-chan []int64 {
 	plan := n.evalPlan()
 	// A full block fits in out, so a sorted block is emitted without
@@ -72,9 +73,19 @@ func (n *Network) SortStream(in <-chan []int64) <-chan []int64 {
 					break fill
 				}
 			}
-			plan.SortBatchesAscending(block, 1)
-			for _, b := range block {
-				out <- b
+			// Sort each run of right-width batches, then pass the
+			// wrong-width batch that ends it through unchanged.
+			for rest := block; len(rest) > 0; {
+				k := 0
+				for k < len(rest) && len(rest[k]) == n.Width() {
+					k++
+				}
+				plan.SortBatchesAscending(rest[:k], 1)
+				k = min(k+1, len(rest))
+				for _, b := range rest[:k] {
+					out <- b
+				}
+				rest = rest[k:]
 			}
 		}
 	}()

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"countnet/internal/runner"
 	"countnet/internal/sched"
 )
 
@@ -144,7 +145,10 @@ func TestSortBatchesFacade(t *testing.T) {
 // order-preservation contract under producer races, with any failing
 // interleaving replayable from its printed seed. All six batches are
 // sent before any result is read: the stream's output channel holds a
-// full lane block, so they fit.
+// full lane block, so they fit. It does not explore the stream's own
+// goroutine: its fill loop runs outside the scheduler, so which
+// batches share a lane block is up to the Go runtime, not a replayed
+// choice.
 func TestSortStreamScheduleExploration(t *testing.T) {
 	n, err := NewK(2, 2)
 	if err != nil {
@@ -215,5 +219,51 @@ func TestSortStreamEmpty(t *testing.T) {
 	}
 	if count != 0 {
 		t.Errorf("empty stream produced %d batches", count)
+	}
+}
+
+// TestSortStreamWrongWidth sends 2-value batches to a width-4 stream,
+// at the start, in the middle and at the end of a lane block and past
+// it: each comes back unchanged in its place, every good batch comes
+// back sorted, and the stream goes on after them.
+func TestSortStreamWrongWidth(t *testing.T) {
+	n, err := NewL(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const total = 2*runner.Lanes + 3
+	bad := map[int]bool{0: true, 5: true, runner.Lanes - 1: true, runner.Lanes + 2: true, total - 1: true}
+	rng := rand.New(rand.NewSource(12))
+	sent := make([][]int64, total)
+	in := make(chan []int64, total) // filled before the stream starts: the first blocks are full
+	for i := range sent {
+		size := n.Width()
+		if bad[i] {
+			size = 2
+		}
+		b := make([]int64, size)
+		for j := range b {
+			b[j] = int64(rng.Intn(100))
+		}
+		sent[i] = append([]int64(nil), b...)
+		in <- b
+	}
+	close(in)
+	pos := 0
+	for got := range n.SortStream(in) {
+		if pos == total {
+			t.Fatalf("stream emitted more than the %d batches sent", total)
+		}
+		want := append([]int64(nil), sent[pos]...)
+		if !bad[pos] {
+			sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("stream position %d: got %v, want %v (sent %v)", pos, got, want, sent[pos])
+		}
+		pos++
+	}
+	if pos != total {
+		t.Fatalf("stream emitted %d of %d batches", pos, total)
 	}
 }
