@@ -102,13 +102,13 @@ bench-counter:
 # pairs of BenchmarkObsOverhead, recorded to BENCH_obs.json together
 # with the on/off overhead ratios. The obs=off rows pin the
 # disabled-path cost (acceptance: within noise of the seed
-# BenchmarkTraverseParallel / BenchmarkCounterCombining numbers); the
+# BenchmarkCounter / BenchmarkCounterCombining numbers); the
 # flight pair pins the recorder at block-lease granularity
 # (acceptance: ratio <= 1.02).
 bench-obs:
 	$(GO) test -run '^$$' -bench BenchmarkObsOverhead -benchmem -benchtime 300ms . \
 		| $(GO) run ./cmd/benchjson -out BENCH_obs.json -set current -overhead \
-			-note "obs=off lanes must track BenchmarkTraverseParallel/BenchmarkCounterCombining within noise (<=2%); flight=on/off lease ratio <= 1.02"
+			-note "obs=off lanes must track BenchmarkCounter/BenchmarkCounterCombining within noise (<=2%); flight=on/off lease ratio <= 1.02"
 
 # Adaptive-engine load sweep (docs/PERFORMANCE.md, "Adaptive engine"):
 # countbench -sweep walks g ∈ {1,2,4,8,16,32} over the width-16
@@ -215,10 +215,12 @@ fuzz:
 
 # The compiled-plan and kernel fuzzers, 10 s each: CI runs this on
 # every push, so plans of widths 2..40 (gates wider than 16 expanded
-# at compile time) are fuzzed without the full `make fuzz`.
+# at compile time) are fuzzed without the full `make fuzz`. Each new
+# interesting input is minimized for at most 1 s instead of the
+# default 60 s, which would spend most of the 10 s minimizing.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz='^FuzzPlanVsComparators$$' -fuzztime=10s ./internal/runner
-	$(GO) test -run '^$$' -fuzz='^FuzzKernelVsSort$$' -fuzztime=10s ./internal/runner
+	$(GO) test -run '^$$' -fuzz='^FuzzPlanVsComparators$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/runner
+	$(GO) test -run '^$$' -fuzz='^FuzzKernelVsSort$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/runner
 
 # Nightly-scale schedule exploration (see docs/TESTING.md).
 soak:

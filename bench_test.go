@@ -254,6 +254,7 @@ func BenchmarkBatchSort(b *testing.B) {
 	}{
 		{"L444_w64", func() (*Network, error) { return NewL(4, 4, 4) }},
 		{"K448_w128", func() (*Network, error) { return NewK(4, 4, 8) }},
+		{"L3456_w360", func() (*Network, error) { return NewL(3, 4, 5, 6) }},
 	} {
 		n, err := spec.build()
 		if err != nil {
@@ -469,16 +470,16 @@ func BenchmarkTraverseBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkObsOverhead is the observability guard lane: the same
-// contended workloads as BenchmarkTraverseParallel and
-// BenchmarkCounterCombining, plus per-token counter handles (whose
-// timing obs samples), run with instrumentation compiled in but
-// disabled (obs=off — the state every production caller is in unless
-// they opt in) and with it recording (obs=on). The obs=off rows must
-// track the seed benchmarks within noise; `make bench-obs` commits
-// both sides to BENCH_obs.json and benchjson -overhead reports the
-// ratio. A bare network's walks read no clock, so its traverse pair
-// runs the same code on both sides and guards that it stays so. The
+// BenchmarkObsOverhead is the observability guard lane: per-token
+// counter handles (whose timing obs samples) and the contended
+// workload of BenchmarkCounterCombining, run with instrumentation
+// compiled in but disabled (obs=off — the state every production
+// caller is in unless they opt in) and with it recording (obs=on). The
+// obs=off rows must track the seed benchmarks within noise; `make
+// bench-obs` commits both sides to BENCH_obs.json and benchjson
+// -overhead reports the ratio. A bare network's walk has no pair here:
+// it reads no clock with obs on or off, so both sides would time the
+// same code, and the counter pair already times the sampled walk. The
 // flight=off/flight=on pair guards the flight recorder the same way at
 // its block-lease granularity.
 func BenchmarkObsOverhead(b *testing.B) {
@@ -486,23 +487,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	w := n.Width()
 	for _, mode := range []string{"obs=off", "obs=on"} {
 		obsOn := mode == "obs=on"
-		b.Run("traverse_"+n.Name+"/"+mode, func(b *testing.B) {
-			a := runner.Compile(n)
-			if obsOn {
-				a.EnableObs("bench-traverse")
-			}
-			var next atomic.Int64
-			b.RunParallel(func(pb *testing.PB) {
-				wire := int(next.Add(1)) % w
-				for pb.Next() {
-					a.Traverse(wire)
-					wire = (wire + 1) % w
-				}
-			})
-		})
 		b.Run("counter_"+n.Name+"/"+mode, func(b *testing.B) {
 			// Per-token handles, the path whose latency obs samples
 			// one value in obs.SampleEvery.

@@ -8,7 +8,9 @@
 //     table indexed by gate width;
 //   - zlanes_amd64.s: the same lane kernels in AVX-512 assembly,
 //     lane2AVX512..lane16AVX512, one VPMAXSQ and one VPMINSQ per
-//     compare-exchange and 8 lanes per register;
+//     compare-exchange and 8 lanes per register, and the transposes
+//     of a block's 8×8 tiles into rows and back out in output order,
+//     transposeInAVX512 and transposeOutAVX512;
 //   - zlanes_amd64.go: their //go:noescape declarations and table.
 //
 // Every shape emits the same comparator chain (writeChain, and
@@ -84,7 +86,7 @@ func main() {
 		fmt.Printf("kernelgen: %d files in %s are up to date (%d widths verified)\n", len(files), *dir, optnet.MaxWidth-optnet.MinWidth+1)
 		return
 	}
-	fmt.Printf("kernelgen: wrote %d files in %s (ce%d..ce%d, lane%d..lane%d in Go and AVX-512, all widths verified)\n",
+	fmt.Printf("kernelgen: wrote %d files in %s (ce%d..ce%d, lane%d..lane%d in Go and AVX-512, AVX-512 tile transposes, all widths verified)\n",
 		len(files), *dir, optnet.MinWidth, optnet.MaxWidth, optnet.MinWidth, optnet.MaxWidth)
 }
 
@@ -149,13 +151,14 @@ var scalarKernels = [maxKernelWidth + 1]func(vals []int64, wires []int32, count 
 	b.WriteString("}\n")
 
 	b.WriteString(`
-// goLanes is the portable lane kernel table, indexed by gate width.
-var goLanes = laneTable{
+// goLanes is the portable lane kernel table. It has no tile
+// transposes: runBlock's loops move every value in and out of a block.
+var goLanes = laneTable{sort: laneKernels{
 `)
 	for _, n := range nets {
 		fmt.Fprintf(&b, "\t%d: lane%d,\n", n.Width, n.Width)
 	}
-	b.WriteString("}\n")
+	b.WriteString("}}\n")
 
 	for _, n := range nets {
 		writeKernel(&b, n)
@@ -247,13 +250,18 @@ func generateAsmDecls(nets []*optnet.Network) []byte {
 	b.WriteString(header)
 	b.WriteString("package runner\n\n")
 	b.WriteString(`// avx512Lanes is the AVX-512 lane kernel table (zlanes_amd64.s),
-// indexed by gate width. Run it only where hasAVX512F holds.
+// with its 8×8 tile transposes. Run it only where hasAVX512F holds.
 var avx512Lanes = laneTable{
+	sort: laneKernels{
 `)
 	for _, n := range nets {
-		fmt.Fprintf(&b, "\t%d: lane%dAVX512,\n", n.Width, n.Width)
+		fmt.Fprintf(&b, "\t\t%d: lane%dAVX512,\n", n.Width, n.Width)
 	}
-	b.WriteString("}\n")
+	b.WriteString(`	},
+	in:  transposeInAVX512,
+	out: transposeOutAVX512,
+}
+`)
 	for _, n := range nets {
 		fmt.Fprintf(&b, `
 // lane%dAVX512 is lane%d in AVX-512 assembly.
@@ -262,6 +270,20 @@ var avx512Lanes = laneTable{
 func lane%dAVX512(rows [][Lanes]int64, wires []int32, count int)
 `, n.Width, n.Width, n.Width)
 	}
+	b.WriteString(`
+// transposeInAVX512 moves the tiles of batches 8g..8g+7 and wires
+// 8c..8c+7 of block, for g < groups and c < chunks, into rows:
+// rows[w][i] = block[i][w].
+//
+//go:noescape
+func transposeInAVX512(rows [][Lanes]int64, block [][]int64, groups, chunks int)
+
+// transposeOutAVX512 moves the same tiles back out of rows in output
+// order: block[i][k] = rows[out[k]][i].
+//
+//go:noescape
+func transposeOutAVX512(block [][]int64, rows [][Lanes]int64, out []int32, groups, chunks int)
+`)
 	return b.Bytes()
 }
 
@@ -273,6 +295,15 @@ const (
 	numZMM    = 32
 	rowShift  = 7
 	halfBytes = 64
+)
+
+// Shape of the transpose tiles: tile batches × tile wires, one ZMM
+// register per batch or row half; a batch's slice header is
+// headerBytes long.
+const (
+	tile        = 8
+	rowBytes    = 1 << rowShift
+	headerBytes = 24
 )
 
 // generateAsm renders zlanes_amd64.s, one TEXT block per width.
@@ -293,6 +324,7 @@ func generateAsm(nets []*optnet.Network) []byte {
 	for _, n := range nets {
 		writeAsmLane(&b, n)
 	}
+	writeAsmTransposes(&b)
 	return b.Bytes()
 }
 
@@ -376,4 +408,129 @@ func disp(off int) string {
 		return ""
 	}
 	return fmt.Sprint(off)
+}
+
+// writeAsmTransposes emits transposeInAVX512 and transposeOutAVX512.
+// Both walk the tiles of the block group by group (8 batches, one
+// 8-lane half of every row) and, within a group, chunk by chunk (8
+// wires, or 8 output positions): load 8 registers, transpose them with
+// writeTranspose8, store 8 registers. The transpose in loads batch i's
+// 8 values from its slice and stores row j's half; the transpose out
+// loads the row half of output position k through out[k] and stores
+// batch i's 8 outputs. Registers: DI rows (advanced to the group's
+// half), SI the group's batch headers, BX groups left, DX chunks, R9
+// chunks left, CX the chunk's byte offset within a batch, R8 the
+// chunk's first row (in) or R10 its out entries (out), AX a batch's
+// values or a row offset.
+func writeAsmTransposes(b *bytes.Buffer) {
+	fmt.Fprintf(b, `
+// func transposeInAVX512(rows [][16]int64, block [][]int64, groups, chunks int)
+TEXT ·transposeInAVX512(SB), NOSPLIT, $0-64
+	MOVQ rows_base+0(FP), DI
+	MOVQ block_base+24(FP), SI
+	MOVQ groups+48(FP), BX
+	MOVQ chunks+56(FP), DX
+	TESTQ BX, BX
+	JLE done
+	TESTQ DX, DX
+	JLE done
+
+group:
+	MOVQ DI, R8
+	XORQ CX, CX
+	MOVQ DX, R9
+
+chunk:
+`)
+	for i := range tile {
+		fmt.Fprintf(b, "\tMOVQ %s(SI), AX\n\tVMOVDQU64 (AX)(CX*1), Z%d\n", disp(headerBytes*i), i)
+	}
+	writeTranspose8(b)
+	for j := range tile {
+		fmt.Fprintf(b, "\tVMOVDQU64 Z%d, %s(R8)\n", j, disp(rowBytes*j))
+	}
+	writeTileLoop(b, fmt.Sprintf("ADDQ $%d, R8", tile*rowBytes))
+
+	fmt.Fprintf(b, `
+// func transposeOutAVX512(block [][]int64, rows [][16]int64, out []int32, groups, chunks int)
+TEXT ·transposeOutAVX512(SB), NOSPLIT, $0-88
+	MOVQ block_base+0(FP), SI
+	MOVQ rows_base+24(FP), DI
+	MOVQ groups+72(FP), BX
+	MOVQ chunks+80(FP), DX
+	TESTQ BX, BX
+	JLE done
+	TESTQ DX, DX
+	JLE done
+
+group:
+	MOVQ out_base+48(FP), R10
+	XORQ CX, CX
+	MOVQ DX, R9
+
+chunk:
+`)
+	for k := range tile {
+		fmt.Fprintf(b, "\tMOVL %s(R10), AX\n\tSHLQ $%d, AX\n\tVMOVDQU64 (DI)(AX*1), Z%d\n", disp(4*k), rowShift, k)
+	}
+	writeTranspose8(b)
+	for i := range tile {
+		fmt.Fprintf(b, "\tMOVQ %s(SI), AX\n\tVMOVDQU64 Z%d, (AX)(CX*1)\n", disp(headerBytes*i), i)
+	}
+	writeTileLoop(b, fmt.Sprintf("ADDQ $%d, R10", 4*tile))
+}
+
+// writeTileLoop closes a transpose's chunk loop, whose cursor step is
+// next, and its group loop.
+func writeTileLoop(b *bytes.Buffer, next string) {
+	fmt.Fprintf(b, `	ADDQ $%d, CX
+	%s
+	DECQ R9
+	JNZ chunk
+	ADDQ $%d, SI
+	ADDQ $%d, DI
+	DECQ BX
+	JNZ group
+
+done:
+	VZEROUPPER
+	RET
+`, 8*tile, next, headerBytes*tile, halfBytes)
+}
+
+// writeTranspose8 emits the 8×8 int64 transpose of Z0..Z7 into
+// Z0..Z7: qword c of register r moves to qword r of register c, through
+// Z8..Z23. VPUNPCKLQDQ and VPUNPCKHQDQ interleave each pair of rows
+// within 128-bit lanes, so a[2p] holds the even columns of rows 2p and
+// 2p+1 and a[2p+1] their odd columns, a column pair per lane. Two
+// rounds of VSHUFI64X2 then gather lanes: imm 0x88 takes lanes 0 and 2
+// of each source, 0xdd lanes 1 and 3. The first round pairs row pairs
+// (b holds two columns of four rows), the second pairs the row halves.
+func writeTranspose8(b *bytes.Buffer) {
+	const a, bb = 8, 16 // first registers of the two intermediate rounds
+	imm := [2]string{"$0x88", "$0xdd"}
+	b.WriteString("\t// transpose: interleave row pairs\n")
+	for p := range tile / 2 {
+		fmt.Fprintf(b, "\tVPUNPCKLQDQ Z%d, Z%d, Z%d\n", 2*p+1, 2*p, a+2*p)
+		fmt.Fprintf(b, "\tVPUNPCKHQDQ Z%d, Z%d, Z%d\n", 2*p+1, 2*p, a+2*p+1)
+	}
+	// b[4q+2s+h] holds columns s+2h and s+2h+4 of rows 4q..4q+3:
+	// s picks the even (0) or odd (1) columns, h the lanes.
+	b.WriteString("\t// transpose: gather four rows per column pair\n")
+	for q := range 2 {
+		for s := range 2 {
+			for h := range 2 {
+				fmt.Fprintf(b, "\tVSHUFI64X2 %s, Z%d, Z%d, Z%d\n", imm[h], a+4*q+s+2, a+4*q+s, bb+4*q+2*s+h)
+			}
+		}
+	}
+	b.WriteString("\t// transpose: gather eight rows per column\n")
+	for s := range 2 {
+		for h := range 2 {
+			m := 2*s + h
+			for h2 := range 2 {
+				fmt.Fprintf(b, "\tVSHUFI64X2 %s, Z%d, Z%d, Z%d\n", imm[h2], bb+4+m, bb+m, s+2*h+4*h2)
+			}
+		}
+	}
 }

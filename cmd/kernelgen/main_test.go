@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -152,6 +153,7 @@ func TestAsmDeclsMatchTable(t *testing.T) {
 	for w := optnet.MinWidth; w <= optnet.MaxWidth; w++ {
 		want = append(want, fmt.Sprintf("lane%dAVX512", w))
 	}
+	want = append(want, asmTransposes...)
 	if !reflect.DeepEqual(decls, want) {
 		t.Errorf("declared %v, want %v", decls, want)
 	}
@@ -255,9 +257,16 @@ func asmChains(t *testing.T, src string) map[string][][]optnet.Comparator {
 		}
 		fields := strings.Fields(strings.ReplaceAll(line, ",", " "))
 		op, args := fields[0], fields[1:]
+		if name == "" && op != "TEXT" {
+			continue
+		}
 		if op == "TEXT" {
 			finish()
 			name = strings.TrimSuffix(strings.TrimPrefix(args[0], "·"), "(SB)")
+			if slices.Contains(asmTransposes, name) {
+				name = "" // pinned by TestTransposesAreTransposes
+				continue
+			}
 			if _, err := fmt.Sscanf(name, "lane%dAVX512", &width); err != nil {
 				fail(line, "unexpected function")
 			}
@@ -331,4 +340,207 @@ func asmChains(t *testing.T, src string) map[string][][]optnet.Comparator {
 	}
 	finish()
 	return out
+}
+
+// asmTransposes are the tile transposes of the generated assembly.
+var asmTransposes = []string{"transposeInAVX512", "transposeOutAVX512"}
+
+// tileElem is a value of an 8×8 tile: column c of the r-th register
+// loaded.
+type tileElem struct{ r, c int }
+
+// TestTransposesAreTransposes runs the tile body of each generated
+// transpose symbolically and checks that it transposes: the register
+// stored to destination d holds, in qword l, qword d of the register
+// loaded from source l. The transpose in loads the 8 values of batch i
+// (its slice header at 24i(SI), the chunk at CX) and stores row j of
+// the chunk (at 128j(R8)); the transpose out loads the row half of
+// output position k (the wire at 4k(R10), shifted to a row offset) and
+// stores batch i's chunk. The shuffles follow the Intel definitions:
+// VPUNPCKLQDQ and VPUNPCKHQDQ interleave the low or high qwords of each
+// 128-bit lane of their sources, and VSHUFI64X2 takes its two low lanes
+// from its second register operand and its two high lanes from its
+// first (Go operand order), each picked by two bits of the immediate. The test also pins the loop
+// strides: 8 values (64 bytes) per chunk in a batch, 8 rows or 8 out
+// entries per chunk, 8 slice headers and one 8-lane row half per
+// group.
+func TestTransposesAreTransposes(t *testing.T) {
+	src := string(generated(t, "zlanes_amd64.s"))
+	want := map[string]struct {
+		load, store string
+		steps       []string
+	}{
+		"transposeInAVX512":  {"batch", "row", []string{"$64 CX", "$1024 R8", "$192 SI", "$64 DI"}},
+		"transposeOutAVX512": {"out", "batch", []string{"$64 CX", "$32 R10", "$192 SI", "$64 DI"}},
+	}
+	seen := 0
+	for _, text := range strings.Split(src, "\nTEXT ")[1:] {
+		name := strings.TrimPrefix(text[:strings.Index(text, "(SB)")], "·")
+		spec, ok := want[name]
+		if !ok {
+			continue
+		}
+		seen++
+		type gpVal struct {
+			kind string // "batch": slice data of batch i; "out": out entry i; "row": its row offset
+			i    int
+		}
+		gp := map[string]gpVal{}
+		zmm := map[string][tile]tileElem{}
+		loaded, stored := map[int]bool{}, map[int]bool{}
+		var steps []string
+		vzero := false
+		fail := func(line, format string, args ...any) {
+			t.Helper()
+			t.Fatalf("%s: %q: %s", name, line, fmt.Sprintf(format, args...))
+		}
+		// addr resolves a memory operand to what it addresses: a
+		// batch's chunk, a row of the chunk, or the row half of an
+		// output position.
+		addr := func(line, op string) (string, int) {
+			var off int
+			switch {
+			case strings.HasSuffix(op, "(CX*1)"):
+				v := gp[strings.TrimSuffix(strings.TrimPrefix(op, "("), ")(CX*1)")]
+				if v.kind != "batch" {
+					fail(line, "not a batch's values")
+				}
+				return "batch", v.i
+			case strings.HasPrefix(op, "(DI)("):
+				v := gp[strings.TrimSuffix(strings.TrimPrefix(op, "(DI)("), "*1)")]
+				if v.kind != "row" {
+					fail(line, "not a row offset")
+				}
+				return "out", v.i
+			case strings.HasSuffix(op, "(R8)"):
+				if d := strings.TrimSuffix(op, "(R8)"); d != "" {
+					if _, err := fmt.Sscan(d, &off); err != nil {
+						fail(line, "displacement: %v", err)
+					}
+				}
+				if off%rowBytes != 0 || off/rowBytes >= tile {
+					fail(line, "not a row of the chunk")
+				}
+				return "row", off / rowBytes
+			}
+			fail(line, "unexpected address")
+			return "", 0
+		}
+		body := text[strings.Index(text, "\nchunk:"):]
+		for _, line := range strings.Split(body, "\n") {
+			line = strings.TrimSpace(line)
+			if line == "" || strings.HasPrefix(line, "//") || strings.HasSuffix(line, ":") {
+				continue
+			}
+			fields := strings.Fields(strings.ReplaceAll(line, ",", " "))
+			op, args := fields[0], fields[1:]
+			switch op {
+			case "MOVQ":
+				var off int
+				if _, err := fmt.Sscanf(strings.TrimSuffix(args[0], "(SI)"), "%d", &off); err != nil && args[0] != "(SI)" {
+					fail(line, "not a slice header load")
+				}
+				if off%headerBytes != 0 || off/headerBytes >= tile {
+					fail(line, "not one of the group's slice headers")
+				}
+				gp[args[1]] = gpVal{"batch", off / headerBytes}
+			case "MOVL":
+				var off int
+				if _, err := fmt.Sscanf(strings.TrimSuffix(args[0], "(R10)"), "%d", &off); err != nil && args[0] != "(R10)" {
+					fail(line, "not an out entry load")
+				}
+				if off%4 != 0 || off/4 >= tile {
+					fail(line, "not one of the chunk's out entries")
+				}
+				gp[args[1]] = gpVal{"out", off / 4}
+			case "SHLQ":
+				if v := gp[args[1]]; args[0] != "$7" || v.kind != "out" {
+					fail(line, "not an out entry to row offset shift")
+				}
+				gp[args[1]] = gpVal{"row", gp[args[1]].i}
+			case "VMOVDQU64":
+				if strings.HasPrefix(args[0], "Z") {
+					kind, d := addr(line, args[1])
+					if kind != spec.store {
+						fail(line, "stores to a %s, want a %s", kind, spec.store)
+					}
+					got, ok := zmm[args[0]]
+					if !ok {
+						fail(line, "stores a register that holds nothing")
+					}
+					for l, e := range got {
+						if e != (tileElem{l, d}) {
+							fail(line, "qword %d holds column %d of source %d, want column %d of source %d", l, e.c, e.r, d, l)
+						}
+					}
+					if stored[d] {
+						fail(line, "stores destination %d twice", d)
+					}
+					stored[d] = true
+				} else {
+					kind, s := addr(line, args[0])
+					if kind != spec.load {
+						fail(line, "loads from a %s, want a %s", kind, spec.load)
+					}
+					if loaded[s] {
+						fail(line, "loads source %d twice", s)
+					}
+					loaded[s] = true
+					var v [tile]tileElem
+					for c := range v {
+						v[c] = tileElem{s, c}
+					}
+					zmm[args[1]] = v
+				}
+			case "VPUNPCKLQDQ", "VPUNPCKHQDQ", "VSHUFI64X2":
+				var imm int
+				if op == "VSHUFI64X2" {
+					if _, err := fmt.Sscanf(args[0], "$0x%x", &imm); err != nil {
+						fail(line, "immediate: %v", err)
+					}
+					args = args[1:]
+				}
+				src2, ok2 := zmm[args[0]]
+				src1, ok1 := zmm[args[1]]
+				if !ok1 || !ok2 {
+					fail(line, "shuffles a register that holds nothing")
+				}
+				var dst [tile]tileElem
+				for lane := range tile / 2 { // 128-bit lanes of two qwords
+					switch op {
+					case "VPUNPCKLQDQ":
+						dst[2*lane], dst[2*lane+1] = src1[2*lane], src2[2*lane]
+					case "VPUNPCKHQDQ":
+						dst[2*lane], dst[2*lane+1] = src1[2*lane+1], src2[2*lane+1]
+					default:
+						from, sel := src1, imm>>(2*lane)&3
+						if lane >= 2 {
+							from = src2
+						}
+						dst[2*lane], dst[2*lane+1] = from[2*sel], from[2*sel+1]
+					}
+				}
+				zmm[args[2]] = dst
+			case "ADDQ":
+				steps = append(steps, args[0]+" "+args[1])
+			case "VZEROUPPER":
+				vzero = true
+			case "DECQ", "JNZ", "RET":
+			default:
+				fail(line, "unexpected instruction")
+			}
+		}
+		if len(loaded) != tile || len(stored) != tile {
+			t.Errorf("%s loads %d sources and stores %d destinations, want %d each", name, len(loaded), len(stored), tile)
+		}
+		if !reflect.DeepEqual(steps, spec.steps) {
+			t.Errorf("%s steps %v, want %v", name, steps, spec.steps)
+		}
+		if !vzero {
+			t.Errorf("%s returns without VZEROUPPER", name)
+		}
+	}
+	if seen != len(want) {
+		t.Errorf("found %d of the %d transposes", seen, len(want))
+	}
 }

@@ -83,7 +83,7 @@ func laneTables(t *testing.T, f func(t *testing.T, kern *laneTable)) {
 func TestLaneKernelExhaustive01(t *testing.T) {
 	laneTables(t, func(t *testing.T, kern *laneTable) {
 		for w := 2; w <= maxKernelWidth; w++ {
-			lane := kern[w]
+			lane := kern.sort[w]
 			if lane == nil {
 				t.Fatalf("no lane kernel for width %d", w)
 			}

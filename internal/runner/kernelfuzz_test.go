@@ -72,7 +72,7 @@ func FuzzKernelVsSort(f *testing.F) {
 					rows[r][i] = vals[i*len(lwires)+j]
 				}
 			}
-			table[lw](rows, lwires, count)
+			table.sort[lw](rows, lwires, count)
 			for g := range count {
 				for i := range Lanes {
 					in := vals[i*len(lwires)+g*lw : i*len(lwires)+(g+1)*lw]

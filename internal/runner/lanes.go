@@ -3,6 +3,7 @@ package runner
 import (
 	"cmp"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -20,7 +21,10 @@ import (
 // ceN kernels). Every run has one, because CompilePlan expands gates
 // wider than maxKernelWidth into 2-gates. Lanes past the end of a
 // partial block hold stale values; the kernels sort them like any
-// other and they are never emitted.
+// other and they are never emitted. On the AVX-512 table the
+// transposes are generated kernels too: they move 8×8 tiles of 8
+// batches by 8 wires in and back out, and runBlock's loops move only
+// the values no whole tile holds.
 
 // Lanes is the number of batches a block runs through the plan
 // together, the one block size of every batch path: ApplyBatches,
@@ -31,11 +35,29 @@ import (
 // are spread over twice the lanes.
 const Lanes = 16
 
-// laneTable holds one lane kernel per gate width: kernel w sorts count
-// gates of width w, whose wire lists lie back to back in wires, across
-// all `Lanes` lanes of rows. Widths 0 and 1 have none: no gate is that
-// narrow.
-type laneTable [maxKernelWidth + 1]func(rows [][Lanes]int64, wires []int32, count int)
+// laneKernels holds one lane kernel per gate width: kernel w sorts
+// count gates of width w, whose wire lists lie back to back in wires,
+// across all `Lanes` lanes of rows. Widths 0 and 1 have none: no gate
+// is that narrow.
+type laneKernels [maxKernelWidth + 1]func(rows [][Lanes]int64, wires []int32, count int)
+
+// laneTable is one implementation of the lane engine: its lane kernels
+// and, where it has them, transposes of whole tiles of `tile` batches
+// by `tile` wires in and out of a block. runBlock's loops move the
+// values no tile holds: every value where in and out are nil.
+type laneTable struct {
+	sort laneKernels
+	// in sets rows[w][i] = block[i][w] for i < tile·groups and
+	// w < tile·chunks.
+	in func(rows [][Lanes]int64, block [][]int64, groups, chunks int)
+	// out sets block[i][k] = rows[out[k]][i] for i < tile·groups and
+	// k < tile·chunks.
+	out func(block [][]int64, rows [][Lanes]int64, out []int32, groups, chunks int)
+}
+
+// tile is the side of the square tiles a laneTable's transposes move:
+// 8 int64 values, one ZMM register.
+const tile = 8
 
 // nativeLanes is the lane kernel table CompilePlan gives every plan,
 // chosen once at init: the AVX-512 kernels where the CPU and OS
@@ -99,6 +121,16 @@ func (p *Plan) SortBatchesAscending(batches [][]int64, workers int) {
 	p.sortBatches(batches, workers, p.rev)
 }
 
+// sortBatches runs the blocks on `workers` goroutines, at most one per
+// block, the caller's included, and yields once after spawning so that
+// the spawned workers start while blocks are left. `go` puts a new
+// goroutine in the caller P's runnext slot, which an idle P may steal
+// only after a usleep(3) back-off (runtime.runqgrab); under Linux's
+// default 50 µs timer slack that sleep lasts about 60 µs, long enough
+// for the caller to claim every block of a 64-batch call. The yield
+// moves the caller to the global run queue instead: the worker runs
+// at once on the caller's P, and an idle P picks the caller up without
+// the back-off.
 func (p *Plan) sortBatches(batches [][]int64, workers int, out []int32) {
 	p.checkBatches(batches)
 	workers = min(workers, (len(batches)+Lanes-1)/Lanes)
@@ -113,6 +145,12 @@ func (p *Plan) sortBatches(batches [][]int64, workers int, out []int32) {
 			defer wg.Done()
 			p.runBlocks(batches, &next, out)
 		}()
+	}
+	if workers > 1 {
+		// Production-only: hands the caller's P to the workers just
+		// spawned (see above); no replayed task runs SortBatches.
+		//netvet:allow gosched
+		runtime.Gosched()
 	}
 	p.runBlocks(batches, &next, out)
 	wg.Wait()
@@ -136,36 +174,56 @@ func (p *Plan) runBlocks(batches [][]int64, next *atomic.Int64, out []int32) {
 
 // runBlock sorts one block of at most `Lanes` batches: transpose into
 // rows, run every layer across the lanes with one call per run,
-// transpose back in the order out gives. Its transpose loops range
-// over `Lanes` and break at the block's end, so that the compiler
-// proves every lane index below `Lanes` and drops the bounds check on
+// transpose back in the order out gives. The table's tile transposes,
+// if it has them, move the first tile·groups batches by tile·chunks
+// wires; the loops move the rest: the wires past the last whole chunk,
+// the batches of a partial group, or everything. The loops range over
+// `Lanes` and break at the block's end, so that the compiler proves
+// every lane index below `Lanes` and drops the bounds check on
 // rows[w][i].
 //
 //netvet:hotpath
 func (p *Plan) runBlock(block [][]int64, rows [][Lanes]int64, out []int32) {
 	rows = rows[:p.width]
+	kern := p.kern
+	groups, chunks := 0, 0 // whole tiles: groups of batches by chunks of wires
+	if kern.in != nil {
+		groups, chunks = len(block)/tile, len(rows)/tile
+		kern.in(rows, block, groups, chunks)
+	}
+	tiled, tiledWires := tile*groups, tile*chunks
 	for b := range Lanes {
 		if b == len(block) {
 			break
+		}
+		from := 0
+		if b < tiled {
+			from = tiledWires
 		}
 		vals := block[b][:len(rows)]
-		for w, v := range vals {
-			rows[w][b] = v
+		for w := from; w < len(vals); w++ {
+			rows[w][b] = vals[w]
 		}
 	}
-	kern := p.kern
 	for _, layer := range p.layers {
 		for _, r := range layer {
-			kern[r.width](rows, r.wires, r.count)
+			kern.sort[r.width](rows, r.wires, r.count)
 		}
+	}
+	if kern.out != nil {
+		kern.out(block, rows, out, groups, chunks)
 	}
 	for b := range Lanes {
 		if b == len(block) {
 			break
 		}
+		from := 0
+		if b < tiled {
+			from = tiledWires
+		}
 		vals := block[b][:len(out)]
-		for k, wire := range out {
-			vals[k] = rows[wire][b]
+		for k := from; k < len(out); k++ {
+			vals[k] = rows[out[k]][b]
 		}
 	}
 }

@@ -29,8 +29,9 @@ var scalarKernels = [maxKernelWidth + 1]func(vals []int64, wires []int32, count 
 	16: ce16,
 }
 
-// goLanes is the portable lane kernel table, indexed by gate width.
-var goLanes = laneTable{
+// goLanes is the portable lane kernel table. It has no tile
+// transposes: runBlock's loops move every value in and out of a block.
+var goLanes = laneTable{sort: laneKernels{
 	2:  lane2,
 	3:  lane3,
 	4:  lane4,
@@ -46,7 +47,7 @@ var goLanes = laneTable{
 	14: lane14,
 	15: lane15,
 	16: lane16,
-}
+}}
 
 // ce2 sorts the 2 wire values of each of count gates descending
 // (largest to the gate's first wire), whose wire lists lie back to back

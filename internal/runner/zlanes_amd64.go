@@ -5,23 +5,27 @@
 package runner
 
 // avx512Lanes is the AVX-512 lane kernel table (zlanes_amd64.s),
-// indexed by gate width. Run it only where hasAVX512F holds.
+// with its 8×8 tile transposes. Run it only where hasAVX512F holds.
 var avx512Lanes = laneTable{
-	2:  lane2AVX512,
-	3:  lane3AVX512,
-	4:  lane4AVX512,
-	5:  lane5AVX512,
-	6:  lane6AVX512,
-	7:  lane7AVX512,
-	8:  lane8AVX512,
-	9:  lane9AVX512,
-	10: lane10AVX512,
-	11: lane11AVX512,
-	12: lane12AVX512,
-	13: lane13AVX512,
-	14: lane14AVX512,
-	15: lane15AVX512,
-	16: lane16AVX512,
+	sort: laneKernels{
+		2:  lane2AVX512,
+		3:  lane3AVX512,
+		4:  lane4AVX512,
+		5:  lane5AVX512,
+		6:  lane6AVX512,
+		7:  lane7AVX512,
+		8:  lane8AVX512,
+		9:  lane9AVX512,
+		10: lane10AVX512,
+		11: lane11AVX512,
+		12: lane12AVX512,
+		13: lane13AVX512,
+		14: lane14AVX512,
+		15: lane15AVX512,
+		16: lane16AVX512,
+	},
+	in:  transposeInAVX512,
+	out: transposeOutAVX512,
 }
 
 // lane2AVX512 is lane2 in AVX-512 assembly.
@@ -98,3 +102,16 @@ func lane15AVX512(rows [][Lanes]int64, wires []int32, count int)
 //
 //go:noescape
 func lane16AVX512(rows [][Lanes]int64, wires []int32, count int)
+
+// transposeInAVX512 moves the tiles of batches 8g..8g+7 and wires
+// 8c..8c+7 of block, for g < groups and c < chunks, into rows:
+// rows[w][i] = block[i][w].
+//
+//go:noescape
+func transposeInAVX512(rows [][Lanes]int64, block [][]int64, groups, chunks int)
+
+// transposeOutAVX512 moves the same tiles back out of rows in output
+// order: block[i][k] = rows[out[k]][i].
+//
+//go:noescape
+func transposeOutAVX512(block [][]int64, rows [][Lanes]int64, out []int32, groups, chunks int)
