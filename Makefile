@@ -212,15 +212,18 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzPoolSchedules -fuzztime=30s ./internal/pool
 	$(GO) test -run '^$$' -fuzz=FuzzCheckRunVsReference -fuzztime=30s ./internal/harness
 	$(GO) test -run '^$$' -fuzz=FuzzDrawReply -fuzztime=30s ./internal/harness/syncsrv
+	$(GO) test -run '^$$' -fuzz=FuzzServerRequest -fuzztime=30s ./internal/harness/syncsrv
 
-# The compiled-plan and kernel fuzzers, 10 s each: CI runs this on
-# every push, so plans of widths 2..40 (gates wider than 16 expanded
-# at compile time) are fuzzed without the full `make fuzz`. Each new
-# interesting input is minimized for at most 1 s instead of the
-# default 60 s, which would spend most of the 10 s minimizing.
+# The compiled-plan and kernel fuzzers and the sync server's request
+# fuzzer, 10 s each: CI runs this on every push, so plans of widths
+# 2..40 (gates wider than 16 expanded at compile time) and the
+# server's connection loop are fuzzed without the full `make fuzz`.
+# Each new interesting input is minimized for at most 1 s instead of
+# the default 60 s, which would spend most of the 10 s minimizing.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz='^FuzzPlanVsComparators$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/runner
 	$(GO) test -run '^$$' -fuzz='^FuzzKernelVsSort$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/runner
+	$(GO) test -run '^$$' -fuzz='^FuzzServerRequest$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/harness/syncsrv
 
 # Nightly-scale schedule exploration (see docs/TESTING.md).
 soak:

@@ -2,11 +2,7 @@ package syncsrv
 
 import (
 	"context"
-	"fmt"
-	"io"
 	"net/http"
-	"net/http/httptest"
-	"strconv"
 	"testing"
 
 	"countnet/internal/core"
@@ -40,13 +36,12 @@ func leaseServer(b *testing.B) (*Server, *Client) {
 }
 
 func stopLeaseServer(srv *Server) {
-	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 	srv.Shutdown(context.Background()) //nolint:errcheck // benchmark teardown
 }
 
 // BenchmarkClientDraw times one 1,024-value Client.Draw over one
-// keep-alive loopback connection: both codec ends, the hub and
-// net/http. Allocations count both ends, since they share a process.
+// keep-alive loopback connection: both codec ends, the hub and the
+// transport. Allocations count both ends, since they share a process.
 func BenchmarkClientDraw(b *testing.B) {
 	var srv *Server
 	var cl *Client
@@ -70,49 +65,46 @@ func BenchmarkClientDraw(b *testing.B) {
 }
 
 // BenchmarkBareRoundTrip is the floor under BenchmarkClientDraw: the
-// same client and request against a handler that writes a fixed body
-// of a real reply's size, with no hub and no codec on either end.
+// same client and request against a Server whose route answers every
+// request with a fixed /draw reply of a real lease's size, with no hub
+// and no codec on either end.
 func BenchmarkBareRoundTrip(b *testing.B) {
-	srv, cl := leaseServer(b)
-	body, err := bareDraw(cl)
-	stopLeaseServer(srv)
+	net, err := core.L(4, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	bare := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body) //nolint:errcheck // best effort to a dead client
-	}))
-	defer bare.Close()
-	defer http.DefaultTransport.(*http.Transport).CloseIdleConnections()
-	cl = NewClient(bare.URL)
-	if _, err := bareDraw(cl); err != nil { // opens the connection
+	hub := NewHub(net)
+	if _, err := hub.Register("w0"); err != nil {
+		b.Fatal(err)
+	}
+	runs, err := hub.Draw("w0", benchLease)
+	if err != nil {
+		b.Fatal(err)
+	}
+	body := appendDraw(nil, int64(net.Width()), runs)
+	srv := NewServer(hub)
+	srv.route = func(rs *response, _ *http.Request) {
+		rs.set(http.StatusOK, appJSON, append(rs.body, body...))
+	}
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		b.Fatal(err)
+	}
+	defer stopLeaseServer(srv)
+	cl := NewClient(srv.URL())
+	if err := bareDraw(cl); err != nil { // opens the connection
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bareDraw(cl); err != nil {
+		if err := bareDraw(cl); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// bareDraw posts a benchLease-value /draw request the way Client.Draw does
-// and returns the reply body undecoded.
-func bareDraw(cl *Client) ([]byte, error) {
-	req, err := http.NewRequest(http.MethodPost, cl.base+"/draw?worker=w0&n="+strconv.Itoa(benchLease), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := cl.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err == nil && resp.StatusCode != http.StatusOK {
-		err = fmt.Errorf("%s: %s", resp.Status, body)
-	}
-	return body, err
+// bareDraw posts a benchLease-value /draw request the way Client.Draw
+// does and leaves the reply undecoded.
+func bareDraw(cl *Client) error {
+	return cl.call("/draw?worker=", "w0", "&n=", benchLease, func(*reply) error { return nil })
 }

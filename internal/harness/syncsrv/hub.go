@@ -138,13 +138,18 @@ func (h *Hub) Register(worker string) (int, error) {
 // at the named state and returns the caller's 0-based generation. The
 // first arrival at a state fixes its party count; later arrivals must
 // pass the same n. Arrival tickets come from a counting-network
-// counter dedicated to the state.
+// counter dedicated to the state. A caller that Close releases gets
+// ErrClosed.
 func (h *Hub) Barrier(state string, n int) (int64, error) {
 	b, err := h.barrier(state, n)
 	if err != nil {
 		return 0, err
 	}
-	return b.Await()
+	gen, err := b.Await()
+	if err != nil { // only Close fails an arrival
+		return gen, fmt.Errorf("%w: %w", ErrClosed, err)
+	}
+	return gen, nil
 }
 
 // barrier returns the state's barrier, creating it on first arrival.
