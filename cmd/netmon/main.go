@@ -236,12 +236,20 @@ func validateEndpoint(client *http.Client, base string, snap *obs.Snapshot) erro
 	if err := json.Unmarshal(body, &flight); err != nil {
 		return fmt.Errorf("/debug/flight: %w", err)
 	}
-	if flight.Enabled && uint64(len(flight.Events)) > flight.NextSeq {
-		return fmt.Errorf("/debug/flight reports %d events past next_seq %d", len(flight.Events), flight.NextSeq)
+	// A page is read under the ring's one lock: the newest retained
+	// events, contiguous and ending at next_seq-1.
+	if len(flight.Events) == 0 {
+		if flight.Enabled && flight.NextSeq > 0 {
+			return fmt.Errorf("/debug/flight has no events below next_seq %d", flight.NextSeq)
+		}
+		return nil
+	}
+	if last := flight.Events[len(flight.Events)-1].Seq; last+1 != flight.NextSeq {
+		return fmt.Errorf("/debug/flight page ends at seq %d, want next_seq-1 = %d", last, flight.NextSeq-1)
 	}
 	for i := 1; i < len(flight.Events); i++ {
-		if flight.Events[i].Seq <= flight.Events[i-1].Seq {
-			return fmt.Errorf("/debug/flight events out of order at %d", i)
+		if flight.Events[i].Seq != flight.Events[i-1].Seq+1 {
+			return fmt.Errorf("/debug/flight page has a hole at %d: seq %d then %d", i, flight.Events[i-1].Seq, flight.Events[i].Seq)
 		}
 	}
 	return nil

@@ -183,6 +183,12 @@ func TestValidateEndpoint(t *testing.T) {
 	if err := validateEndpoint(client, base, snap); err != nil {
 		t.Fatalf("validate with recorder on: %v", err)
 	}
+	for i := int64(0); i < 200; i++ { // wrap the 64-slot ring three times
+		obs.RecordFlight(obs.FlightBlockLease, 12+4*i, 4)
+	}
+	if err := validateEndpoint(client, base, snap); err != nil {
+		t.Fatalf("validate after the ring wrapped: %v", err)
+	}
 
 	if err := validateEndpoint(client, base, &obs.Snapshot{TakenUnixNano: 1}); err == nil {
 		t.Fatal("group-less snapshot validated")

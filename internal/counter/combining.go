@@ -362,7 +362,6 @@ func (c *CombiningCounter) combineLocked(n int, yield func(op string)) []Run {
 	}
 	var region *obs.TraceRegion
 	if o != nil {
-		o.Passes.Inc()
 		o.PassQueue.Observe(int64(len(pend)))
 		o.PassServed.Observe(total)
 		// The region and clock close explicitly at the bottom of the

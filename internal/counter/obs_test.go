@@ -266,8 +266,16 @@ func TestCombiningCounterObsConcurrent(t *testing.T) {
 	if s.Sum != workers*perWorker {
 		t.Errorf("pass_served sum = %d, want %d", s.Sum, workers*perWorker)
 	}
-	if passes := o.Passes.Load(); passes != s.Count {
-		t.Errorf("passes = %d but pass_served has %d samples", passes, s.Count)
+	// Every pass records one sample in each pass histogram; the passes
+	// counter is read from pass_served.
+	var passes int64
+	for _, m := range o.GroupSnapshot().Counters {
+		if m.Name == "passes" {
+			passes = m.Value
+		}
+	}
+	if q, ns := o.PassQueue.Snapshot().Count, o.PassNs.Snapshot().Count; passes != s.Count || q != s.Count || ns != s.Count {
+		t.Errorf("passes = %d, pass_served %d, pass_queue %d and pass_ns %d samples; want all equal", passes, s.Count, q, ns)
 	}
 }
 

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 )
 
 // CheckRun is the cross-process correctness oracle: given the sync
@@ -275,15 +274,4 @@ func (s *valueSet) wireCounts(width int, n int64) []int64 {
 		counts[v%int64(width)]++
 	}
 	return counts
-}
-
-// UnionValues flattens a per-worker value map into one sorted slice,
-// the form the gap/step reports and fixtures use.
-func UnionValues(byWorker map[string][]int64) []int64 {
-	var all []int64
-	for _, vals := range byWorker {
-		all = append(all, vals...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	return all
 }

@@ -178,20 +178,6 @@ func TestCheckRun(t *testing.T) {
 	})
 }
 
-// TestUnionValues pins the helper's flatten-and-sort contract.
-func TestUnionValues(t *testing.T) {
-	got := UnionValues(map[string][]int64{"b": {3, 1}, "a": {2, 0}})
-	want := []int64{0, 1, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("UnionValues = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("UnionValues = %v, want %v", got, want)
-		}
-	}
-}
-
 // TestCheckRunCatchesRunMutants keeps the oracle's teeth now that the
 // hub logs leases as strided runs: starting from a real hub's expanded
 // IssueLog, a run duplicated into a second worker must fail CheckRun

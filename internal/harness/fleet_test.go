@@ -1,16 +1,11 @@
 package harness
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"countnet/internal/obs"
 )
@@ -184,48 +179,5 @@ func TestFlightFileGolden(t *testing.T) {
 	}
 	if !reflect.DeepEqual(back, ff) {
 		t.Fatalf("flight file round trip: got %+v want %+v", back, ff)
-	}
-}
-
-// TestWorkerObsEveryDisablesPeriodicLines: ObsEvery < 0 must suppress
-// mid-phase obs streaming but keep the end-of-phase snapshot (exactly
-// one obs line per phase).
-func TestWorkerObsEveryDisablesPeriodicLines(t *testing.T) {
-	srv := startTestServer(t)
-	inR, inW := io.Pipe()
-	var out bytes.Buffer
-	done := make(chan error, 1)
-	go func() {
-		done <- RunWorker(context.Background(), inR, &out,
-			WorkerOptions{ID: "w0", SyncURL: srv, ObsEvery: -1})
-	}()
-	send := func(c Command) {
-		data, err := json.Marshal(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := inW.Write(append(data, '\n')); err != nil {
-			t.Fatal(err)
-		}
-	}
-	send(Command{Op: "phase", Phase: &PhaseSpec{
-		Index: 0, Name: "solo", Parties: 1, Block: 1, TargetOps: 50, Duration: time.Second,
-	}})
-	send(Command{Op: "exit"})
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	obsLines := 0
-	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
-		var m Message
-		if err := json.Unmarshal([]byte(line), &m); err != nil {
-			t.Fatalf("undecodable %q: %v", line, err)
-		}
-		if m.Op == "obs" {
-			obsLines++
-		}
-	}
-	if obsLines != 1 {
-		t.Fatalf("worker with ObsEvery<0 sent %d obs lines, want exactly the end-of-phase one", obsLines)
 	}
 }

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// Options parameterizes a scenario run. The zero value is not usable;
-// fill it or start from DefaultOptions.
+// Options parameterizes a scenario run. The zero value is not usable:
+// fill every field (cmd/scenarios does from its flags).
 type Options struct {
 	// Workers is the number of worker processes at run start.
 	Workers int
@@ -24,11 +24,6 @@ type Options struct {
 	// in its worker files: replaying with the same seed, worker count
 	// and width reproduces the same plan.
 	Seed int64
-}
-
-// DefaultOptions are modest settings suitable for a laptop smoke run.
-func DefaultOptions() Options {
-	return Options{Workers: 2, Width: 8, PhaseDuration: 300 * time.Millisecond, Block: 4, Seed: 1}
 }
 
 // Step is one phase of a scenario plan, plus the membership events the

@@ -21,21 +21,18 @@ type WorkerOptions struct {
 	ID string
 	// SyncURL is the base URL of the syncsrv coordination server.
 	SyncURL string
-	// ObsEvery is the period of mid-phase "obs" snapshot lines
-	// (default 50ms; negative disables periodic lines — the
-	// end-of-phase snapshot is always sent).
-	ObsEvery time.Duration
 }
 
-// DefaultObsEvery is the default mid-phase snapshot streaming period.
-const DefaultObsEvery = 50 * time.Millisecond
+// obsEvery is the period of mid-phase "obs" snapshot lines; the
+// end-of-phase snapshot is always sent.
+const obsEvery = 50 * time.Millisecond
 
 // workerObs is the worker's own obs group: its draw traffic and
 // latency, registered as group "worker" in the worker-local registry
 // so every worker's contribution merges into one fleet group keyed by
-// Origin.
+// Origin. Every draw records one draw_ns sample, so the "draws"
+// counter is that histogram's count.
 type workerObs struct {
-	draws  obs.PaddedCount
 	values obs.PaddedCount
 	phases obs.PaddedCount
 	drawNs *obs.Hist
@@ -44,14 +41,15 @@ type workerObs struct {
 func newWorkerObs() *workerObs { return &workerObs{drawNs: obs.NewHist()} }
 
 func (o *workerObs) GroupSnapshot() obs.GroupSnapshot {
+	drawNs := o.drawNs.Snapshot()
 	return obs.GroupSnapshot{
 		Kind: "worker",
 		Counters: []obs.Metric{
-			{Name: "draws", Value: o.draws.Load()},
+			{Name: "draws", Value: drawNs.Count},
 			{Name: "phases", Value: o.phases.Load()},
 			{Name: "values", Value: o.values.Load()},
 		},
-		Hists: []obs.HistMetric{{Name: "draw_ns", Hist: o.drawNs.Snapshot()}},
+		Hists: []obs.HistMetric{{Name: "draw_ns", Hist: drawNs}},
 	}
 }
 
@@ -61,18 +59,13 @@ func (o *workerObs) GroupSnapshot() obs.GroupSnapshot {
 // exit command arrives, when in closes, or when ctx is canceled. This
 // is what `countbench -worker` runs.
 func RunWorker(ctx context.Context, in io.Reader, out io.Writer, opt WorkerOptions) error {
-	obsEvery := opt.ObsEvery
-	if obsEvery == 0 {
-		obsEvery = DefaultObsEvery
-	}
 	w := &worker{
-		id:       opt.ID,
-		client:   syncsrv.NewClient(opt.SyncURL),
-		enc:      json.NewEncoder(out),
-		reg:      obs.NewRegistry(),
-		flight:   obs.NewFlightRecorder(obs.DefaultFlightSlots),
-		wobs:     newWorkerObs(),
-		obsEvery: obsEvery,
+		id:     opt.ID,
+		client: syncsrv.NewClient(opt.SyncURL),
+		enc:    json.NewEncoder(out),
+		reg:    obs.NewRegistry(),
+		flight: obs.NewFlightRecorder(obs.DefaultFlightSlots),
+		wobs:   newWorkerObs(),
 	}
 	w.reg.Register("worker", w.wobs)
 	if opt.ID == "" {
@@ -133,14 +126,13 @@ func RunWorker(ctx context.Context, in io.Reader, out io.Writer, opt WorkerOptio
 }
 
 type worker struct {
-	id       string
-	client   *syncsrv.Client
-	enc      *json.Encoder
-	reg      *obs.Registry
-	flight   *obs.FlightRecorder
-	wobs     *workerObs
-	obsEvery time.Duration
-	lastObs  time.Time
+	id      string
+	client  *syncsrv.Client
+	enc     *json.Encoder
+	reg     *obs.Registry
+	flight  *obs.FlightRecorder
+	wobs    *workerObs
+	lastObs time.Time
 }
 
 // sendObs ships the worker's current obs snapshot, tagged with its
@@ -191,10 +183,9 @@ func (w *worker) runPhase(ctx context.Context, p *PhaseSpec) (rec *PhaseRecord, 
 		values = append(values, vals...)
 		ops++
 		w.flight.Record(obs.FlightBlockLease, vals[0], int64(len(vals)))
-		w.wobs.draws.Inc()
 		w.wobs.values.Add(int64(len(vals)))
 		w.wobs.drawNs.Observe(drawNs)
-		if w.obsEvery > 0 && time.Since(w.lastObs) >= w.obsEvery {
+		if time.Since(w.lastObs) >= obsEvery {
 			w.sendObs(p.Index)
 		}
 		if p.DieAfterOps > 0 && ops >= p.DieAfterOps {

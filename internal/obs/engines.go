@@ -41,13 +41,13 @@ func (o *CounterObs) GroupSnapshot() GroupSnapshot {
 	return g
 }
 
-// CombineObs observes a flat-combining counter: combiner passes, the
-// spin retries of waiting handles (the front-end's contention signal),
-// per-pass service latency and batch shape, plus the underlying
-// network's per-gate traffic.
+// CombineObs observes a flat-combining counter: the spin retries of
+// waiting handles (the front-end's contention signal), per-pass
+// service latency and batch shape, plus the underlying network's
+// per-gate traffic. Every pass records one PassServed sample, so the
+// "passes" counter is that histogram's count.
 type CombineObs struct {
 	Net         *NetObs
-	Passes      PaddedCount // combiner passes executed
 	SpinRetries PaddedCount // handle await loops that found the slot unserved
 	PassNs      *Hist       // latency of one combine pass
 	PassServed  *Hist       // values minted per pass
@@ -69,13 +69,14 @@ func NewCombineObs(name string, net *NetObs) *CombineObs {
 // GroupSnapshot implements Source.
 func (o *CombineObs) GroupSnapshot() GroupSnapshot {
 	g := o.Net.GroupSnapshot()
+	served := o.PassServed.Snapshot()
 	g.Counters = append(g.Counters,
-		Metric{Name: "passes", Value: o.Passes.Load()},
+		Metric{Name: "passes", Value: served.Count},
 		Metric{Name: "spin_retries", Value: o.SpinRetries.Load()},
 	)
 	g.Hists = []HistMetric{
 		{Name: "pass_ns", Hist: o.PassNs.Snapshot()},
-		{Name: "pass_served", Hist: o.PassServed.Snapshot()},
+		{Name: "pass_served", Hist: served},
 		{Name: "pass_queue", Hist: o.PassQueue.Snapshot()},
 	}
 	return g

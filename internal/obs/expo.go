@@ -211,9 +211,11 @@ func appendHistSeries(b []byte, metric, group, name string) []byte {
 	return appendLabel(b, ',', "name", name)
 }
 
-// flightDump is the /debug/flight response body: poll NextSeq, then
-// fetch deltas with ?since=N (the same pagination netmon -validate
-// checks).
+// flightDump is the /debug/flight response body: NextSeq and the
+// events read under one hold of the ring's lock, so a page is the
+// contiguous run of retained events with Seq >= since ending at
+// NextSeq-1. Poll next_seq, then fetch deltas with ?since=N (the same
+// pagination netmon -validate checks).
 type flightDump struct {
 	Enabled bool          `json:"enabled"`
 	NextSeq uint64        `json:"next_seq"`
@@ -248,7 +250,8 @@ func (r *Registry) Handler() http.Handler {
 			}
 			since = n
 		}
-		resp := flightDump{Enabled: f != nil, NextSeq: f.NextSeq(), Events: f.DumpSince(since)}
+		next, events := f.page(since)
+		resp := flightDump{Enabled: f != nil, NextSeq: next, Events: events}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(resp)

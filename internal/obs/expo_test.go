@@ -25,7 +25,7 @@ func testRegistry() *Registry {
 	n.GateContended(3)
 	r.Register("net", n)
 	c := NewCombineObs("cmb", NewNetObs("cmb", []int32{1}, func(int) int64 { return 0 }))
-	c.Passes.Inc()
+	c.PassServed.Observe(1)
 	c.PassNs.Observe(100)
 	r.Register("cmb", c)
 	return r

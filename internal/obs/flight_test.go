@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -34,25 +35,26 @@ func TestFlightRecordDumpOrdered(t *testing.T) {
 }
 
 func TestFlightWraparoundKeepsTail(t *testing.T) {
-	f := NewFlightRecorder(64)
-	capacity := f.Cap()
-	total := capacity * 4
-	for i := 0; i < total; i++ {
-		f.Record(FlightPhaseStart, int64(i), 0)
-	}
-	events := f.Dump()
-	if len(events) == 0 || len(events) > capacity {
-		t.Fatalf("Dump after wrap returned %d events, want 1..%d", len(events), capacity)
-	}
-	// Single-goroutine writes land on one shard, so the retained window
-	// is that shard's ring: exactly the last ring-size events.
-	last := events[len(events)-1]
-	if last.Seq != uint64(total-1) {
-		t.Fatalf("last event seq = %d, want %d (newest event must survive wrap)", last.Seq, total-1)
-	}
-	for i := 1; i < len(events); i++ {
-		if events[i].Seq <= events[i-1].Seq {
-			t.Fatalf("dump not strictly seq-ordered at %d: %d then %d", i, events[i-1].Seq, events[i].Seq)
+	// The ring is one locked buffer whatever GOMAXPROCS is: one writer
+	// that wraps it four times keeps exactly the newest Cap() events.
+	for _, procs := range []int{1, 2, 16} {
+		prev := runtime.GOMAXPROCS(procs)
+		f := NewFlightRecorder(64)
+		capacity := f.Cap()
+		total := capacity * 4
+		for i := 0; i < total; i++ {
+			f.Record(FlightPhaseStart, int64(i), 0)
+		}
+		events := f.Dump()
+		runtime.GOMAXPROCS(prev)
+		if capacity != 64 || len(events) != capacity {
+			t.Fatalf("GOMAXPROCS=%d: Cap %d, Dump after wrap returned %d events, want 64 of 64", procs, capacity, len(events))
+		}
+		for i, e := range events {
+			want := uint64(total - capacity + i)
+			if e.Seq != want || e.A != int64(want) {
+				t.Fatalf("GOMAXPROCS=%d: event %d is seq %d (a=%d), want the newest Cap() events in order (seq %d)", procs, i, e.Seq, e.A, want)
+			}
 		}
 	}
 }
@@ -130,8 +132,8 @@ func TestFlightConcurrentRecordAndDump(t *testing.T) {
 			}
 			events := f.Dump()
 			for i := 1; i < len(events); i++ {
-				if events[i].Seq <= events[i-1].Seq {
-					t.Errorf("concurrent dump out of order at %d", i)
+				if events[i].Seq != events[i-1].Seq+1 {
+					t.Errorf("concurrent dump not gap-free at %d: seq %d then %d", i, events[i-1].Seq, events[i].Seq)
 					return
 				}
 			}
@@ -255,6 +257,52 @@ func TestFlightHTTPHandler(t *testing.T) {
 	if len(resp.Events) != 1 || resp.Events[0].Seq != 1 {
 		t.Fatalf("since=1 dump wrong: %+v", resp)
 	}
+
+	// After a wrap a page is exact: next_seq and its events come from
+	// one hold of the ring's lock, contiguous and ending at next_seq-1.
+	for i := int64(0); i < 300; i++ {
+		f.Record(FlightBlockLease, i, 1)
+	}
+	for _, tc := range []struct {
+		query string
+		want  int
+	}{{"", 128}, {"?since=0", 128}, {"?since=250", 52}} {
+		var page flightDump
+		getJSON(t, srv.URL+"/debug/flight"+tc.query, &page)
+		if page.NextSeq != 302 || len(page.Events) != tc.want {
+			t.Fatalf("page %q: next_seq %d with %d events, want 302 with %d", tc.query, page.NextSeq, len(page.Events), tc.want)
+		}
+		for i, e := range page.Events {
+			if e.Seq != page.NextSeq-uint64(len(page.Events)-i) {
+				t.Fatalf("page %q: event %d has seq %d, want a contiguous run ending at %d", tc.query, i, e.Seq, page.NextSeq-1)
+			}
+		}
+	}
+	getJSON(t, srv.URL+"/debug/flight?since=302", &resp)
+	if resp.NextSeq != 302 || len(resp.Events) != 0 {
+		t.Fatalf("page past the head: %+v", resp)
+	}
+}
+
+// BenchmarkFlightRecord is the enabled recorder's cost per event: one
+// writer, and every P writing to the same ring.
+func BenchmarkFlightRecord(b *testing.B) {
+	b.Run("serial", func(b *testing.B) {
+		f := NewFlightRecorder(DefaultFlightSlots)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			f.Record(FlightBlockLease, int64(i), 64)
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		f := NewFlightRecorder(DefaultFlightSlots)
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			for i := int64(0); pb.Next(); i++ {
+				f.Record(FlightBlockLease, i, 64)
+			}
+		})
+	})
 }
 
 // getJSON fetches url and decodes the JSON body into out.

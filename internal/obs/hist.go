@@ -29,8 +29,9 @@ func Sampled(n int64) bool { return n&(SampleEvery-1) == 0 }
 
 // Hist is a lock-free histogram over non-negative int64 samples
 // (latencies in nanoseconds, batch sizes, queue depths) with
-// power-of-two bucket boundaries. Observe is wait-free on count, sum
-// and the bucket counters; the min/max watermarks use a CAS loop whose
+// power-of-two bucket boundaries. Observe is wait-free on the sum and
+// the bucket counters (the sample count is their total, summed by
+// Snapshot); the min/max watermarks use a CAS loop whose
 // retries are themselves counted (casRetries) — the only place the obs
 // layer can spin, surfaced so it can never hide contention of its own.
 //
@@ -44,14 +45,13 @@ func Sampled(n int64) bool { return n&(SampleEvery-1) == 0 }
 //
 //netvet:padalign 576
 type Hist struct {
-	count      atomic.Int64
 	sum        atomic.Int64
-	min        atomic.Int64 // valid only when count > 0; NewHist seeds MaxInt64
+	min        atomic.Int64 // valid only once a bucket is non-zero; NewHist seeds MaxInt64
 	max        atomic.Int64
 	casRetries atomic.Int64
 	buckets    [histBuckets]atomic.Int64
 	every      int64 // sampling period, fixed at construction
-	_          [16]byte
+	_          [24]byte
 }
 
 // NewHist returns an empty histogram that records every event (period
@@ -100,7 +100,6 @@ func (h *Hist) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.count.Add(1)
 	h.sum.Add(v)
 	h.buckets[bucketIdx(v)].Add(1)
 	for {
@@ -152,27 +151,28 @@ func (s HistSnapshot) Period() int64 {
 	return s.Every
 }
 
-// Snapshot copies the current state. Concurrent Observes may straddle
-// the copy (count/sum/buckets are read independently); the result is a
-// consistent-enough monitoring view, exact at quiescence.
+// Snapshot copies the current state; Count is the sum of the buckets
+// copied. Concurrent Observes may straddle the copy (sum and buckets
+// are read independently); the result is a consistent-enough
+// monitoring view, exact at quiescence.
 func (h *Hist) Snapshot() HistSnapshot {
 	s := HistSnapshot{
-		Count:      h.count.Load(),
 		Sum:        h.sum.Load(),
 		CASRetries: h.casRetries.Load(),
 		Every:      h.every,
-	}
-	if s.Count > 0 {
-		s.Min = h.min.Load()
-		s.Max = h.max.Load()
 	}
 	top := 0
 	var b [histBuckets]int64
 	for i := range h.buckets {
 		b[i] = h.buckets[i].Load()
+		s.Count += b[i]
 		if b[i] > 0 {
 			top = i + 1
 		}
+	}
+	if s.Count > 0 {
+		s.Min = h.min.Load()
+		s.Max = h.max.Load()
 	}
 	s.Buckets = append([]int64(nil), b[:top]...)
 	return s

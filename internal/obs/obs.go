@@ -7,9 +7,12 @@
 // paths hold a nil pointer to their obs state and pay exactly one
 // nil-check per operation (pinned by AllocsPerRun==0 tests and the
 // BenchmarkObsOverhead guard lane, recorded in BENCH_obs.json). When
-// enabled, every recording primitive is wait-free or bounded-CAS and
-// allocation-free, so profiles of an observed run still describe the
-// engine rather than its instrumentation.
+// enabled, every recording primitive is allocation-free, and every
+// one that sits on a per-value path is wait-free or bounded-CAS, so
+// profiles of an observed run still describe the engine rather than
+// its instrumentation. The flight recorder alone takes a mutex, held
+// for one slot write: its events are control-plane edges (leases,
+// barrier arrivals, phase edges), not per-value work.
 //
 // Terminology follows the paper: a *gate* is a balancer, a *layer* is
 // one depth step of the network; per-gate token counts are the

@@ -68,7 +68,6 @@ func TestCounterObsSnapshot(t *testing.T) {
 func TestCombineObsSnapshot(t *testing.T) {
 	net, _ := testNetObs()
 	o := NewCombineObs("cmb", net)
-	o.Passes.Inc()
 	o.SpinRetries.Add(7)
 	o.PassServed.Observe(16)
 	o.PassQueue.Observe(3)

@@ -208,6 +208,13 @@ func (a *Async) walk(entryWire int, yield func(op string)) int {
 // fails means the token found the balancer held, counted per gate
 // before falling back to the blocking Lock.
 //
+// Lock mode keeps its own walk on purpose. Folding it into walk, as a
+// flag on Async that locks and unlocks around the same fetch-and-add,
+// costs the atomic walk two flag tests per gate on its hottest loop:
+// BenchmarkTraverse read L(4,4) 51.6–54.0 → 56.6–58.2 ns and
+// L(2,2,2,2) 115.4–118.3 → 128.2–129.7 ns over three interleaved runs
+// on a 2-vCPU AMD EPYC (Go 1.24).
+//
 //netvet:hotpath
 func (a *Async) TraverseMutex(entryWire int) int {
 	o := a.watch
