@@ -50,6 +50,7 @@ func BenchmarkBuildL(b *testing.B) {
 		{"n3_w120", []int{6, 5, 4}},
 		{"n5_w32", []int{2, 2, 2, 2, 2}},
 		{"n8_w256", []int{2, 2, 2, 2, 2, 2, 2, 2}},
+		{"n4_w360", []int{3, 4, 5, 6}}, // the network perfbench's sort_batch builds
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {

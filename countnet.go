@@ -56,9 +56,13 @@ type Network struct {
 }
 
 type cachedPlan struct {
-	net     *network.Network
-	plan    *runner.Plan
-	scratch sync.Pool // *runner.Scratch sized for plan
+	net  *network.Network
+	plan *runner.Plan
+	// scratch pools *runner.Scratch sized for plan. It is a separate
+	// allocation because the runtime holds every used pool for up to
+	// two garbage collections: embedded, it would hold the network and
+	// plan as long, after the caller has dropped them.
+	scratch *sync.Pool
 }
 
 // evalPlanCache returns the network's compiled evaluation plan,
@@ -68,7 +72,7 @@ func (n *Network) evalPlanCache() *cachedPlan {
 	if c := n.planCache.Load(); c != nil && c.net == n.inner {
 		return c
 	}
-	c := &cachedPlan{net: n.inner, plan: runner.CompilePlan(n.inner)}
+	c := &cachedPlan{net: n.inner, plan: runner.CompilePlan(n.inner), scratch: new(sync.Pool)}
 	n.planCache.Store(c)
 	return c
 }

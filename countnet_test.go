@@ -4,10 +4,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"countnet/internal/network"
 )
 
 func TestNewKLR(t *testing.T) {
@@ -90,6 +94,30 @@ func TestSort(t *testing.T) {
 	}
 	if _, err := n.Sort([]int64{1, 2}); err == nil {
 		t.Error("short batch accepted")
+	}
+}
+
+// TestSortedNetworkFreedByNextGC: a Network dropped after Sort is
+// garbage at the next collection. The runtime holds a used sync.Pool
+// for up to two collections, so the plan's scratch pool must not hold
+// the network and its plan with it.
+func TestSortedNetworkFreedByNextGC(t *testing.T) {
+	freed := make(chan struct{})
+	func() {
+		n, err := NewL(2, 3, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.Sort(make([]int64, n.Width())); err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(n.inner, func(*network.Network) { close(freed) })
+	}()
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a dropped network outlived the next garbage collection")
 	}
 }
 

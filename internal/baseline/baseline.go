@@ -48,6 +48,7 @@ func Bitonic(w int) (*network.Network, error) {
 		return nil, fmt.Errorf("baseline: bitonic width %d is not a power of two", w)
 	}
 	b := network.NewBuilder(w)
+	b.Grow(w / 2 * BitonicDepth(w)) // every layer is full
 	out := bitonicSort(b, network.Identity(w))
 	return b.Build(fmt.Sprintf("Bitonic[%d]", w), out), nil
 }
@@ -104,6 +105,7 @@ func Periodic(w int) (*network.Network, error) {
 	}
 	k := Log2(w)
 	b := network.NewBuilder(w)
+	b.Grow(w / 2 * PeriodicDepth(w)) // every layer is full
 	id := network.Identity(w)
 	for block := 0; block < k; block++ {
 		balancedMerger(b, id)
@@ -119,6 +121,7 @@ func PeriodicBlocks(w, blocks int) (*network.Network, error) {
 		return nil, fmt.Errorf("baseline: periodic width %d is not a power of two", w)
 	}
 	b := network.NewBuilder(w)
+	b.Grow(blocks * Log2(w) * w / 2) // a block is log2(w) full layers
 	id := network.Identity(w)
 	for block := 0; block < blocks; block++ {
 		balancedMerger(b, id)
@@ -148,6 +151,8 @@ func OddEvenMergeSort(w int) (*network.Network, error) {
 		return nil, fmt.Errorf("baseline: odd-even width %d is not a power of two", w)
 	}
 	b := network.NewBuilder(w)
+	k := Log2(w)
+	b.Grow((k*k-k+4)*w/4 - 1) // (k²−k+4)·2^(k−2) − 1 comparators
 	id := network.Identity(w)
 	oeSort(b, id)
 	return b.Build(fmt.Sprintf("OddEven[%d]", w), nil), nil
@@ -188,6 +193,7 @@ func Bubble(w int) (*network.Network, error) {
 		return nil, fmt.Errorf("baseline: bubble width %d", w)
 	}
 	b := network.NewBuilder(w)
+	b.Grow(w * (w - 1) / 2)
 	for pass := 0; pass < w-1; pass++ {
 		for i := 0; i < w-1-pass; i++ {
 			b.Add([]int{i, i + 1}, "bubble")
@@ -204,6 +210,7 @@ func OddEvenTransposition(w int) (*network.Network, error) {
 		return nil, fmt.Errorf("baseline: transposition width %d", w)
 	}
 	b := network.NewBuilder(w)
+	b.Grow(w * (w - 1) / 2)
 	for layer := 0; layer < w; layer++ {
 		for i := layer % 2; i+1 < w; i += 2 {
 			b.Add([]int{i, i + 1}, "oet")

@@ -69,6 +69,35 @@ func TestBitonicGateCount(t *testing.T) {
 	}
 }
 
+// TestGateCounts pins the closed-form gate counts the constructors
+// presize their builders with.
+func TestGateCounts(t *testing.T) {
+	for _, w := range []int{1, 2, 4, 8, 16, 32} {
+		k := baseline.Log2(w)
+		oe, _ := baseline.OddEvenMergeSort(w)
+		if want := (k*k-k+4)*w/4 - 1; oe.Size() != want {
+			t.Errorf("OddEven(%d) has %d gates, want %d", w, oe.Size(), want)
+		}
+		pe, _ := baseline.Periodic(w)
+		if want := k * k * w / 2; pe.Size() != want {
+			t.Errorf("Periodic(%d) has %d gates, want %d", w, pe.Size(), want)
+		}
+		for blocks := 0; blocks <= k; blocks++ {
+			pb, _ := baseline.PeriodicBlocks(w, blocks)
+			if want := blocks * k * w / 2; pb.Size() != want {
+				t.Errorf("PeriodicBlocks(%d, %d) has %d gates, want %d", w, blocks, pb.Size(), want)
+			}
+		}
+	}
+	for w := 1; w <= 9; w++ {
+		bu, _ := baseline.Bubble(w)
+		oet, _ := baseline.OddEvenTransposition(w)
+		if want := w * (w - 1) / 2; bu.Size() != want || oet.Size() != want {
+			t.Errorf("width %d: Bubble %d gates, OET %d gates, want %d", w, bu.Size(), oet.Size(), want)
+		}
+	}
+}
+
 func TestPeriodicIsCountingAndSorting(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, w := range []int{2, 4, 8, 16, 32} {

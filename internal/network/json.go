@@ -41,6 +41,7 @@ func (n *Network) UnmarshalJSON(data []byte) error {
 		return fmt.Errorf("network: negative width %d", jn.Width)
 	}
 	b := NewBuilder(jn.Width)
+	b.Grow(len(jn.Gates))
 	for i, g := range jn.Gates {
 		if len(g.Wires) < 2 {
 			return fmt.Errorf("network: gate %d has width %d < 2", i, len(g.Wires))

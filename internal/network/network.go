@@ -341,11 +341,24 @@ func (b *Builder) AddValidated(wires []int, label string) {
 	// Grow by doubling: the runtime's 1.25x policy for large slices
 	// re-copies this hot, pointer-bearing slice far too often.
 	if len(b.gates) == cap(b.gates) {
-		ng := make([]Gate, len(b.gates), 2*cap(b.gates)+16)
+		b.Grow(cap(b.gates) + 16)
+	}
+	b.gates = append(b.gates, g)
+}
+
+// Grow makes room for at least n more gates, in the manner of
+// slices.Grow but to the exact size asked for. A caller that knows its
+// gate count up front calls it once, so the gate table is allocated
+// once and Build hands it over without a copy. The hint affects only
+// speed and memory: a build that outgrows it keeps growing, and the
+// network built is the same with or without it, but it pins the whole
+// table, spare capacity included.
+func (b *Builder) Grow(n int) {
+	if cap(b.gates)-len(b.gates) < n {
+		ng := make([]Gate, len(b.gates), len(b.gates)+n)
 		copy(ng, b.gates)
 		b.gates = ng
 	}
-	b.gates = append(b.gates, g)
 }
 
 // GateAt returns the wires and label of gate i (0 <= i < GateCount).
@@ -373,7 +386,10 @@ func (b *Builder) Barrier(wires []int) {
 
 // Build finalizes the network. outputOrder gives the wire permutation
 // in which the output sequence is read; pass nil for the identity.
-// The Builder remains usable afterwards (Build copies).
+// The network takes over the builder's gate table, capped at its
+// length, without copying it. The Builder remains usable afterwards: a
+// later Add appends past the handed-over slice's capacity, so it never
+// writes into the built network.
 func (b *Builder) Build(name string, outputOrder []int) *Network {
 	if outputOrder == nil {
 		outputOrder = make([]int, b.width)
@@ -389,7 +405,7 @@ func (b *Builder) Build(name string, outputOrder []int) *Network {
 	n := &Network{
 		Name:        name,
 		WireCount:   b.width,
-		Gates:       append([]Gate(nil), b.gates...),
+		Gates:       b.gates[:len(b.gates):len(b.gates)],
 		OutputOrder: outputOrder,
 		depth:       b.Depth(),
 	}

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -64,6 +65,56 @@ func TestBuilderReusableAfterBuild(t *testing.T) {
 	}
 	if n1.Depth() != 1 || n2.Depth() != 2 {
 		t.Errorf("depths = %d, %d; want 1, 2", n1.Depth(), n2.Depth())
+	}
+}
+
+// TestBuildHandsOverGateTable: Build gives the network the builder's
+// gate table capped at its length, so gates added to the same builder
+// afterwards never show up in, or overwrite, the built network; and a
+// Grow hint, exact, too small or too large, changes nothing built.
+func TestBuildHandsOverGateTable(t *testing.T) {
+	var ref *Network
+	for _, hint := range []int{-1, 4, 2, 9} { // -1: no Grow call
+		b := NewBuilder(5)
+		if hint >= 0 {
+			b.Grow(hint)
+		}
+		b.Add([]int{0, 1}, "a")
+		b.Add([]int{2, 3, 4}, "b")
+		b.Add([]int{1, 2}, "c")
+		b.Add([]int{0, 4}, "d")
+		n := b.Build("h", nil)
+		if cap(n.Gates) != len(n.Gates) {
+			t.Errorf("hint %d: cap(Gates) = %d, len %d", hint, cap(n.Gates), len(n.Gates))
+		}
+		if ref == nil {
+			ref = n
+		} else if !reflect.DeepEqual(n, ref) {
+			t.Errorf("hint %d: built %v, want %v", hint, n.Gates, ref.Gates)
+		}
+		want := *n
+		want.Gates = append([]Gate(nil), n.Gates...)
+		for i := range want.Gates {
+			want.Gates[i].Wires = append([]int(nil), n.Gates[i].Wires...)
+		}
+
+		b.Add([]int{0, 1}, "later")
+		b.Barrier([]int{1, 2, 3})
+		b.Add([]int{2, 3}, "later")
+		n2 := b.Build("h2", nil)
+		if !reflect.DeepEqual(n, &want) {
+			t.Errorf("hint %d: later Adds changed the built network to %v", hint, n.Gates)
+		}
+		if err := n.Validate(); err != nil {
+			t.Errorf("hint %d: first network: %v", hint, err)
+		}
+		if n.Depth() != 2 || n2.Size() != 6 || n2.Depth() != 4 {
+			t.Errorf("hint %d: depth %d, then %d gates at depth %d; want 2, 6 at 4",
+				hint, n.Depth(), n2.Size(), n2.Depth())
+		}
+		if err := n2.Validate(); err != nil {
+			t.Errorf("hint %d: second network: %v", hint, err)
+		}
 	}
 }
 

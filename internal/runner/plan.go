@@ -155,29 +155,40 @@ func (p *Plan) NumLayers() int { return len(p.layers) }
 // comparator (a, b) on the gate's wires (Wires[a], Wires[b]). A sorting
 // network whose output k lands on the gate's wire k sorts exactly as
 // the gate does, so no output changes. Gates are re-added in order,
-// which is topological, and OutputOrder is kept. A network with no
-// wider gate is returned as is.
+// which is topological, and OutputOrder is kept; the expanded gate count
+// is summed first, so the builder allocates its gate table once. A
+// network with no wider gate is returned as is.
 func expandWide(net *network.Network) *network.Network {
 	if net.MaxGateWidth() <= maxKernelWidth {
 		return net
 	}
-	b := network.NewBuilder(net.Width())
 	sorters := make(map[int]*network.Network) // one per gate width
+	size := 0
+	for i := range net.Gates {
+		w := net.Gates[i].Width()
+		if w <= maxKernelWidth {
+			size++
+			continue
+		}
+		mx := sorters[w]
+		if mx == nil {
+			var err error
+			if mx, err = baseline.MergeExchange(w); err != nil {
+				panic(err) // unreachable: MergeExchange fails only below width 1
+			}
+			sorters[w] = mx
+		}
+		size += mx.Size()
+	}
+	b := network.NewBuilder(net.Width())
+	b.Grow(size)
 	pair := make([]int, 2)
 	for _, g := range net.Gates {
 		if g.Width() <= maxKernelWidth {
 			b.AddValidated(g.Wires, g.Label)
 			continue
 		}
-		mx := sorters[g.Width()]
-		if mx == nil {
-			var err error
-			if mx, err = baseline.MergeExchange(g.Width()); err != nil {
-				panic(err) // unreachable: MergeExchange fails only below width 1
-			}
-			sorters[g.Width()] = mx
-		}
-		for _, c := range mx.Gates {
+		for _, c := range sorters[g.Width()].Gates {
 			pair[0], pair[1] = g.Wires[c.Wires[0]], g.Wires[c.Wires[1]]
 			b.AddValidated(pair, g.Label)
 		}
