@@ -80,10 +80,11 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Benchmarks that gate the compiled-plan/memoization fast paths,
-# recorded to BENCH_plan.json (the committed "baseline" set is
-# preserved; only "current" is rewritten).
-BENCH_KEY = 'BenchmarkBuildK|BenchmarkBuildL|BenchmarkSortNetworks|BenchmarkBatchSort|BenchmarkTraverseParallel'
+# Benchmarks that gate the compiled-plan/memoization fast paths and
+# the set-up paths (BenchmarkSetup: a counter's set-up, a hub's,
+# Validate and an Lopt build), recorded to BENCH_plan.json (the
+# committed "baseline" set is preserved; only "current" is rewritten).
+BENCH_KEY = 'BenchmarkBuildK|BenchmarkBuildL|BenchmarkSortNetworks|BenchmarkBatchSort|BenchmarkTraverseParallel|BenchmarkSetup'
 
 bench-plan:
 	$(GO) test -run '^$$' -bench $(BENCH_KEY) -benchmem -benchtime 300ms . \
@@ -208,6 +209,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzComparatorsSort -fuzztime=30s ./internal/runner
 	$(GO) test -run '^$$' -fuzz=FuzzKernelVsSort -fuzztime=30s ./internal/runner
 	$(GO) test -run '^$$' -fuzz=FuzzPlanVsComparators -fuzztime=30s ./internal/runner
+	$(GO) test -run '^$$' -fuzz=FuzzCompileVsWireGates -fuzztime=30s ./internal/runner
 	$(GO) test -run '^$$' -fuzz=FuzzJSONUnmarshal -fuzztime=30s ./internal/network
 	$(GO) test -run '^$$' -fuzz=FuzzSnapshotMerge -fuzztime=30s ./internal/obs
 	$(GO) test -run '^$$' -fuzz=FuzzCounterSchedules -fuzztime=30s ./internal/counter
@@ -220,7 +222,8 @@ fuzz:
 
 # Every fuzz target, 10 s each: CI's fuzz-smoke job is this one step,
 # so the traversal, compiled-plan (widths 2..40, gates wider than 16
-# expanded at compile time) and kernel fuzzers, the counter, combining,
+# expanded at compile time), kernel and counter-routing (Compile
+# against WireGates) fuzzers, the counter, combining,
 # lease-run and pool schedule fuzzers, the snapshot merge algebra, the
 # value oracle and the sync server's reply codec and connection loop
 # are fuzzed on every push without the full `make fuzz`. Each new
@@ -232,6 +235,7 @@ fuzz-smoke:
 	$(FUZZ_SMOKE) -fuzz='^FuzzBatchVsSerial$$' ./internal/runner
 	$(FUZZ_SMOKE) -fuzz='^FuzzPlanVsComparators$$' ./internal/runner
 	$(FUZZ_SMOKE) -fuzz='^FuzzKernelVsSort$$' ./internal/runner
+	$(FUZZ_SMOKE) -fuzz='^FuzzCompileVsWireGates$$' ./internal/runner
 	$(FUZZ_SMOKE) -fuzz='^FuzzCounterSchedules$$' ./internal/counter
 	$(FUZZ_SMOKE) -fuzz='^FuzzCombiningSchedules$$' ./internal/counter
 	$(FUZZ_SMOKE) -fuzz='^FuzzRunsVsBlock$$' ./internal/counter

@@ -11,6 +11,7 @@ import (
 	"countnet/internal/baseline"
 	"countnet/internal/core"
 	"countnet/internal/counter"
+	"countnet/internal/harness/syncsrv"
 	"countnet/internal/obs"
 	"countnet/internal/pool"
 	"countnet/internal/runner"
@@ -551,3 +552,59 @@ func BenchmarkObsOverhead(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSetup measures the set-up paths that run once per counter,
+// hub or decoded network rather than per value. count is exactly the
+// set-up of perfbench's count_token workload (NewL(4,4), NewCounter,
+// Handle(0)); hub is core.L(4,4) plus syncsrv.NewHub, the per-epoch
+// set-up of lease_bulk; validate is Network.Validate on L(3,4,5,6),
+// which every UnmarshalJSON and ParseText runs; lopt is a build of
+// LOpt(3,4,5,6), the sorting-only variant of sort_batch's network.
+func BenchmarkSetup(b *testing.B) {
+	b.Run("count", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			n, err := NewL(4, 4)
+			if err != nil {
+				b.Fatal(err)
+			}
+			setupSink = NewCounter(n).Handle(0)
+		}
+	})
+	b.Run("hub", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			n, err := core.L(4, 4)
+			if err != nil {
+				b.Fatal(err)
+			}
+			setupSink = syncsrv.NewHub(n)
+		}
+	})
+	b.Run("validate", func(b *testing.B) {
+		n, err := core.L(3, 4, 5, 6)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := n.Validate(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("lopt", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			n, err := core.LOpt(3, 4, 5, 6)
+			if err != nil {
+				b.Fatal(err)
+			}
+			setupSink = n
+		}
+	})
+}
+
+// setupSink keeps BenchmarkSetup's results reachable.
+var setupSink any

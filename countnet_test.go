@@ -472,3 +472,22 @@ func TestOptConstructors(t *testing.T) {
 		t.Errorf("NewCustom(optR) %d/%d differs from NewLOpt %d/%d", cr.Size(), cr.Depth(), lo.Size(), lo.Depth())
 	}
 }
+
+// TestCounterSetupAllocs bounds the allocations of a counter's whole
+// set-up, the set-up perfbench's count_token times: building L(4,4),
+// compiling it into a counter and taking a handle. It read 374 while
+// every gate carried two routing slices of its own and every
+// construction step allocated its temporaries; it reads 34 now.
+func TestCounterSetupAllocs(t *testing.T) {
+	const limit = 48
+	allocs := testing.AllocsPerRun(20, func() {
+		n, err := NewL(4, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		NewCounter(n).Handle(0)
+	})
+	if allocs > limit {
+		t.Errorf("NewCounter(NewL(4,4)).Handle(0) allocates %v times, want at most %d", allocs, limit)
+	}
+}

@@ -22,7 +22,7 @@ func (e *buildEnv) bitonic(p int, x []int, label string) []int {
 	if p < 1 || len(x)%p != 0 {
 		panic(fmt.Sprintf("core: bitonicConverter %q length %d not a multiple of p=%d", label, len(x), p))
 	}
-	return e.cached(e.key3("D", p, len(x), 0, false), x, label, func(e *buildEnv, in []int, label string) []int {
+	return e.cached(e.key3("D", p, len(x), 0, false), x, label, false, func(e *buildEnv, in []int, label string) []int {
 		return e.bitonicRaw(p, in, label)
 	})
 }
@@ -33,30 +33,24 @@ func (e *buildEnv) bitonicRaw(p int, x []int, label string) []int {
 	b := e.b
 	q := len(x) / p
 
-	w := make([][]int, p)
+	// Row r of the column-major matrix is x[r], x[r+p], ...
+	w := e.ints(p * q)
 	for r := 0; r < p; r++ {
-		w[r] = make([]int, q)
 		for c := 0; c < q; c++ {
-			w[r][c] = x[c*p+r] // column major
+			w[r*q+c] = x[c*p+r]
 		}
 	}
+	rowLabel := e.sh.label(label, "/row")
 	for r := 0; r < p; r++ {
-		b.Add(w[r], label+"/row")
+		b.Add(w[r*q:(r+1)*q], rowLabel)
 	}
-	col := make([]int, p)
+	// Column c is x's c-th run of p wires, and the output is the
+	// matrix read in column-major order: x itself.
+	colLabel := e.sh.label(label, "/col")
 	for c := 0; c < q; c++ {
-		for r := 0; r < p; r++ {
-			col[r] = w[r][c]
-		}
-		b.Add(col, label+"/col")
+		b.Add(x[c*p:(c+1)*p], colLabel)
 	}
-	out := make([]int, 0, p*q)
-	for c := 0; c < q; c++ {
-		for r := 0; r < p; r++ {
-			out = append(out, w[r][c])
-		}
-	}
-	return out
+	return x
 }
 
 // BitonicConverterNetwork builds a standalone D(p,q) over wires

@@ -24,6 +24,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"countnet/internal/network"
 )
@@ -137,14 +138,15 @@ func Product(factors []int) int {
 }
 
 func factorsName(prefix string, factors []int) string {
-	s := prefix + "("
+	var buf [64]byte
+	s := append(append(buf[:0], prefix...), '(')
 	for i, p := range factors {
 		if i > 0 {
-			s += ","
+			s = append(s, ',')
 		}
-		s += fmt.Sprint(p)
+		s = strconv.AppendInt(s, int64(p), 10)
 	}
-	return s + ")"
+	return string(append(s, ')'))
 }
 
 // K builds the counting network K(p0,...,pn-1) of Section 5.1: width
@@ -195,7 +197,12 @@ func build(cfg Config, name string, factors []int, gates func([]int) int) (*netw
 	if gates != nil {
 		b.Grow(gates(factors))
 	}
-	out := newEnv(b, cfg).counting(network.Identity(w), factors, name)
+	e := newEnv(b, cfg)
+	in := e.ints(w)
+	for i := range in {
+		in[i] = i
+	}
+	out := e.counting(in, factors, name)
 	return b.Build(name, out), nil
 }
 

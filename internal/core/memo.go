@@ -14,17 +14,34 @@ import (
 // same base network. All of them are *positional*: the gates a call
 // appends depend only on the construction parameters and the order of
 // its input wires, never on the wire numbers themselves. A build can
-// therefore derive each distinct (construction, parameters) pair once —
-// over the identity input 0..m-1, into a throwaway builder — and replay
-// the recorded gate list through a wire translation for every further
-// occurrence, instead of re-deriving the matrix arithmetic, slicing and
-// recursion each time.
+// therefore record the gates one occurrence of a (construction,
+// parameters) pair appended, translated to positions within its input,
+// and replay that template through a wire translation for every
+// further occurrence instead of deriving it again.
+//
+// A replay still appends every gate, so it pays back its record only
+// where deriving costs far more than placing the gates. That is so for
+// R(p,q), which copies nine matrix regions and runs up to nine
+// two-mergers and a K network to place a few dozen gates, and so for
+// every construction that contains one (the C, M and S shapes of
+// family L). Everything else derives about as fast as it replays.
+// With every template recorded, K(2,...,2) of width 1024 built in
+// 8.0 ms against 5.6 ms with none, and the set-up of a counter on
+// L(4,4) took 38 µs against 30 µs, while L(3,4,5,6) built in 0.86 ms
+// against 1.18 ms (medians of six runs on a 2-vCPU Xeon, Go 1.24).
+// So a construction is recorded when its
+// derivation met an R — derived or replayed — and does not span every
+// wire of the build, since nothing would be left to replay it. R(p,q)
+// marks itself dear when it calls cached; nothing else is recorded,
+// and a build that records nothing never makes the memo's map or
+// stamp arrays.
 //
 // The cache is build-scoped: created in the public entry points,
 // threaded through the recursion via buildEnv, and dropped when the
 // network is built. Replay is gate-for-gate identical to derivation
 // (same Add order, same wires, same labels), so golden networks are
-// bit-identical with and without the cache.
+// bit-identical with and without the cache
+// (TestMemoMatchesDerivation).
 
 // tmplGate is one recorded gate: wire positions local to the
 // construction's flattened input, plus the label suffix.
@@ -48,63 +65,87 @@ type template struct {
 	hasLast    bool
 }
 
-// buildEnv threads one build's builder, configuration and memo cache
+// buildEnv threads one build's builder, configuration and scratch
 // through the construction recursion.
 type buildEnv struct {
 	b   *network.Builder
 	cfg Config
-	// memo caches templates by construction key; nil disables
-	// memoization (unknown user base functions, whose positional
-	// determinism we cannot vouch for).
-	memo    map[string]*template
-	shared  *envShared
-	scratch []int
-	tag     string // precomputed cfgTag
+	// memoOK is false for an unknown user base function, whose
+	// positional determinism we cannot vouch for: its builds neither
+	// record nor replay.
+	memoOK bool
+	sh     *envShared
 	// baseKind routes cfg.Base calls to memoizable implementations:
 	// known functions are dispatched directly so their sub-structure
 	// lands in the cache too.
 	baseKind int
 }
 
-// envShared holds build-wide scratch reused across withConfig views:
-// the key buffer (keys are built in place and looked up without
-// allocating a string) and the wire→local-position stamp table used by
-// record (a width-sized array with generation marks, replacing a map
-// allocation per recorded template).
+// envShared holds build-wide state shared with the family-K view: the
+// scratch every construction draws its temporaries from, and the memo.
+// The memo's map and its wire-stamp arrays are made on the first
+// record, so a build that records nothing allocates neither.
 type envShared struct {
+	// ints backs every int slice a build makes and drops: inputs,
+	// block and matrix orderings, outputs. Tens of thousands of
+	// short-lived slices per large build collapse into a few chunk
+	// allocations. Exhausted chunks are abandoned, not grown, and
+	// nothing carved from a chunk is ever handed out again, so a slice
+	// stays valid for the whole build.
+	ints []int
+	// keyBuf holds the key under construction: keys are built in place
+	// and looked up without allocating a string.
 	keyBuf []byte
+	// wires is the per-gate scratch replay translates into.
+	wires []int
+	// kEnv is the family-K view (see kView), made on first use.
+	kEnv *buildEnv
+
+	memo map[string]*template
+	// dear counts the dear constructions met so far.
+	dear int
+	// invPos/invGen map a wire to its position in the input being
+	// recorded: a width-sized array with generation marks, replacing a
+	// map allocation per recorded template.
 	invPos []int32
 	invGen []uint32
 	gen    uint32
-	// outArena backs the output orderings produced by replay: tens of
-	// thousands of short-lived slices per build collapse into a few
-	// chunk allocations. Exhausted chunks are abandoned, not grown.
-	outArena []int
-	// labels interns the gate labels replay composes: the replayed
-	// templates of L(3,4,5,6) label 1,352 gates, with 42 distinct
-	// labels among all its gates, so gates with the same label share
-	// one string.
-	labels map[string]string
+	// labels interns the gate labels (see label), made on first use.
+	labels   map[string]string
+	labelBuf []byte
+	// bufs is the first backing of keyBuf and labelBuf.
+	bufs [128]byte
 }
 
-// label returns prefix+suffix, interned. The concatenation is built in
-// the key buffer, which no caller holds across a replay, and allocates
-// only on the first occurrence of each label.
-func (sh *envShared) label(prefix, suffix string) string {
-	k := append(append(sh.keyBuf[:0], prefix...), suffix...)
-	sh.keyBuf = k
+// label returns the concatenation of parts, interned: every
+// construction composes its gates' labels here, and a build has few
+// distinct ones (42 among the 6,362 gates of L(3,4,5,6)), so gates
+// with the same label share one string. The concatenation is built in
+// a buffer of its own and allocates only on the first occurrence of
+// each label.
+func (sh *envShared) label(parts ...string) string {
+	k := sh.labelBuf[:0]
+	for _, p := range parts {
+		k = append(k, p...)
+	}
+	sh.labelBuf = k
 	if s, ok := sh.labels[string(k)]; ok {
 		return s
+	}
+	if sh.labels == nil {
+		sh.labels = make(map[string]string)
 	}
 	s := string(k)
 	sh.labels[s] = s
 	return s
 }
 
-// allocOut carves an n-int slice out of the arena.
-func (sh *envShared) allocOut(n int) []int {
-	if cap(sh.outArena)-len(sh.outArena) < n {
-		c := 2 * cap(sh.outArena)
+// ints carves an n-int slice out of the build's scratch. Callers write
+// every element before they read it.
+func (e *buildEnv) ints(n int) []int {
+	sh := e.sh
+	if cap(sh.ints)-len(sh.ints) < n {
+		c := 2 * cap(sh.ints)
 		if c < 1024 {
 			c = 1024
 		}
@@ -114,11 +155,18 @@ func (sh *envShared) allocOut(n int) []int {
 		for c < n {
 			c *= 2
 		}
-		sh.outArena = make([]int, 0, c)
+		sh.ints = make([]int, 0, c)
 	}
-	lo := len(sh.outArena)
-	sh.outArena = sh.outArena[:lo+n]
-	return sh.outArena[lo : lo+n : lo+n]
+	lo := len(sh.ints)
+	sh.ints = sh.ints[:lo+n]
+	return sh.ints[lo : lo+n : lo+n]
+}
+
+// concat returns x0 followed by x1 in build scratch.
+func (e *buildEnv) concat(x0, x1 []int) []int {
+	out := e.ints(len(x0) + len(x1))
+	copy(out[copy(out, x0):], x1)
+	return out
 }
 
 const (
@@ -126,8 +174,7 @@ const (
 	baseBalancer
 	baseRNet
 	baseNone // zero Config: construction never calls the base
-	// Optimal-sorter bases (optbase.go). Appended after baseNone so
-	// the cfgTag strings of the original kinds stay stable.
+	// Optimal-sorter bases (optbase.go).
 	baseOptBalancer
 	baseOptRNet
 )
@@ -157,39 +204,24 @@ func baseKindOf(f BaseFunc) int {
 }
 
 // newEnv prepares a build environment. Memoization is enabled for the
-// known base functions (BalancerBase, RBase) and for base-free
-// constructions; an unrecognized user base disables it.
+// known base functions and for base-free constructions; an
+// unrecognized user base disables it.
 func newEnv(b *network.Builder, cfg Config) *buildEnv {
-	e := &buildEnv{b: b, cfg: cfg, baseKind: baseKindOf(cfg.Base)}
-	e.tag = cfgTag(e.baseKind, cfg)
-	if e.baseKind != baseUnknown {
-		e.memo = make(map[string]*template)
-		e.shared = &envShared{
-			invPos: make([]int32, b.Width()),
-			invGen: make([]uint32, b.Width()),
-			labels: make(map[string]string),
-		}
-	}
-	return e
+	kind := baseKindOf(cfg.Base)
+	sh := &envShared{}
+	sh.keyBuf, sh.labelBuf = sh.bufs[:0:64], sh.bufs[64:64]
+	return &buildEnv{b: b, cfg: cfg, memoOK: kind != baseUnknown, sh: sh, baseKind: kind}
 }
 
-// withConfig returns an env over the same builder and cache but a
-// different configuration (buildR nests family-K sub-networks inside
-// any outer family). Keys embed the configuration, so sharing the
-// cache across configs is sound; an unknown base still disables it.
-func (e *buildEnv) withConfig(cfg Config) *buildEnv {
-	ne := &buildEnv{b: e.b, cfg: cfg, memo: e.memo, shared: e.shared, baseKind: baseKindOf(cfg.Base)}
-	ne.tag = cfgTag(ne.baseKind, cfg)
-	if ne.baseKind == baseUnknown {
-		ne.memo = nil
-		ne.shared = nil
+// kView returns the build's family-K view: an env over the same
+// builder and scratch with family K's configuration, in which R's
+// regions build their K networks. Keys embed the configuration, so
+// sharing the cache across configurations is sound.
+func (e *buildEnv) kView() *buildEnv {
+	if e.sh.kEnv == nil {
+		e.sh.kEnv = &buildEnv{b: e.b, cfg: KConfig(), memoOK: e.memoOK, sh: e.sh, baseKind: baseBalancer}
 	}
-	return ne
-}
-
-// cfgTag keys the parts of the configuration that shape construction.
-func cfgTag(baseKind int, cfg Config) string {
-	return "b" + strconv.Itoa(baseKind) + "s" + strconv.Itoa(int(cfg.Staircase))
+	return e.sh.kEnv
 }
 
 // callBase builds the base network C(p,q) over in, routing the known
@@ -211,39 +243,52 @@ func (e *buildEnv) callBase(in []int, p, q int, label string) []int {
 }
 
 // cached runs derive for the construction identified by key over the
-// flattened input `in`, recording it into a template on first use and
-// replaying the template afterwards. Recording is free: the first
-// occurrence derives straight into the real builder and the gates it
-// appended are translated to input-local positions after the fact.
-// derive must be positional: its gates and output ordering may depend
-// only on len(in) and the positions of its wires within in, plus
-// whatever key encodes.
-func (e *buildEnv) cached(key []byte, in []int, label string, derive func(e *buildEnv, in []int, label string) []int) []int {
-	if e.memo == nil {
+// flattened input `in`, or replays the construction's template when
+// one is recorded. dear marks a construction whose derivation does
+// far more work than placing its gates (R(p,q)); see the package note
+// for the record rule. derive must be positional: its gates and
+// output ordering may depend only on len(in) and the positions of its
+// wires within in, plus whatever key encodes.
+func (e *buildEnv) cached(key []byte, in []int, label string, dear bool, derive func(e *buildEnv, in []int, label string) []int) []int {
+	if !e.memoOK {
 		return derive(e, in, label)
 	}
-	t, seen := e.memo[string(key)] // no-alloc map lookup
-	if t != nil {
+	sh := e.sh
+	dear0 := sh.dear
+	if dear {
+		sh.dear++
+	}
+	if t := sh.memo[string(key)]; t != nil { // no-alloc map lookup
 		return e.replay(t, in, label)
 	}
-	// Materialize the key before derive: nested cached calls reuse the
-	// shared key buffer that `key` points into.
-	k := string(key)
+	// Keep the key past derive, whose nested calls reuse the key buffer
+	// that `key` points into; it becomes a string only if recorded.
+	var kb [64]byte
+	k := append(kb[:0], key...)
 	g0 := e.b.GateCount()
 	out := derive(e, in, label)
-	// Full-width constructions are usually one-shot (the top-level
-	// network and its outermost merger); recording them would burn time
-	// and memory on templates that never replay. A nil entry marks the
-	// first occurrence, so genuinely recurring full-width shapes (the
-	// merge towers of R) are recorded from their second miss on.
-	if seen || len(in) < e.b.Width() {
-		if t := e.record(g0, in, out, label); t != nil {
-			e.memo[k] = t
-		}
-	} else {
-		e.memo[k] = nil
+	if sh.dear == dear0 || len(in) == e.b.Width() {
+		// Nothing dear inside: a replay would save little more than
+		// it costs. Or it spans the build: nothing is left to replay
+		// it.
+		return out
+	}
+	// Recording is cheap: the derivation went straight into the real
+	// builder, and its gates are translated to input-local positions
+	// after the fact.
+	if t := e.record(g0, in, out, label); t != nil {
+		sh.memo[string(k)] = t
 	}
 	return out
+}
+
+// initMemo makes the memo's map, stamp arrays and label table.
+func (sh *envShared) initMemo(width int) {
+	if sh.memo == nil {
+		sh.memo = make(map[string]*template)
+		sh.invPos = make([]int32, width)
+		sh.invGen = make([]uint32, width)
+	}
 }
 
 // record translates gates [g0, b.GateCount()) and the output ordering
@@ -255,7 +300,8 @@ func (e *buildEnv) cached(key []byte, in []int, label string, derive func(e *bui
 // backing array, so recording costs a handful of allocations however
 // many gates it covers.
 func (e *buildEnv) record(g0 int, in, out []int, label string) *template {
-	b, sh := e.b, e.shared
+	b, sh := e.b, e.sh
+	sh.initMemo(b.Width())
 	sh.gen++
 	gen := sh.gen
 	for i, w := range in {
@@ -297,6 +343,7 @@ func (e *buildEnv) record(g0 int, in, out []int, label string) *template {
 // gate list was validated by the builder when recorded, so the clone
 // takes the builder's unchecked path.
 func (e *buildEnv) replay(t *template, in []int, label string) []int {
+	sh := e.sh
 	if !t.hasLast || t.lastPrefix != label {
 		if t.lastLabels == nil {
 			t.lastLabels = make([]string, len(t.gates))
@@ -308,23 +355,23 @@ func (e *buildEnv) replay(t *template, in []int, label string) []int {
 				t.lastLabels[i] = t.lastLabels[i-1]
 				continue
 			}
-			t.lastLabels[i] = e.shared.label(label, t.gates[i].suffix)
+			t.lastLabels[i] = sh.label(label, t.gates[i].suffix)
 		}
 		t.lastPrefix = label
 		t.hasLast = true
 	}
 	for gi := range t.gates {
 		g := &t.gates[gi]
-		if cap(e.scratch) < len(g.wires) {
-			e.scratch = make([]int, 2*len(g.wires))
+		if cap(sh.wires) < len(g.wires) {
+			sh.wires = make([]int, 2*len(g.wires))
 		}
-		w := e.scratch[:len(g.wires)]
+		w := sh.wires[:len(g.wires)]
 		for i, li := range g.wires {
 			w[i] = in[li]
 		}
 		e.b.AddValidated(w, t.lastLabels[gi])
 	}
-	out := e.shared.allocOut(len(t.out))
+	out := e.ints(len(t.out))
 	for i, li := range t.out {
 		out[i] = in[li]
 	}
@@ -335,42 +382,44 @@ func (e *buildEnv) replay(t *template, in []int, label string) []int {
 //
 // Keys are assembled in the build-wide key buffer and passed to cached
 // as a byte slice: lookups convert with the compiler's no-alloc
-// map[string(b)] form, and only a cache miss pays for a real string.
-// With memoization disabled (nil shared scratch) the key is irrelevant
-// and nil is returned.
+// map[string(b)] form, and only a recorded shape pays for a real
+// string. Tagged keys end in the parts of the configuration that shape
+// construction (base kind and staircase variant). With memoization
+// disabled the key is irrelevant and nil is returned.
 
 func (e *buildEnv) keyFactors(kind string, factors []int, tagged bool) []byte {
-	if e.shared == nil {
+	if !e.memoOK {
 		return nil
 	}
-	k := append(e.shared.keyBuf[:0], kind...)
+	k := append(e.sh.keyBuf[:0], kind...)
 	for _, f := range factors {
 		k = append(k, '|')
 		k = strconv.AppendInt(k, int64(f), 10)
 	}
-	if tagged {
-		k = append(k, '|')
-		k = append(k, e.tag...)
-	}
-	e.shared.keyBuf = k
-	return k
+	return e.endKey(k, tagged)
 }
 
 func (e *buildEnv) key3(kind string, a, b, c int, tagged bool) []byte {
-	if e.shared == nil {
+	if !e.memoOK {
 		return nil
 	}
-	k := append(e.shared.keyBuf[:0], kind...)
+	k := append(e.sh.keyBuf[:0], kind...)
 	k = append(k, '|')
 	k = strconv.AppendInt(k, int64(a), 10)
 	k = append(k, '|')
 	k = strconv.AppendInt(k, int64(b), 10)
 	k = append(k, '|')
 	k = strconv.AppendInt(k, int64(c), 10)
+	return e.endKey(k, tagged)
+}
+
+func (e *buildEnv) endKey(k []byte, tagged bool) []byte {
 	if tagged {
-		k = append(k, '|')
-		k = append(k, e.tag...)
+		k = append(k, "|b"...)
+		k = strconv.AppendInt(k, int64(e.baseKind), 10)
+		k = append(k, 's')
+		k = strconv.AppendInt(k, int64(e.cfg.Staircase), 10)
 	}
-	e.shared.keyBuf = k
+	e.sh.keyBuf = k
 	return k
 }

@@ -4,62 +4,59 @@ import (
 	"fmt"
 
 	"countnet/internal/network"
-	"countnet/internal/seq"
 )
 
 // merger appends the merger network M(p0,...,pn-1) of Section 4.2.
-// inputs holds the p(n-1) input orderings X_0..X_{p(n-1)-1}, each of
-// length w(n-2) = p0*...*p(n-2). If each input carries a step sequence,
-// the returned ordering of all w(n-1) wires carries a step sequence.
+// in holds the p(n-1) input orderings X_0..X_{p(n-1)-1}, each of
+// length w(n-2) = p0*...*p(n-2), one after another. If each input
+// carries a step sequence, the returned ordering of all w(n-1) wires
+// carries a step sequence.
 //
 // For n == 2 the merger is the base network C(p0,p1). For n > 2, take
 // p(n-2) copies of M(p0,..,p(n-3),p(n-1)); copy i receives the strided
 // subsequences X_j[i, p(n-2)]; their outputs Y_0..Y_{p(n-2)-1} satisfy
 // the p(n-1)-staircase property (Proposition 2) and are merged by the
 // staircase-merger S(w(n-3), p(n-1), p(n-2)).
-func (e *buildEnv) merger(factors []int, inputs [][]int, label string) []int {
+func (e *buildEnv) merger(factors []int, in []int, label string) []int {
 	n := len(factors)
 	if n < 2 {
 		panic(fmt.Sprintf("core: merger %q with %d factors", label, n))
 	}
-	if len(inputs) != factors[n-1] {
-		panic(fmt.Sprintf("core: merger %q got %d inputs, want p(n-1)=%d", label, len(inputs), factors[n-1]))
-	}
-	wEach := Product(factors[:n-1]) // w(n-2): length of each input sequence
-	for i, x := range inputs {
-		if len(x) != wEach {
-			panic(fmt.Sprintf("core: merger %q input %d has length %d, want w(n-2)=%d", label, i, len(x), wEach))
-		}
+	if w := Product(factors); len(in) != w {
+		panic(fmt.Sprintf("core: merger %q got %d wires, want w(n-1)=%d", label, len(in), w))
 	}
 	if n == 2 {
-		return e.callBase(seq.Concat(inputs...), factors[0], factors[1], label+"/M.base")
+		return e.callBase(in, factors[0], factors[1], e.sh.label(label, "/M.base"))
 	}
-	flat := seq.Concat(inputs...)
-	return e.cached(e.keyFactors("M", factors, true), flat, label, func(e *buildEnv, in []int, label string) []int {
-		parts := make([][]int, len(inputs))
-		for i := range parts {
-			parts[i] = in[i*wEach : (i+1)*wEach]
-		}
-		return e.mergerRaw(factors, parts, label)
+	return e.cached(e.keyFactors("M", factors, true), in, label, false, func(e *buildEnv, in []int, label string) []int {
+		return e.mergerRaw(factors, in, label)
 	})
 }
 
 // mergerRaw derives the recursive merger; merger memoizes around it.
-func (e *buildEnv) mergerRaw(factors []int, inputs [][]int, label string) []int {
+func (e *buildEnv) mergerRaw(factors []int, in []int, label string) []int {
 	n := len(factors)
 
 	pn1 := factors[n-1] // p(n-1): number of input sequences
 	pn2 := factors[n-2] // p(n-2): number of sub-merger copies
 
 	// Sub-merger factor list: p0,...,p(n-3),p(n-1).
-	subFactors := append(append([]int(nil), factors[:n-2]...), pn1)
-	ys := make([][]int, pn2)
+	var buf [32]int // a width fits an int32, so n <= 31
+	subFactors := append(append(buf[:0], factors[:n-2]...), pn1)
+	each := len(in) / pn1 // w(n-2): length of each input sequence
+	subEach := each / pn2 // length of X_j[i, p(n-2)]
+	ys := e.ints(len(in)) // Y_0..Y_{p(n-2)-1}, one after another
 	for i := 0; i < pn2; i++ {
-		subInputs := make([][]int, pn1)
+		sub := e.ints(len(in) / pn2)
+		// Copy i's inputs X_0[i, p(n-2)], ..., X_{p(n-1)-1}[i, p(n-2)].
 		for j := 0; j < pn1; j++ {
-			subInputs[j] = seq.Stride(inputs[j], i, pn2)
+			x, s := in[j*each:(j+1)*each], sub[j*subEach:(j+1)*subEach]
+			for k := range s {
+				s[k] = x[i+k*pn2]
+			}
 		}
-		ys[i] = e.merger(subFactors, subInputs, label)
+		y := ys[i*len(sub) : (i+1)*len(sub)]
+		copy(y, e.merger(subFactors, sub, label))
 	}
 
 	// S(w(n-3), p(n-1), p(n-2)).
@@ -78,17 +75,16 @@ func (e *buildEnv) counting(in []int, factors []int, label string) []int {
 	case n == 0:
 		panic("core: counting with no factors")
 	case n == 1:
-		e.b.Add(in, label+"/C.balancer")
+		e.b.Add(in, e.sh.label(label, "/C.balancer"))
 		return in
 	case n == 2:
-		return e.callBase(in, factors[0], factors[1], label+"/C.base")
+		return e.callBase(in, factors[0], factors[1], e.sh.label(label, "/C.base"))
 	}
-	return e.cached(e.keyFactors("C", factors, true), in, label, func(e *buildEnv, in []int, label string) []int {
-		pn1 := factors[n-1]
-		blockLen := len(in) / pn1
-		outs := make([][]int, pn1)
-		for i := 0; i < pn1; i++ {
-			outs[i] = e.counting(in[i*blockLen:(i+1)*blockLen], factors[:n-1], label)
+	return e.cached(e.keyFactors("C", factors, true), in, label, false, func(e *buildEnv, in []int, label string) []int {
+		blockLen := len(in) / factors[n-1]
+		outs := e.ints(len(in))
+		for i := 0; i < len(in); i += blockLen {
+			copy(outs[i:i+blockLen], e.counting(in[i:i+blockLen], factors[:n-1], label))
 		}
 		return e.merger(factors, outs, label)
 	})
@@ -107,15 +103,8 @@ func MergerNetwork(cfg Config, factors ...int) (*network.Network, error) {
 		return nil, fmt.Errorf("core: config without base network")
 	}
 	w := Product(factors)
-	n := len(factors)
-	each := w / factors[n-1]
 	b := network.NewBuilder(w)
-	id := network.Identity(w)
-	inputs := make([][]int, factors[n-1])
-	for i := range inputs {
-		inputs[i] = id[i*each : (i+1)*each]
-	}
 	name := factorsName("M", factors)
-	out := newEnv(b, cfg).merger(factors, inputs, name)
+	out := newEnv(b, cfg).merger(factors, network.Identity(w), name)
 	return b.Build(name, out), nil
 }

@@ -57,6 +57,9 @@ func TestOptVariantsSort(t *testing.T) {
 		if n.Depth() != mustFor(t, w).Depth {
 			t.Errorf("OptSortNetwork(%d): built depth %d, table depth %d", w, n.Depth(), mustFor(t, w).Depth)
 		}
+		if len(n.Gates) != cap(n.Gates) {
+			t.Errorf("OptSortNetwork(%d): gate table len %d cap %d, want no spare capacity", w, len(n.Gates), cap(n.Gates))
+		}
 		if n.Size() != mustFor(t, w).Size {
 			t.Errorf("OptSortNetwork(%d): built size %d, table size %d", w, n.Size(), mustFor(t, w).Size)
 		}

@@ -60,14 +60,14 @@ func LOptConfig() Config {
 // all pairwise factor products stay within optnet.MaxWidth. Sorting
 // network only; see the package note above.
 func KOpt(factors ...int) (*network.Network, error) {
-	return build(KOptConfig(), factorsName("Kopt", factors), factors, nil)
+	return build(KOptConfig(), factorsName("Kopt", factors), factors, KOptGateCount)
 }
 
 // LOpt builds the sorting network Lopt(p0,...,pn-1): family L with the
 // embedded optimal sorter substituted for R(p,q) wherever it fits.
 // Sorting network only; see the package note above.
 func LOpt(factors ...int) (*network.Network, error) {
-	return build(LOptConfig(), factorsName("Lopt", factors), factors, nil)
+	return build(LOptConfig(), factorsName("Lopt", factors), factors, LOptGateCount)
 }
 
 // ROpt builds the standalone optimal-base C(p,q): the embedded sorter
@@ -78,6 +78,7 @@ func ROpt(p, q int) (*network.Network, error) {
 	}
 	name := fmt.Sprintf("Ropt(%d,%d)", p, q)
 	b := network.NewBuilder(p * q)
+	b.Grow(optGates(p, q, RGateCount))
 	out := newEnv(b, Config{Base: OptRBase}).optRBase(network.Identity(p*q), p, q, name)
 	return b.Build(name, out), nil
 }
@@ -86,11 +87,13 @@ func ROpt(p, q int) (*network.Network, error) {
 // width w (optnet.MinWidth <= w <= optnet.MaxWidth) as a standalone
 // network of 2-balancers.
 func OptSortNetwork(w int) (*network.Network, error) {
-	if _, ok := optnet.For(w); !ok {
+	opt, ok := optnet.For(w)
+	if !ok {
 		return nil, fmt.Errorf("core: no embedded optimal network for width %d (have %d..%d)", w, optnet.MinWidth, optnet.MaxWidth)
 	}
 	name := fmt.Sprintf("Opt(%d)", w)
 	b := network.NewBuilder(w)
+	b.Grow(opt.Size)
 	e := newEnv(b, Config{Base: OptBalancerBase})
 	out := e.optSorter(network.Identity(w), name)
 	return b.Build(name, out), nil
@@ -123,10 +126,12 @@ func (e *buildEnv) optSorter(in []int, label string) []int {
 	if !ok {
 		panic(fmt.Sprintf("core: optSorter %q over %d wires, want %d..%d", label, len(in), optnet.MinWidth, optnet.MaxWidth))
 	}
-	return e.cached(e.key3("O", len(in), 0, 0, false), in, label, func(e *buildEnv, in []int, label string) []int {
+	return e.cached(e.key3("O", len(in), 0, 0, false), in, label, false, func(e *buildEnv, in []int, label string) []int {
+		optLabel := e.sh.label(label, "/opt")
 		for _, layer := range n.Layers {
 			for _, c := range layer {
-				e.b.Add([]int{in[c.A], in[c.B]}, label+"/opt")
+				pair := [2]int{in[c.A], in[c.B]}
+				e.b.Add(pair[:], optLabel)
 			}
 		}
 		return in

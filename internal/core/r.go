@@ -48,7 +48,7 @@ func (e *buildEnv) buildR(in []int, p, q int, label string) []int {
 	if len(in) != p*q {
 		panic(fmt.Sprintf("core: R(%d,%d) over %d wires", p, q, len(in)))
 	}
-	return e.cached(e.key3("R", p, q, 0, false), in, label, func(e *buildEnv, in []int, label string) []int {
+	return e.cached(e.key3("R", p, q, 0, false), in, label, true, func(e *buildEnv, in []int, label string) []int {
 		return e.buildRRaw(in, p, q, label)
 	})
 }
@@ -71,10 +71,12 @@ func (e *buildEnv) buildRRaw(in []int, p, q int, label string) []int {
 	// region lists the wires of rows [r0,r1) x cols [c0,c1) of the
 	// p x q row-major arrangement of `in`, in row-major order.
 	region := func(r0, r1, c0, c1 int) []int {
-		out := make([]int, 0, (r1-r0)*(c1-c0))
+		out := e.ints((r1 - r0) * (c1 - c0))
+		i := 0
 		for r := r0; r < r1; r++ {
 			for c := c0; c < c1; c++ {
-				out = append(out, in[r*q+c])
+				out[i] = in[r*q+c]
+				i++
 			}
 		}
 		return out
@@ -89,16 +91,31 @@ func (e *buildEnv) buildRRaw(in []int, p, q int, label string) []int {
 			return wires
 		}
 		if len(wires) <= m {
-			b.Add(wires, label+"/"+what+".bal")
+			b.Add(wires, e.sh.label(label, "/", what, ".bal"))
 			return wires
 		}
 		for _, f := range kFactors {
 			if f < 2 {
+				// A copy: printing kFactors itself would move every
+				// call's factor list to the heap.
 				panic(fmt.Sprintf("core: R(%d,%d) region %s of size %d needs K%v with factor < 2",
-					p, q, what, len(wires), kFactors))
+					p, q, what, len(wires), append([]int(nil), kFactors...)))
 			}
 		}
-		return e.withConfig(KConfig()).counting(wires, kFactors, label+"/"+what+".K")
+		return e.kView().counting(wires, kFactors, e.sh.label(label, "/", what, ".K"))
+	}
+
+	// merge two-merges x0 and x1 under label+suffix. Most merges of a
+	// small R have an empty side and pass the other through, so the
+	// label is composed only for a real one.
+	merge := func(p int, x0, x1 []int, suffix string) []int {
+		if len(x0) == 0 {
+			return x1
+		}
+		if len(x1) == 0 {
+			return x0
+		}
+		return e.twoMerger(p, x0, x1, false, e.sh.label(label, suffix))
 	}
 
 	// Quadrant A: phat^2 x qhat^2 via K(phat,phat,qhat,qhat).
@@ -107,12 +124,12 @@ func (e *buildEnv) buildRRaw(in []int, p, q int, label string) []int {
 	// Quadrant B: phat^2 x qbar, split by columns into B0 | B1.
 	b0Out := step(region(0, ph*ph, qh*qh, qh*qh+qb0), []int{qb0, ph, ph}, "B0")
 	b1Out := step(region(0, ph*ph, qh*qh+qb0, q), []int{qb1, ph, ph}, "B1")
-	bOut := e.twoMerger(ph*ph, b0Out, b1Out, false, label+"/T.B")
+	bOut := merge(ph*ph, b0Out, b1Out, "/T.B")
 
 	// Quadrant C: pbar x qhat^2, split by rows into C0 / C1.
 	c0Out := step(region(ph*ph, ph*ph+pb0, 0, qh*qh), []int{pb0, qh, qh}, "C0")
 	c1Out := step(region(ph*ph+pb0, p, 0, qh*qh), []int{pb1, qh, qh}, "C1")
-	cOut := e.twoMerger(qh*qh, c0Out, c1Out, false, label+"/T.C")
+	cOut := merge(qh*qh, c0Out, c1Out, "/T.C")
 
 	// Quadrant D: pbar x qbar, quartered; each quarter fits in a single
 	// balancer (appendix equation 3).
@@ -120,12 +137,12 @@ func (e *buildEnv) buildRRaw(in []int, p, q int, label string) []int {
 	d01 := step(region(ph*ph, ph*ph+pb0, qh*qh+qb0, q), nil, "D01")
 	d10 := step(region(ph*ph+pb0, p, qh*qh, qh*qh+qb0), nil, "D10")
 	d11 := step(region(ph*ph+pb0, p, qh*qh+qb0, q), nil, "D11")
-	dTop := e.twoMerger(pb0, d00, d01, false, label+"/T.D0")
-	dBot := e.twoMerger(pb1, d10, d11, false, label+"/T.D1")
-	dOut := e.twoMerger(qb, dTop, dBot, false, label+"/T.D")
+	dTop := merge(pb0, d00, d01, "/T.D0")
+	dBot := merge(pb1, d10, d11, "/T.D1")
+	dOut := merge(qb, dTop, dBot, "/T.D")
 
 	// Merge A'B' and C'D', then the halves.
-	abOut := e.twoMerger(ph*ph, aOut, bOut, false, label+"/T.AB")
-	cdOut := e.twoMerger(pb, cOut, dOut, false, label+"/T.CD")
-	return e.twoMerger(q, abOut, cdOut, false, label+"/T.fin")
+	abOut := merge(ph*ph, aOut, bOut, "/T.AB")
+	cdOut := merge(pb, cOut, dOut, "/T.CD")
+	return merge(q, abOut, cdOut, "/T.fin")
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"runtime"
 	"testing"
+
+	"countnet/internal/network"
 )
 
 // TestKGateCountMatchesBuiltNetworks: the recurrence must reproduce the
@@ -32,7 +34,7 @@ func TestKMergerGatesMatchesBuilt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := m.Size(), kMergerGates(fs); got != want {
+		if got, want := m.Size(), mergerGates(fs, balancerGates, kStair); got != want {
 			t.Errorf("M%v: built %d gates, recurrence %d", fs, got, want)
 		}
 	}
@@ -45,7 +47,7 @@ func TestKStaircaseGates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := s.Size(), kStaircaseGates(c[0], c[1], c[2]); got != want {
+		if got, want := s.Size(), kStair(c[0], c[1], c[2], 1); got != want {
 			t.Errorf("S(%d,%d,%d): built %d gates, recurrence %d", c[0], c[1], c[2], got, want)
 		}
 	}
@@ -82,6 +84,66 @@ func TestLGateCountMatchesBuilt(t *testing.T) {
 		if got, want := n.Size(), LGateCount(fs); got != want {
 			t.Errorf("L%v: built %d gates, recurrence %d", fs, got, want)
 		}
+	}
+}
+
+// TestOptGateCountMatchesBuilt: the Kopt and Lopt recurrences must
+// reproduce the builder exactly, and the builds they size must leave no
+// spare capacity in the gate table they hand over. The sweep covers
+// every base slot kind: the embedded sorters (pq <= 16), the fallback
+// balancer and R(p,q) (pq > 16), and mixes of the two.
+func TestOptGateCountMatchesBuilt(t *testing.T) {
+	cases := append([][]int{
+		{2}, {7}, {4, 5}, {5, 4}, {3, 6}, {2, 2, 5}, {3, 4, 5, 6}, {2, 3, 2, 3, 2},
+	}, optFactorSweep...)
+	for _, fs := range cases {
+		for _, c := range []struct {
+			name  string
+			build func(...int) (*network.Network, error)
+			count func([]int) int
+		}{{"Kopt", KOpt, KOptGateCount}, {"Lopt", LOpt, LOptGateCount}} {
+			n, err := c.build(fs...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := n.Size(), c.count(fs); got != want {
+				t.Errorf("%s%v: built %d gates, recurrence %d", c.name, fs, got, want)
+			}
+			if len(n.Gates) != cap(n.Gates) {
+				t.Errorf("%s%v: gate table len %d cap %d, want no spare capacity", c.name, fs, len(n.Gates), cap(n.Gates))
+			}
+		}
+	}
+	for _, pq := range [][2]int{{2, 2}, {4, 4}, {4, 5}, {5, 5}} {
+		n, err := ROpt(pq[0], pq[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(n.Gates) != cap(n.Gates) {
+			t.Errorf("%s: gate table len %d cap %d, want no spare capacity", n.Name, len(n.Gates), cap(n.Gates))
+		}
+	}
+}
+
+// TestLOptBuildAllocatesGatesOnce guards the exact-size Lopt build.
+// LOpt(3,4,5,6) allocated 1.62 MB per build while its gate table grew
+// by doubling and the network kept up to half of it as spare capacity.
+// Sized by LOptGateCount, with its wires in chunks sized by the gates
+// still to come, it takes about 0.91 MB; the limit is 40% under 1.62 MB.
+func TestLOptBuildAllocatesGatesOnce(t *testing.T) {
+	const limit = 950 << 10
+	build := func() {
+		if _, err := LOpt(3, 4, 5, 6); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build() // warm-up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	build()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("LOpt(3,4,5,6) allocated %d bytes, want at most %d", got, limit)
 	}
 }
 

@@ -7,62 +7,54 @@ import (
 )
 
 // staircase appends the staircase-merger S(r,p,q) of Section 4.3 to the
-// builder. xs holds the q input orderings X_0..X_{q-1}, each of length
-// r*p. If each X_i carries a step sequence and together they satisfy
-// the p-staircase property, the returned ordering of all r*p*q wires
-// carries a step sequence.
+// builder. in holds the q input orderings X_0..X_{q-1}, each of length
+// r*p, one after another. If each X_i carries a step sequence and
+// together they satisfy the p-staircase property, the returned ordering
+// of all r*p*q wires carries a step sequence.
 //
 // The input sequences are the columns of an (r*p) x q matrix A, which
 // is partitioned into r blocks A_0..A_{r-1} of p rows each; block
 // sequences are read in row-major order, and the output is A in
 // row-major order, i.e. the concatenation of the final block orderings.
-func (e *buildEnv) staircase(r, p, q int, xs [][]int, label string) []int {
-	if len(xs) != q {
-		panic(fmt.Sprintf("core: staircase %q got %d inputs, want q=%d", label, len(xs), q))
+func (e *buildEnv) staircase(r, p, q int, in []int, label string) []int {
+	if len(in) != r*p*q {
+		panic(fmt.Sprintf("core: staircase %q got %d wires, want r*p*q=%d", label, len(in), r*p*q))
 	}
-	for i, x := range xs {
-		if len(x) != r*p {
-			panic(fmt.Sprintf("core: staircase %q input %d has length %d, want r*p=%d", label, i, len(x), r*p))
-		}
-	}
-	flat := make([]int, 0, r*p*q)
-	for _, x := range xs {
-		flat = append(flat, x...)
-	}
-	return e.cached(e.key3("S", r, p, q, true), flat, label, func(e *buildEnv, in []int, label string) []int {
-		parts := make([][]int, q)
-		for i := range parts {
-			parts[i] = in[i*r*p : (i+1)*r*p]
-		}
-		return e.staircaseRaw(r, p, q, parts, label)
+	return e.cached(e.key3("S", r, p, q, true), in, label, false, func(e *buildEnv, in []int, label string) []int {
+		return e.staircaseRaw(r, p, q, in, label)
 	})
 }
 
 // staircaseRaw derives the staircase gate-by-gate; staircase memoizes
 // around it.
-func (e *buildEnv) staircaseRaw(r, p, q int, xs [][]int, label string) []int {
+func (e *buildEnv) staircaseRaw(r, p, q int, in []int, label string) []int {
 	b, cfg := e.b, e.cfg
+	pq := p * q
 
 	// Block i, read in row-major order: element j of the block sits in
-	// absolute row i*p + j/q, column j%q; column c of A is xs[c].
-	blocks := make([][]int, r)
+	// absolute row i*p + j/q, column j%q; column c of A is X_c. The
+	// blocks lie side by side in one slice, which each layer rewrites
+	// in place and which is, at the end, the output.
+	blocks := e.ints(r * pq)
+	block := func(i int) []int { return blocks[i*pq : (i+1)*pq : (i+1)*pq] }
 	for i := 0; i < r; i++ {
-		blk := make([]int, p*q)
-		for j := 0; j < p*q; j++ {
-			blk[j] = xs[j%q][i*p+j/q]
+		blk := block(i)
+		for j := range blk {
+			blk[j] = in[(j%q)*r*p+i*p+j/q]
 		}
-		blocks[i] = blk
 	}
 
 	// First layer: give each block the step property with the base
 	// counting network C(p,q).
+	baseLabel := e.sh.label(label, "/S.base")
 	for i := 0; i < r; i++ {
-		blocks[i] = e.callBase(blocks[i], p, q, label+"/S.base")
+		blk := block(i)
+		copy(blk, e.callBase(blk, p, q, baseLabel))
 	}
 	if r == 1 {
 		// A single block: the base network already produced the step
 		// property over the whole output.
-		return blocks[0]
+		return blocks
 	}
 
 	switch cfg.Staircase {
@@ -73,27 +65,35 @@ func (e *buildEnv) staircaseRaw(r, p, q int, xs [][]int, label string) []int {
 		// first output (north) to the A_i side. Afterwards the
 		// discrepancy is confined to a single block as a bitonic
 		// sequence (Proposition 4).
-		s := (p * q) / 2
+		ell := e.sh.label(label, "/S.ell")
+		var pair [2]int
 		for i := 0; i < r; i++ {
-			up := blocks[i]         // block A_i: lower half participates
-			down := blocks[(i+1)%r] // block A_{i+1 mod r}: upper half participates
-			for j := 0; j < s; j++ {
+			up := block(i)             // block A_i: lower half participates
+			down := block((i + 1) % r) // block A_{i+1 mod r}: upper half participates
+			for j := 0; j < pq/2; j++ {
 				// North (the balancer's first output) is the element in the
 				// lower-indexed block: A_i for interior boundaries, A_0 for
 				// the cyclic wrap boundary between A_{r-1} and A_0.
 				if i == r-1 {
-					b.Add([]int{down[j], up[p*q-1-j]}, label+"/S.ell")
+					pair = [2]int{down[j], up[pq-1-j]}
 				} else {
-					b.Add([]int{up[p*q-1-j], down[j]}, label+"/S.ell")
+					pair = [2]int{up[pq-1-j], down[j]}
 				}
+				b.Add(pair[:], ell)
 			}
 		}
 		// Final layer: fix the bitonic discrepancy in every block.
-		for i := 0; i < r; i++ {
-			if cfg.Staircase == StaircaseOptBase {
-				blocks[i] = e.callBase(blocks[i], p, q, label+"/S.fin")
-			} else {
-				blocks[i] = e.bitonic(p, blocks[i], label+"/S.D")
+		if cfg.Staircase == StaircaseOptBase {
+			finLabel := e.sh.label(label, "/S.fin")
+			for i := 0; i < r; i++ {
+				blk := block(i)
+				copy(blk, e.callBase(blk, p, q, finLabel))
+			}
+		} else {
+			dLabel := e.sh.label(label, "/S.D")
+			for i := 0; i < r; i++ {
+				blk := block(i)
+				copy(blk, e.bitonic(p, blk, dLabel))
 			}
 		}
 
@@ -101,15 +101,16 @@ func (e *buildEnv) staircaseRaw(r, p, q int, xs [][]int, label string) []int {
 		// Section 4.3: merge adjacent blocks with two-mergers T(p,q,q),
 		// odd-even-transposition style over blocks, wrapping cyclically.
 		sub := cfg.Staircase == StaircaseBasicSub
+		tLabel := e.sh.label(label, "/S.T")
 		mergePair := func(upper, lower int) {
 			// The cyclic wrap pair is (A_{r-1}, A_0); globally A_0 is the
 			// top block, so it takes the excess.
 			if upper > lower {
 				upper, lower = lower, upper
 			}
-			out := e.twoMerger(p, blocks[upper], blocks[lower], sub, label+"/S.T")
-			blocks[upper] = out[:p*q]
-			blocks[lower] = out[p*q:]
+			out := e.twoMerger(p, block(upper), block(lower), sub, tLabel)
+			copy(block(upper), out[:pq])
+			copy(block(lower), out[pq:])
 		}
 		// First layer: (A_0,A_1), (A_2,A_3), ...
 		for i := 0; 2*i+1 < r; i++ {
@@ -130,12 +131,7 @@ func (e *buildEnv) staircaseRaw(r, p, q int, xs [][]int, label string) []int {
 	default:
 		panic(fmt.Sprintf("core: unknown staircase kind %v", cfg.Staircase))
 	}
-
-	out := make([]int, 0, r*p*q)
-	for i := 0; i < r; i++ {
-		out = append(out, blocks[i]...)
-	}
-	return out
+	return blocks
 }
 
 // StaircaseNetwork builds a standalone S(r,p,q) under cfg. Input
@@ -149,11 +145,7 @@ func StaircaseNetwork(cfg Config, r, p, q int) (*network.Network, error) {
 	}
 	width := r * p * q
 	b := network.NewBuilder(width)
-	xs := make([][]int, q)
-	for i := 0; i < q; i++ {
-		xs[i] = network.Identity(width)[i*r*p : (i+1)*r*p]
-	}
 	name := fmt.Sprintf("S(%d,%d,%d)", r, p, q)
-	out := newEnv(b, cfg).staircase(r, p, q, xs, name)
+	out := newEnv(b, cfg).staircase(r, p, q, network.Identity(width), name)
 	return b.Build(name, out), nil
 }

@@ -224,8 +224,7 @@ func TestStaircaseAllWiresCovered(t *testing.T) {
 	for _, kind := range allStaircaseKinds {
 		cfg := Config{Base: BalancerBase, Staircase: kind}
 		b := network.NewBuilder(12)
-		xs := [][]int{identity(12)[0:6], identity(12)[6:12]}
-		out := newEnv(b, cfg).staircase(3, 2, 2, xs, "perm")
+		out := newEnv(b, cfg).staircase(3, 2, 2, identity(12), "perm")
 		seen := make([]bool, 12)
 		for _, w := range out {
 			if w < 0 || w >= 12 || seen[w] {

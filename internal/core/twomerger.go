@@ -43,10 +43,7 @@ func (e *buildEnv) twoMerger(p int, x0, x1 []int, subRows bool, label string) []
 	if subRows {
 		kind = "Ts"
 	}
-	key := e.key3(kind, p, q0, q1, false)
-	flat := make([]int, 0, len(x0)+len(x1))
-	flat = append(append(flat, x0...), x1...)
-	return e.cached(key, flat, label, func(e *buildEnv, in []int, label string) []int {
+	return e.cached(e.key3(kind, p, q0, q1, false), e.concat(x0, x1), label, false, func(e *buildEnv, in []int, label string) []int {
 		return e.twoMergerRaw(p, in[:p*q0], in[p*q0:], subRows, label)
 	})
 }
@@ -58,40 +55,38 @@ func (e *buildEnv) twoMergerRaw(p int, x0, x1 []int, subRows bool, label string)
 	q0, q1 := len(x0)/p, len(x1)/p
 	cols := q0 + q1
 
-	// w[r][c]: the wire in row r, column c of the combined matrix.
-	w := make([][]int, p)
+	// w[r*cols+c]: the wire in row r, column c of the combined matrix.
+	w := e.ints(p * cols)
 	for r := 0; r < p; r++ {
-		w[r] = make([]int, cols)
 		for c := 0; c < q0; c++ {
-			w[r][c] = x0[c*p+r] // column major
+			w[r*cols+c] = x0[c*p+r] // column major
 		}
 		for c := 0; c < q1; c++ {
-			w[r][q0+c] = x1[(q1-c-1)*p+(p-r-1)] // reverse column major
+			w[r*cols+q0+c] = x1[(q1-c-1)*p+(p-r-1)] // reverse column major
 		}
 	}
 
 	// First layer: one balancer across each row.
+	rowLabel := e.sh.label(label, "/row")
 	for r := 0; r < p; r++ {
+		row := w[r*cols : (r+1)*cols]
 		if subRows && q0 == q1 && cols >= 4 {
-			w[r] = e.substituteRow(w[r], label)
+			copy(row, e.substituteRow(row, label))
 		} else {
-			b.Add(w[r], label+"/row")
+			b.Add(row, rowLabel)
 		}
 	}
-	// Second layer: one balancer across each column.
-	col := make([]int, p)
+	// Second layer: one balancer across each column. Output: the
+	// combined matrix in column-major order, so column c is out's
+	// c-th run of p wires.
+	colLabel := e.sh.label(label, "/col")
+	out := e.ints(p * cols)
 	for c := 0; c < cols; c++ {
-		for r := 0; r < p; r++ {
-			col[r] = w[r][c]
+		col := out[c*p : (c+1)*p]
+		for r := range col {
+			col[r] = w[r*cols+c]
 		}
-		b.Add(col, label+"/col")
-	}
-	// Output: the combined matrix in column-major order.
-	out := make([]int, 0, p*cols)
-	for c := 0; c < cols; c++ {
-		for r := 0; r < p; r++ {
-			out = append(out, w[r][c])
-		}
+		b.Add(col, colLabel)
 	}
 	return out
 }
@@ -104,12 +99,11 @@ func (e *buildEnv) twoMergerRaw(p int, x0, x1 []int, subRows bool, label string)
 // ordering replaces the row left to right.
 func (e *buildEnv) substituteRow(row []int, label string) []int {
 	k := len(row) / 2
-	left := append([]int(nil), row[:k]...)
-	right := make([]int, k)
-	for i := 0; i < k; i++ {
+	right := e.ints(k)
+	for i := range right {
 		right[i] = row[len(row)-1-i]
 	}
-	return e.twoMerger(k, left, right, false, label+"/rowsub")
+	return e.twoMerger(k, row[:k], right, false, e.sh.label(label, "/rowsub"))
 }
 
 // TwoMergerNetwork builds a standalone T(p,q0,q1) whose first input

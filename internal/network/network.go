@@ -161,7 +161,11 @@ func (n *Network) Validate() error {
 		}
 		seen[w] = true
 	}
-	wireDepth := make([]int, n.WireCount)
+	// Per wire: the depth of its last gate, and one past that gate's
+	// index, so a gate finds a duplicate wire as its own stamp, with no
+	// per-gate set.
+	type wireState struct{ depth, stamp int }
+	wires := make([]wireState, n.WireCount)
 	maxLayer := 0
 	for i := range n.Gates {
 		g := &n.Gates[i]
@@ -171,28 +175,30 @@ func (n *Network) Validate() error {
 		if g.Width() < 2 {
 			return fmt.Errorf("network: gate %d has width %d < 2", i, g.Width())
 		}
-		inGate := make(map[int]bool, g.Width())
+		// One pass per gate. A layer clash is reported only after every
+		// wire passed the range and duplicate checks, which take
+		// precedence; the wires are distinct by then, so raising one
+		// wire's depth leaves the check of the others as it was.
+		layer, stamp := g.Layer, i+1
+		clash, clashDepth := -1, 0
 		for _, w := range g.Wires {
-			if w < 0 || w >= n.WireCount {
+			if uint(w) >= uint(len(wires)) {
 				return fmt.Errorf("network: gate %d touches wire %d outside width %d", i, w, n.WireCount)
 			}
-			if inGate[w] {
+			ws := &wires[w]
+			if ws.stamp == stamp {
 				return fmt.Errorf("network: gate %d touches wire %d twice", i, w)
 			}
-			inGate[w] = true
-		}
-		for _, w := range g.Wires {
-			if g.Layer <= wireDepth[w] {
-				return fmt.Errorf("network: gate %d at layer %d but wire %d already at depth %d",
-					i, g.Layer, w, wireDepth[w])
+			if layer <= ws.depth && clash < 0 {
+				clash, clashDepth = w, ws.depth
 			}
+			ws.depth, ws.stamp = layer, stamp
 		}
-		for _, w := range g.Wires {
-			wireDepth[w] = g.Layer
+		if clash >= 0 {
+			return fmt.Errorf("network: gate %d at layer %d but wire %d already at depth %d",
+				i, layer, clash, clashDepth)
 		}
-		if g.Layer > maxLayer {
-			maxLayer = g.Layer
-		}
+		maxLayer = max(maxLayer, layer)
 	}
 	if maxLayer != n.depth {
 		return fmt.Errorf("network: recorded depth %d, computed %d", n.depth, maxLayer)
@@ -240,9 +246,12 @@ type Builder struct {
 // copyWires stores a private copy of wires in the arena.
 func (b *Builder) copyWires(wires []int) []int {
 	if cap(b.wireArena)-len(b.wireArena) < len(wires) {
-		// Chunks scale with the build: small networks stay small,
-		// large ones amortize quickly.
-		n := 2 * cap(b.wireArena)
+		// Chunks scale with the gates the table still has room for, at
+		// two wires each (no gate has fewer). A table presized to the
+		// build's gate count so takes its wires in few chunks and
+		// wastes at most the last one's tail; a table that grows by
+		// doubling gets chunks that double with it.
+		n := 2 * (cap(b.gates) - len(b.gates))
 		if min := 2 * b.width; n < min {
 			n = min
 		}
@@ -334,16 +343,17 @@ func (b *Builder) AddValidated(wires []int, label string) {
 		}
 	}
 	layer++
-	g := Gate{ID: len(b.gates), Wires: b.copyWires(wires), Layer: layer, Label: label}
-	for _, w := range wires {
-		b.wireDepth[w] = layer
-	}
 	// Grow by doubling: the runtime's 1.25x policy for large slices
-	// re-copies this hot, pointer-bearing slice far too often.
+	// re-copies this hot, pointer-bearing slice far too often. The
+	// table grows before the wires are copied, which size their chunks
+	// by its free slots.
 	if len(b.gates) == cap(b.gates) {
 		b.Grow(cap(b.gates) + 16)
 	}
-	b.gates = append(b.gates, g)
+	b.gates = append(b.gates, Gate{ID: len(b.gates), Wires: b.copyWires(wires), Layer: layer, Label: label})
+	for _, w := range wires {
+		b.wireDepth[w] = layer
+	}
 }
 
 // Grow makes room for at least n more gates, in the manner of

@@ -352,3 +352,39 @@ func TestDOTAndASCII(t *testing.T) {
 		t.Error("empty DOT should still render")
 	}
 }
+
+// TestValidateMessages pins which fault Validate reports when a gate
+// has several: out-of-range and duplicate wires come before a layer
+// clash on any of the gate's wires, in wire order, and a wire shared
+// with an earlier gate is no duplicate.
+func TestValidateMessages(t *testing.T) {
+	mk := func() *Network {
+		b := NewBuilder(4)
+		b.Add([]int{0, 1}, "a")
+		b.Add([]int{1, 2, 3}, "b")
+		b.Add([]int{0, 2}, "c")
+		return b.Build("v", nil)
+	}
+	for _, c := range []struct {
+		name    string
+		corrupt func(n *Network)
+		want    string
+	}{
+		{"layer clash", func(n *Network) { n.Gates[1].Layer = 1 },
+			"network: gate 1 at layer 1 but wire 1 already at depth 1"},
+		{"clash before a duplicate", func(n *Network) { n.Gates[1].Layer = 1; n.Gates[1].Wires = []int{1, 2, 2} },
+			"network: gate 1 touches wire 2 twice"},
+		{"clash before an out-of-range wire", func(n *Network) { n.Gates[1].Layer = 1; n.Gates[1].Wires = []int{1, 2, -1} },
+			"network: gate 1 touches wire -1 outside width 4"},
+		{"duplicate before out of range", func(n *Network) { n.Gates[2].Wires = []int{0, 0, 9} },
+			"network: gate 2 touches wire 0 twice"},
+		{"first clashing wire", func(n *Network) { n.Gates[2].Layer = 1 },
+			"network: gate 2 at layer 1 but wire 0 already at depth 1"},
+	} {
+		n := mk()
+		c.corrupt(n)
+		if err := n.Validate(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: got %v, want %q", c.name, err, c.want)
+		}
+	}
+}

@@ -71,29 +71,42 @@ type asyncGate struct {
 	next  []int32 // next gate per port, -1 if the token exits
 }
 
-// Compile prepares a network for concurrent traversal.
+// Compile prepares a network for concurrent traversal in one pass over
+// the gates in topological order, with no per-gate allocation: every
+// gate's wires and next-gate lists are adjacent windows of one shared
+// routing array (a gate's whole routing shares a cache line or two, as
+// it did when each list was an allocation of its own), and a per-wire
+// "last port" slot gives each wire's entry gate and links each port to
+// the next gate on its wire. A compile costs four allocations at any
+// size.
 func Compile(net *network.Network) *Async {
-	w := net.Width()
+	w, ng := net.Width(), net.Size()
+	ports := 0
+	for gi := range net.Gates {
+		ports += len(net.Gates[gi].Wires)
+	}
+	tab := make([]int32, 2*w+ng+2*ports)
 	a := &Async{
 		width:     w,
-		entry:     make([]int32, w),
-		hot:       make([]asyncHot, net.Size()),
-		gates:     make([]asyncGate, net.Size()),
-		outPos:    make([]int32, w),
-		gateLayer: make([]int32, net.Size()),
+		entry:     tab[:w:w],
+		outPos:    tab[w : 2*w : 2*w],
+		gateLayer: tab[2*w : 2*w+ng : 2*w+ng],
+		hot:       make([]asyncHot, ng),
+		gates:     make([]asyncGate, ng),
 	}
-	for gi := range net.Gates {
-		a.gateLayer[gi] = int32(net.Gates[gi].Layer)
-	}
-	wireGates := net.WireGates()
-	for wire := 0; wire < w; wire++ {
+	route := tab[2*w+ng:]
+	// last[wire] indexes the next-gate slot of the port that last
+	// touched wire, -1 before its first gate. outPos is free until the
+	// end, so it serves.
+	last := a.outPos
+	for wire := range last {
 		a.entry[wire] = -1
-		if len(wireGates[wire]) > 0 {
-			a.entry[wire] = int32(wireGates[wire][0])
-		}
+		last[wire] = -1
 	}
+	k := 0
 	for gi := range net.Gates {
 		g := &net.Gates[gi]
+		a.gateLayer[gi] = int32(g.Layer)
 		ag := &a.gates[gi]
 		ag.width = int64(g.Width())
 		ag.mask = -1
@@ -103,21 +116,20 @@ func Compile(net *network.Network) *Async {
 				ag.shift++
 			}
 		}
-		ag.wires = make([]int32, g.Width())
-		ag.next = make([]int32, g.Width())
+		p := len(g.Wires)
+		ag.wires = route[k : k+p : k+p]
+		ag.next = route[k+p : k+2*p : k+2*p]
 		for port, wire := range g.Wires {
 			ag.wires[port] = int32(wire)
 			ag.next[port] = -1
-			lst := wireGates[wire]
-			for k, id := range lst {
-				if id == gi {
-					if k+1 < len(lst) {
-						ag.next[port] = int32(lst[k+1])
-					}
-					break
-				}
+			if l := last[wire]; l >= 0 {
+				route[l] = int32(gi)
+			} else {
+				a.entry[wire] = int32(gi)
 			}
+			last[wire] = int32(k + p + port)
 		}
+		k += 2 * p
 	}
 	for pos, wire := range net.OutputOrder {
 		a.outPos[wire] = int32(pos)

@@ -290,7 +290,10 @@ func Stride[T any](x []T, i, k int) []T {
 	if k <= 0 || i < 0 {
 		panic("seq: invalid stride")
 	}
-	var out []T
+	if i >= len(x) {
+		return nil
+	}
+	out := make([]T, 0, (len(x)-i+k-1)/k)
 	for j := i; j < len(x); j += k {
 		out = append(out, x[j])
 	}
