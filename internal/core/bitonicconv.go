@@ -22,14 +22,6 @@ func (e *buildEnv) bitonic(p int, x []int, label string) []int {
 	if p < 1 || len(x)%p != 0 {
 		panic(fmt.Sprintf("core: bitonicConverter %q length %d not a multiple of p=%d", label, len(x), p))
 	}
-	return e.cached(e.key3("D", p, len(x), 0, false), x, label, false, func(e *buildEnv, in []int, label string) []int {
-		return e.bitonicRaw(p, in, label)
-	})
-}
-
-// bitonicRaw derives the converter gate-by-gate; bitonic memoizes
-// around it.
-func (e *buildEnv) bitonicRaw(p int, x []int, label string) []int {
 	b := e.b
 	q := len(x) / p
 

@@ -96,7 +96,8 @@ func BalancerBase(b *network.Builder, in []int, p, q int, label string) []int {
 // R(p,q) of Section 5.3, built from balancers of width at most
 // max(p,q).
 func RBase(b *network.Builder, in []int, p, q int, label string) []int {
-	return newEnv(b, Config{}).buildR(in, p, q, label)
+	// One R in an env of its own: nothing would replay a template.
+	return newEnv(b, Config{}).deriveR(in, p, q, label)
 }
 
 // KConfig returns the configuration of family K (Section 5.1).
@@ -172,7 +173,7 @@ func R(p, q int) (*network.Network, error) {
 	}
 	b := network.NewBuilder(p * q)
 	b.Grow(RGateCount(p, q))
-	out := newEnv(b, Config{}).buildR(network.Identity(p*q), p, q, fmt.Sprintf("R(%d,%d)", p, q))
+	out := newEnv(b, Config{}).deriveR(network.Identity(p*q), p, q, fmt.Sprintf("R(%d,%d)", p, q))
 	return b.Build(fmt.Sprintf("R(%d,%d)", p, q), out), nil
 }
 

@@ -2,39 +2,30 @@ package core
 
 import (
 	"reflect"
-	"strconv"
 	"strings"
 
 	"countnet/internal/network"
 )
 
-// The constructions are heavily self-similar: C(p0..pn-1) instantiates
-// p(n-1) identical copies of C(p0..pn-2), every merger instantiates
-// p(n-2) identical sub-mergers, and every staircase row repeats the
-// same base network. All of them are *positional*: the gates a call
-// appends depend only on the construction parameters and the order of
-// its input wires, never on the wire numbers themselves. A build can
-// therefore record the gates one occurrence of a (construction,
-// parameters) pair appended, translated to positions within its input,
-// and replay that template through a wire translation for every
-// further occurrence instead of deriving it again.
+// Family L's base network R(p,q) is the one construction whose
+// derivation costs far more than placing its gates: it copies nine
+// matrix regions and runs up to nine two-mergers and a K network to
+// place a few dozen gates. It is also *positional*: the gates it
+// appends depend only on p, q and the order of its input wires, never
+// on the wire numbers themselves, and on no configuration either,
+// since its K regions are built in the family-K view (kView) and never
+// call Config.Base. A build therefore records the gates of the first
+// R(p,q) it derives, translated to positions within its input, and
+// replays that template through a wire translation for every further
+// R(p,q) instead of deriving it again. An R that spans every wire of
+// the build is not recorded, since nothing is left to replay it, so a
+// build that meets no other R (a counter on L(4,4), any K) never makes
+// the memo's map or stamp arrays.
 //
-// A replay still appends every gate, so it pays back its record only
-// where deriving costs far more than placing the gates. That is so for
-// R(p,q), which copies nine matrix regions and runs up to nine
-// two-mergers and a K network to place a few dozen gates, and so for
-// every construction that contains one (the C, M and S shapes of
-// family L). Everything else derives about as fast as it replays.
-// With every template recorded, K(2,...,2) of width 1024 built in
-// 8.0 ms against 5.6 ms with none, and the set-up of a counter on
-// L(4,4) took 38 µs against 30 µs, while L(3,4,5,6) built in 0.86 ms
-// against 1.18 ms (medians of six runs on a 2-vCPU Xeon, Go 1.24).
-// So a construction is recorded when its
-// derivation met an R — derived or replayed — and does not span every
-// wire of the build, since nothing would be left to replay it. R(p,q)
-// marks itself dear when it calls cached; nothing else is recorded,
-// and a build that records nothing never makes the memo's map or
-// stamp arrays.
+// Only R is recorded because only R pays for it: a replay still
+// appends every gate, and every other construction derives about as
+// fast as it replays. With the memo off, L(2^8) built in 3.7 ms
+// against 1.9 ms with it (medians on a 2-vCPU Xeon, Go 1.24).
 //
 // The cache is build-scoped: created in the public entry points,
 // threaded through the recursion via buildEnv, and dropped when the
@@ -43,19 +34,19 @@ import (
 // bit-identical with and without the cache
 // (TestMemoMatchesDerivation).
 
-// tmplGate is one recorded gate: wire positions local to the
-// construction's flattened input, plus the label suffix.
+// tmplGate is one recorded gate: wire positions local to R's input,
+// plus the label suffix.
 type tmplGate struct {
 	wires  []int
 	suffix string
 }
 
-// template is a recorded construction over local input positions
+// template is a recorded R(p,q) over local input positions
 // 0..len-1. lastPrefix/lastLabels cache the per-gate label strings of
-// the most recent replay prefix: within one build almost every replay
-// of a template shares the same prefix (the top-level network name), so
-// the labels are composed once per template, not per replay, and
-// interned in envShared across templates.
+// the most recent replay prefix: most replays of a template share the
+// prefix of the one before (a base slot's label, such as
+// "L(3,4,5,6)/S.base"), so the labels are composed once per run of
+// replays, not per replay, and interned in envShared across templates.
 type template struct {
 	gates []tmplGate
 	out   []int // output ordering in local positions
@@ -70,14 +61,12 @@ type template struct {
 type buildEnv struct {
 	b   *network.Builder
 	cfg Config
-	// memoOK is false for an unknown user base function, whose
-	// positional determinism we cannot vouch for: its builds neither
-	// record nor replay.
+	// memoOK switches the memo; TestMemoMatchesDerivation turns it off
+	// to build its reference.
 	memoOK bool
 	sh     *envShared
-	// baseKind routes cfg.Base calls to memoizable implementations:
-	// known functions are dispatched directly so their sub-structure
-	// lands in the cache too.
+	// baseKind routes cfg.Base calls to the known implementations
+	// directly, so family L's R calls share the build's memo.
 	baseKind int
 }
 
@@ -93,17 +82,13 @@ type envShared struct {
 	// nothing carved from a chunk is ever handed out again, so a slice
 	// stays valid for the whole build.
 	ints []int
-	// keyBuf holds the key under construction: keys are built in place
-	// and looked up without allocating a string.
-	keyBuf []byte
 	// wires is the per-gate scratch replay translates into.
 	wires []int
 	// kEnv is the family-K view (see kView), made on first use.
 	kEnv *buildEnv
 
-	memo map[string]*template
-	// dear counts the dear constructions met so far.
-	dear int
+	// memo maps R's {p, q} to its template.
+	memo map[[2]int]*template
 	// invPos/invGen map a wire to its position in the input being
 	// recorded: a width-sized array with generation marks, replacing a
 	// map allocation per recorded template.
@@ -113,8 +98,8 @@ type envShared struct {
 	// labels interns the gate labels (see label), made on first use.
 	labels   map[string]string
 	labelBuf []byte
-	// bufs is the first backing of keyBuf and labelBuf.
-	bufs [128]byte
+	// buf is the first backing of labelBuf.
+	buf [64]byte
 }
 
 // label returns the concatenation of parts, interned: every
@@ -140,14 +125,22 @@ func (sh *envShared) label(parts ...string) string {
 	return s
 }
 
+// intsPerWire sizes a build's first scratch chunk, in ints per wire;
+// later chunks double. Builds use from 12 ints per wire (R, L(4,4)) to
+// about 120 (L(2^8)), so no multiple fits all. Of 4 to 32, only 4 kept
+// every BuildK, BuildL, BuildR and Setup benchmark within 7% of the
+// bytes of a fixed 1,024-int first chunk; small builds, a counter's
+// set-up among them, take up to 45% fewer.
+const intsPerWire = 4
+
 // ints carves an n-int slice out of the build's scratch. Callers write
 // every element before they read it.
 func (e *buildEnv) ints(n int) []int {
 	sh := e.sh
 	if cap(sh.ints)-len(sh.ints) < n {
 		c := 2 * cap(sh.ints)
-		if c < 1024 {
-			c = 1024
+		if c == 0 {
+			c = intsPerWire * e.b.Width()
 		}
 		if c > 1<<16 {
 			c = 1 << 16
@@ -160,13 +153,6 @@ func (e *buildEnv) ints(n int) []int {
 	lo := len(sh.ints)
 	sh.ints = sh.ints[:lo+n]
 	return sh.ints[lo : lo+n : lo+n]
-}
-
-// concat returns x0 followed by x1 in build scratch.
-func (e *buildEnv) concat(x0, x1 []int) []int {
-	out := e.ints(len(x0) + len(x1))
-	copy(out[copy(out, x0):], x1)
-	return out
 }
 
 const (
@@ -203,20 +189,16 @@ func baseKindOf(f BaseFunc) int {
 	}
 }
 
-// newEnv prepares a build environment. Memoization is enabled for the
-// known base functions and for base-free constructions; an
-// unrecognized user base disables it.
+// newEnv prepares a build environment with the memo on.
 func newEnv(b *network.Builder, cfg Config) *buildEnv {
-	kind := baseKindOf(cfg.Base)
 	sh := &envShared{}
-	sh.keyBuf, sh.labelBuf = sh.bufs[:0:64], sh.bufs[64:64]
-	return &buildEnv{b: b, cfg: cfg, memoOK: kind != baseUnknown, sh: sh, baseKind: kind}
+	sh.labelBuf = sh.buf[:0]
+	return &buildEnv{b: b, cfg: cfg, memoOK: true, sh: sh, baseKind: baseKindOf(cfg.Base)}
 }
 
 // kView returns the build's family-K view: an env over the same
 // builder and scratch with family K's configuration, in which R's
-// regions build their K networks. Keys embed the configuration, so
-// sharing the cache across configurations is sound.
+// regions build their K networks.
 func (e *buildEnv) kView() *buildEnv {
 	if e.sh.kEnv == nil {
 		e.sh.kEnv = &buildEnv{b: e.b, cfg: KConfig(), memoOK: e.memoOK, sh: e.sh, baseKind: baseBalancer}
@@ -225,7 +207,7 @@ func (e *buildEnv) kView() *buildEnv {
 }
 
 // callBase builds the base network C(p,q) over in, routing the known
-// base functions through the env so their internals are memoized.
+// base functions through the env so their R calls share its memo.
 func (e *buildEnv) callBase(in []int, p, q int, label string) []int {
 	switch e.baseKind {
 	case baseBalancer:
@@ -242,50 +224,10 @@ func (e *buildEnv) callBase(in []int, p, q int, label string) []int {
 	}
 }
 
-// cached runs derive for the construction identified by key over the
-// flattened input `in`, or replays the construction's template when
-// one is recorded. dear marks a construction whose derivation does
-// far more work than placing its gates (R(p,q)); see the package note
-// for the record rule. derive must be positional: its gates and
-// output ordering may depend only on len(in) and the positions of its
-// wires within in, plus whatever key encodes.
-func (e *buildEnv) cached(key []byte, in []int, label string, dear bool, derive func(e *buildEnv, in []int, label string) []int) []int {
-	if !e.memoOK {
-		return derive(e, in, label)
-	}
-	sh := e.sh
-	dear0 := sh.dear
-	if dear {
-		sh.dear++
-	}
-	if t := sh.memo[string(key)]; t != nil { // no-alloc map lookup
-		return e.replay(t, in, label)
-	}
-	// Keep the key past derive, whose nested calls reuse the key buffer
-	// that `key` points into; it becomes a string only if recorded.
-	var kb [64]byte
-	k := append(kb[:0], key...)
-	g0 := e.b.GateCount()
-	out := derive(e, in, label)
-	if sh.dear == dear0 || len(in) == e.b.Width() {
-		// Nothing dear inside: a replay would save little more than
-		// it costs. Or it spans the build: nothing is left to replay
-		// it.
-		return out
-	}
-	// Recording is cheap: the derivation went straight into the real
-	// builder, and its gates are translated to input-local positions
-	// after the fact.
-	if t := e.record(g0, in, out, label); t != nil {
-		sh.memo[string(k)] = t
-	}
-	return out
-}
-
-// initMemo makes the memo's map, stamp arrays and label table.
+// initMemo makes the memo's map and stamp arrays.
 func (sh *envShared) initMemo(width int) {
 	if sh.memo == nil {
-		sh.memo = make(map[string]*template)
+		sh.memo = make(map[[2]int]*template)
 		sh.invPos = make([]int32, width)
 		sh.invGen = make([]uint32, width)
 	}
@@ -293,9 +235,10 @@ func (sh *envShared) initMemo(width int) {
 
 // record translates gates [g0, b.GateCount()) and the output ordering
 // into input-local positions. It returns nil — caching nothing — if a
-// gate or output wire falls outside `in`, which no positional
-// construction produces; the check keeps a misbehaving base function
-// from corrupting the cache. The wire→position table is a build-wide
+// gate or output wire falls outside `in` or a gate label does not
+// extend `label`, which no positional construction produces; the
+// check keeps a construction that breaks the rule from corrupting the
+// cache. The wire→position table is a build-wide
 // generation-stamped array and all recorded wire slices share one
 // backing array, so recording costs a handful of allocations however
 // many gates it covers.
@@ -376,50 +319,4 @@ func (e *buildEnv) replay(t *template, in []int, label string) []int {
 		out[i] = in[li]
 	}
 	return out
-}
-
-// key builders ------------------------------------------------------------
-//
-// Keys are assembled in the build-wide key buffer and passed to cached
-// as a byte slice: lookups convert with the compiler's no-alloc
-// map[string(b)] form, and only a recorded shape pays for a real
-// string. Tagged keys end in the parts of the configuration that shape
-// construction (base kind and staircase variant). With memoization
-// disabled the key is irrelevant and nil is returned.
-
-func (e *buildEnv) keyFactors(kind string, factors []int, tagged bool) []byte {
-	if !e.memoOK {
-		return nil
-	}
-	k := append(e.sh.keyBuf[:0], kind...)
-	for _, f := range factors {
-		k = append(k, '|')
-		k = strconv.AppendInt(k, int64(f), 10)
-	}
-	return e.endKey(k, tagged)
-}
-
-func (e *buildEnv) key3(kind string, a, b, c int, tagged bool) []byte {
-	if !e.memoOK {
-		return nil
-	}
-	k := append(e.sh.keyBuf[:0], kind...)
-	k = append(k, '|')
-	k = strconv.AppendInt(k, int64(a), 10)
-	k = append(k, '|')
-	k = strconv.AppendInt(k, int64(b), 10)
-	k = append(k, '|')
-	k = strconv.AppendInt(k, int64(c), 10)
-	return e.endKey(k, tagged)
-}
-
-func (e *buildEnv) endKey(k []byte, tagged bool) []byte {
-	if tagged {
-		k = append(k, "|b"...)
-		k = strconv.AppendInt(k, int64(e.baseKind), 10)
-		k = append(k, 's')
-		k = strconv.AppendInt(k, int64(e.cfg.Staircase), 10)
-	}
-	e.sh.keyBuf = k
-	return k
 }

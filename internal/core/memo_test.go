@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"countnet/internal/network"
+	"countnet/internal/optnet"
 )
 
 // buildWith builds the counting network of cfg over factors as build
@@ -47,38 +48,65 @@ func sameNetwork(t *testing.T, what string, a, b *network.Network) {
 }
 
 // TestMemoMatchesDerivation: every network is gate-for-gate the same
-// with and without the memo, for every configuration whose base the
-// memo knows. Builds whose derivation meets an R record templates
-// (and replay them); the others record nothing, so they never make
-// the memo's map.
+// with and without the memo, for every configuration, a user base
+// closure around RBase included. The memo holds exactly one template
+// per distinct R(p,q) the build met without spanning it, so K and Kopt
+// builds and L(4,4) never make its map.
 func TestMemoMatchesDerivation(t *testing.T) {
+	userR := func(b *network.Builder, in []int, p, q int, label string) []int {
+		return RBase(b, in, p, q, label)
+	}
 	configs := []struct {
 		name string
 		cfg  Config
+		// usesR reports whether the base builds R(p,q) over a p x q
+		// block.
+		usesR func(p, q int) bool
 	}{
-		{"K", KConfig()}, {"L", LConfig()}, {"Kopt", KOptConfig()}, {"Lopt", LOptConfig()},
-		{"L-basic", Config{Base: RBase, Staircase: StaircaseBasic}},
-		{"L-basicsub", Config{Base: RBase, Staircase: StaircaseBasicSub}},
+		{"K", KConfig(), func(int, int) bool { return false }},
+		{"L", LConfig(), func(int, int) bool { return true }},
+		{"Kopt", KOptConfig(), func(int, int) bool { return false }},
+		{"Lopt", LOptConfig(), func(p, q int) bool { return p*q > optnet.MaxWidth }},
+		{"L-basic", Config{Base: RBase, Staircase: StaircaseBasic}, func(int, int) bool { return true }},
+		{"L-basicsub", Config{Base: RBase, Staircase: StaircaseBasicSub}, func(int, int) bool { return true }},
+		// A user base builds each R in an env of its own, outside the
+		// build's memo.
+		{"L-userbase", Config{Base: userR, Staircase: StaircaseOptBitonic}, func(int, int) bool { return false }},
 	}
 	cases := [][]int{
 		{2}, {4, 4}, {5, 7}, {2, 3, 5}, {6, 5, 4}, {3, 4, 5, 6}, {2, 2, 2, 2, 2}, {3, 3, 2, 2},
+		{2, 2, 2, 2, 2, 2, 2, 2},
 	}
 	for _, c := range configs {
 		for _, fs := range cases {
 			memo, e := buildWith(t, c.cfg, fs, true)
 			plain, _ := buildWith(t, c.cfg, fs, false)
-			sameNetwork(t, c.name+factorsName("", fs), memo, plain)
-			if recorded := len(e.sh.memo) > 0; recorded != (e.sh.dear > 0 && len(fs) > 2) {
-				t.Errorf("%s%v: recorded %v, met %d R", c.name, fs, recorded, e.sh.dear)
+			what := c.name + factorsName("", fs)
+			sameNetwork(t, what, memo, plain)
+
+			// The R shapes a build meets are its base calls: count
+			// them with a base that wraps the configuration's.
+			met := map[[2]int]bool{}
+			spy := c.cfg
+			spy.Base = func(b *network.Builder, in []int, p, q int, label string) []int {
+				if c.usesR(p, q) && len(in) < b.Width() {
+					met[[2]int{p, q}] = true
+				}
+				return c.cfg.Base(b, in, p, q, label)
+			}
+			buildWith(t, spy, fs, false)
+			if len(e.sh.memo) != len(met) {
+				t.Errorf("%s: memo holds %d templates, met %d distinct R shapes", what, len(e.sh.memo), len(met))
+			}
+			for k := range met {
+				if e.sh.memo[k] == nil {
+					t.Errorf("%s: R%v met but not recorded", what, k)
+				}
 			}
 		}
 	}
 	// The counter set-up's network records nothing at all.
 	if _, e := buildWith(t, LConfig(), []int{4, 4}, true); e.sh.memo != nil {
 		t.Errorf("L(4,4) made the memo map (%d templates)", len(e.sh.memo))
-	}
-	// L(3,4,5,6) replays most of its gates.
-	if _, e := buildWith(t, LConfig(), []int{3, 4, 5, 6}, true); len(e.sh.memo) < 10 {
-		t.Errorf("L(3,4,5,6) recorded %d templates, want the R shapes and their containers", len(e.sh.memo))
 	}
 }

@@ -28,14 +28,6 @@ func (e *buildEnv) merger(factors []int, in []int, label string) []int {
 	if n == 2 {
 		return e.callBase(in, factors[0], factors[1], e.sh.label(label, "/M.base"))
 	}
-	return e.cached(e.keyFactors("M", factors, true), in, label, false, func(e *buildEnv, in []int, label string) []int {
-		return e.mergerRaw(factors, in, label)
-	})
-}
-
-// mergerRaw derives the recursive merger; merger memoizes around it.
-func (e *buildEnv) mergerRaw(factors []int, in []int, label string) []int {
-	n := len(factors)
 
 	pn1 := factors[n-1] // p(n-1): number of input sequences
 	pn2 := factors[n-2] // p(n-2): number of sub-merger copies
@@ -80,14 +72,12 @@ func (e *buildEnv) counting(in []int, factors []int, label string) []int {
 	case n == 2:
 		return e.callBase(in, factors[0], factors[1], e.sh.label(label, "/C.base"))
 	}
-	return e.cached(e.keyFactors("C", factors, true), in, label, false, func(e *buildEnv, in []int, label string) []int {
-		blockLen := len(in) / factors[n-1]
-		outs := e.ints(len(in))
-		for i := 0; i < len(in); i += blockLen {
-			copy(outs[i:i+blockLen], e.counting(in[i:i+blockLen], factors[:n-1], label))
-		}
-		return e.merger(factors, outs, label)
-	})
+	blockLen := len(in) / factors[n-1]
+	outs := e.ints(len(in))
+	for i := 0; i < len(in); i += blockLen {
+		copy(outs[i:i+blockLen], e.counting(in[i:i+blockLen], factors[:n-1], label))
+	}
+	return e.merger(factors, outs, label)
 }
 
 // MergerNetwork builds a standalone M(p0,...,pn-1) under cfg. Input

@@ -184,7 +184,7 @@ func TestOptMemoizedEqualsDirect(t *testing.T) {
 		}
 	}
 	// The generic construction with the opt base as a plain Config
-	// (memoized via the recognized base kind) must equal KOpt exactly.
+	// (dispatched via the recognized base kind) must equal KOpt exactly.
 	n1, err := New(Config{Base: OptBalancerBase, Staircase: StaircaseOptBase}, 2, 3, 4)
 	if err != nil {
 		t.Fatal(err)

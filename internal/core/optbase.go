@@ -99,8 +99,7 @@ func OptSortNetwork(w int) (*network.Network, error) {
 	return b.Build(name, out), nil
 }
 
-// optBalancerBase dispatches the Kopt base within a build env so the
-// sorter's gates are memoized like every other construction.
+// optBalancerBase dispatches the Kopt base within a build env.
 func (e *buildEnv) optBalancerBase(in []int, p, q int, label string) []int {
 	if p*q <= optnet.MaxWidth {
 		return e.optSorter(in, label)
@@ -109,7 +108,8 @@ func (e *buildEnv) optBalancerBase(in []int, p, q int, label string) []int {
 	return in
 }
 
-// optRBase dispatches the Lopt base within a build env.
+// optRBase dispatches the Lopt base within a build env, so its R
+// calls share the build's memo.
 func (e *buildEnv) optRBase(in []int, p, q int, label string) []int {
 	if p*q <= optnet.MaxWidth {
 		return e.optSorter(in, label)
@@ -126,14 +126,12 @@ func (e *buildEnv) optSorter(in []int, label string) []int {
 	if !ok {
 		panic(fmt.Sprintf("core: optSorter %q over %d wires, want %d..%d", label, len(in), optnet.MinWidth, optnet.MaxWidth))
 	}
-	return e.cached(e.key3("O", len(in), 0, 0, false), in, label, false, func(e *buildEnv, in []int, label string) []int {
-		optLabel := e.sh.label(label, "/opt")
-		for _, layer := range n.Layers {
-			for _, c := range layer {
-				pair := [2]int{in[c.A], in[c.B]}
-				e.b.Add(pair[:], optLabel)
-			}
+	optLabel := e.sh.label(label, "/opt")
+	for _, layer := range n.Layers {
+		for _, c := range layer {
+			pair := [2]int{in[c.A], in[c.B]}
+			e.b.Add(pair[:], optLabel)
 		}
-		return in
-	})
+	}
+	return in
 }

@@ -42,19 +42,36 @@ func isqrt(n int) int {
 // regions (width 0 or 1, or small enough for one balancer) collapse to
 // nothing or a single balancer, which can only reduce depth.
 func (e *buildEnv) buildR(in []int, p, q int, label string) []int {
+	if !e.memoOK {
+		return e.deriveR(in, p, q, label)
+	}
+	sh := e.sh
+	key := [2]int{p, q}
+	if t := sh.memo[key]; t != nil {
+		return e.replay(t, in, label)
+	}
+	g0 := e.b.GateCount()
+	out := e.deriveR(in, p, q, label)
+	// An R over every wire of the build leaves nothing to replay it.
+	if len(in) < e.b.Width() {
+		// Recording is cheap: the derivation went straight into the
+		// real builder, and its gates are translated to input-local
+		// positions after the fact.
+		if t := e.record(g0, in, out, label); t != nil {
+			sh.memo[key] = t
+		}
+	}
+	return out
+}
+
+// deriveR derives R(p,q) gate by gate; buildR memoizes around it.
+func (e *buildEnv) deriveR(in []int, p, q int, label string) []int {
 	if p < 2 || q < 2 {
 		panic(fmt.Sprintf("core: R(%d,%d) requires p,q >= 2", p, q))
 	}
 	if len(in) != p*q {
 		panic(fmt.Sprintf("core: R(%d,%d) over %d wires", p, q, len(in)))
 	}
-	return e.cached(e.key3("R", p, q, 0, false), in, label, true, func(e *buildEnv, in []int, label string) []int {
-		return e.buildRRaw(in, p, q, label)
-	})
-}
-
-// buildRRaw derives R(p,q) gate-by-gate; buildR memoizes around it.
-func (e *buildEnv) buildRRaw(in []int, p, q int, label string) []int {
 	b := e.b
 	m := p
 	if q > m {

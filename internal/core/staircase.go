@@ -20,14 +20,6 @@ func (e *buildEnv) staircase(r, p, q int, in []int, label string) []int {
 	if len(in) != r*p*q {
 		panic(fmt.Sprintf("core: staircase %q got %d wires, want r*p*q=%d", label, len(in), r*p*q))
 	}
-	return e.cached(e.key3("S", r, p, q, true), in, label, false, func(e *buildEnv, in []int, label string) []int {
-		return e.staircaseRaw(r, p, q, in, label)
-	})
-}
-
-// staircaseRaw derives the staircase gate-by-gate; staircase memoizes
-// around it.
-func (e *buildEnv) staircaseRaw(r, p, q int, in []int, label string) []int {
 	b, cfg := e.b, e.cfg
 	pq := p * q
 

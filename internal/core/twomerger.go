@@ -38,19 +38,6 @@ func (e *buildEnv) twoMerger(p int, x0, x1 []int, subRows bool, label string) []
 	if len(x0)%p != 0 || len(x1)%p != 0 {
 		panic(fmt.Sprintf("core: twoMerger %q inputs %d,%d not multiples of p=%d", label, len(x0), len(x1), p))
 	}
-	q0, q1 := len(x0)/p, len(x1)/p
-	kind := "T"
-	if subRows {
-		kind = "Ts"
-	}
-	return e.cached(e.key3(kind, p, q0, q1, false), e.concat(x0, x1), label, false, func(e *buildEnv, in []int, label string) []int {
-		return e.twoMergerRaw(p, in[:p*q0], in[p*q0:], subRows, label)
-	})
-}
-
-// twoMergerRaw derives the two-merger gate-by-gate; twoMerger memoizes
-// around it.
-func (e *buildEnv) twoMergerRaw(p int, x0, x1 []int, subRows bool, label string) []int {
 	b := e.b
 	q0, q1 := len(x0)/p, len(x1)/p
 	cols := q0 + q1

@@ -373,6 +373,7 @@ func (c *CombiningCounter) combineLocked(n int, yield func(op string)) []Run {
 	c.inject(total)
 	exits := c.exits
 	if yield != nil {
+		//netvet:allow escape -- sched-hooked lane only: TraverseBatchHooked, inlined here, allocates its result; production passes a nil yield
 		exits = c.async.TraverseBatchHooked(c.entry, yield)
 	} else {
 		c.async.TraverseBatchInto(exits, c.entry, c.scratch)

@@ -50,20 +50,8 @@ func (a *Async) TraverseBatch(entryCounts []int64) []int64 {
 // TraverseBatchInto is TraverseBatch writing exit counts into dst
 // (length Width) and reusing s; it performs zero allocations when s is
 // non-nil. A nil s allocates a fresh scratch. Returns dst.
-//
-//netvet:hotpath
 func (a *Async) TraverseBatchInto(dst, entryCounts []int64, s *BatchScratch) []int64 {
-	if s == nil {
-		//netvet:allow escape -- cold nil-scratch fallback; steady-state callers pass s (pinned by the zero-alloc tests)
-		s = a.NewBatchScratch()
-	}
-	a.batchArgs(dst, entryCounts)
-	copy(s.cur, entryCounts)
-	a.propagate(s.cur, nil)
-	for wire, pos := range a.outPos {
-		dst[pos] = s.cur[wire]
-	}
-	return dst
+	return a.traverseBatch(dst, entryCounts, s, nil)
 }
 
 // TraverseBatchHooked is TraverseBatch instrumented for controlled
@@ -74,13 +62,26 @@ func (a *Async) TraverseBatchInto(dst, entryCounts []int64, s *BatchScratch) []i
 // Traverse/TraverseBatch; do not mix hooked and unhooked calls within
 // one controlled run.
 func (a *Async) TraverseBatchHooked(entryCounts []int64, yield func(op string)) []int64 {
-	dst := make([]int64, a.width)
+	return a.traverseBatch(make([]int64, a.width), entryCounts, nil, yield)
+}
+
+// traverseBatch is the one body of the batched traversals: it checks
+// the arguments, propagates entryCounts through the gates with the
+// per-wire state in s (a fresh scratch when s is nil), and writes the
+// exit counts into dst in output order. yield is nil except on the
+// sched-hooked lane.
+//
+//netvet:hotpath
+func (a *Async) traverseBatch(dst, entryCounts []int64, s *BatchScratch, yield func(op string)) []int64 {
+	if s == nil {
+		//netvet:allow escape -- cold nil-scratch fallback; steady-state callers pass s (pinned by the zero-alloc tests)
+		s = a.NewBatchScratch()
+	}
 	a.batchArgs(dst, entryCounts)
-	cur := make([]int64, a.width)
-	copy(cur, entryCounts)
-	a.propagate(cur, yield)
+	copy(s.cur, entryCounts)
+	a.propagate(s.cur, yield)
 	for wire, pos := range a.outPos {
-		dst[pos] = cur[wire]
+		dst[pos] = s.cur[wire]
 	}
 	return dst
 }

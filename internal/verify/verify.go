@@ -25,11 +25,9 @@ func SortsZeroOne(net *network.Network, maxWidth int) (failing []int64, err erro
 	}
 	in := make([]int64, w)
 	for mask := 0; mask < 1<<uint(w); mask++ {
-		ones := 0
 		for i := 0; i < w; i++ {
 			if mask&(1<<uint(i)) != 0 {
 				in[i] = 1
-				ones++
 			} else {
 				in[i] = 0
 			}
@@ -38,7 +36,6 @@ func SortsZeroOne(net *network.Network, maxWidth int) (failing []int64, err erro
 		if !sortedDesc(out) {
 			return append([]int64(nil), in...), nil
 		}
-		_ = ones
 	}
 	return nil, nil
 }
